@@ -1,14 +1,18 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
 """Compiled kernels for the hot inner loops.
 
-Operation-for-operation translation of ``_kernels_py``; both backends must
-return bit-identical results (``tests/test_backends.py`` enforces this).
-See the pure-Python module for the algorithm notes.
+Operation-for-operation translation of ``_kernels_py``, except for
+``win_probs_common``: its dynamic program is re-exported from the
+pure-Python module, so both backends share one copy of it. The translated
+kernels must return bit-identical results (``tests/test_backends.py``
+checks this). See the pure-Python module for the algorithm notes.
 """
 
 from libc.stdint cimport uint64_t
 from libc.stdlib cimport calloc, free, malloc
 from libc.string cimport memset
+
+from lupi._kernels_py import win_probs_common
 
 BACKEND = "c"
 
@@ -46,61 +50,6 @@ def choose_index(cums, u):
     while k > 0 and <double> cums[k] == <double> cums[k - 1]:
         k -= 1
     return k
-
-
-cdef void _wpc_rec(double* probs, double* tail, double* comb, int stride,
-                   double* win, int n, int j, int left, double w) noexcept:
-    cdef double f, pj, w2
-    cdef int t, c
-    if w == 0.0:
-        return
-    f = 1.0
-    for t in range(left):
-        f *= tail[j + 1]
-    win[j] += w * f
-    if j == n - 1:
-        return
-    _wpc_rec(probs, tail, comb, stride, win, n, j + 1, left, w)
-    pj = probs[j]
-    if pj > 0.0:
-        for c in range(2, left + 1):
-            w2 = w * comb[left * stride + c]
-            for t in range(c):
-                w2 *= pj
-            _wpc_rec(probs, tail, comb, stride, win, n, j + 1, left - c, w2)
-
-
-def win_probs_common(probs, opponents):
-    """Win probability of every pure choice against identical opponents."""
-    cdef int n = len(probs)
-    cdef int m = opponents
-    cdef int stride = m + 1
-    cdef int i, k
-    cdef double* buf = <double*> malloc((3 * n + 2 + stride * stride) * sizeof(double))
-    if buf == NULL:
-        raise MemoryError()
-    cdef double* p = buf
-    cdef double* tail = buf + n
-    cdef double* win = buf + 2 * n + 1
-    cdef double* comb = buf + 3 * n + 1
-    try:
-        for i in range(n):
-            p[i] = <double> probs[i]
-            win[i] = 0.0
-        tail[n] = 0.0
-        for i in range(n - 1, -1, -1):
-            tail[i] = tail[i + 1] + p[i]
-        for i in range(stride):
-            for k in range(stride):
-                comb[i * stride + k] = 0.0
-            comb[i * stride] = 1.0
-            comb[i * stride + i] = 1.0
-            for k in range(1, i):
-                comb[i * stride + k] = comb[(i - 1) * stride + k - 1] + comb[(i - 1) * stride + k]
-        _wpc_rec(p, tail, comb, stride, win, n, 0, m, 1.0)
-        return [win[i] for i in range(n)]
-    finally:
-        free(buf)
 
 
 def win_probs_distinct(rows):

@@ -1,17 +1,17 @@
-"""Pure-Python reference kernels for the hot inner loops.
+"""Pure-Python kernels for the hot inner loops.
 
-The compiled extension (``_kernels.pyx``) implements the same entry points
-with the same arithmetic, operation for operation, so both backends return
-bit-identical results. Keep the two files in sync; ``tests/test_backends.py``
-enforces the parity.
+``win_probs_common`` exists only here; the compiled extension
+(``_kernels.pyx``) re-exports it, so both backends run the same code on the
+identical-opponent route. The extension translates the other kernels with
+the same arithmetic, operation for operation, so both backends return
+bit-identical results on them too; ``tests/test_backends.py`` checks that
+parity when the extension is built.
 
 Conventions shared by every kernel:
   * integers chosen by players are stored 0-based (choice ``v`` means the
     integer ``v + 1``),
   * a round's winner is the player holding the smallest integer chosen by
-    exactly one player, or -1 when every chosen integer is duplicated,
-  * powers are computed by repeated multiplication so both backends perform
-    the identical float operations.
+    exactly one player, or -1 when every chosen integer is duplicated.
 """
 
 BACKEND = "python"
@@ -56,51 +56,40 @@ def choose_index(cums, u):
     return k
 
 
-def _pascal(m):
-    rows = [[1]]
-    for i in range(1, m + 1):
-        prev = rows[-1]
-        rows.append([1] + [prev[k - 1] + prev[k] for k in range(1, i)] + [1])
-    return rows
-
-
 def win_probs_common(probs, opponents):
     """Win probability of every pure choice against identical opponents.
 
-    Enumerates compositions of the opponents' pick counts weighted by
-    multinomial coefficients. Two exact shortcuts keep the term count at or
-    below the naive composition bound: counts above the candidate choice are
-    aggregated through the multinomial theorem (a tail power), and a branch
-    is cut at the first integer picked exactly once, since no higher choice
-    can win past it.
+    Forward dynamic program over the integers. Entry l of the state row for
+    integer j is the probability weight of placing all but l opponents on
+    integers below j with no integer picked exactly once; the l opponents
+    left must then all pick above j for choice j to win. Moving past j
+    places c = 0 or c >= 2 of the l opponents on it, weighted by
+    C(l, c) * p_j**c. That is n * (opponents + 1) cells and
+    O(n * opponents**2) work.
     """
     n = len(probs)
     tail = [0.0] * (n + 1)
     for j in range(n - 1, -1, -1):
         tail[j] = tail[j + 1] + probs[j]
-    comb = _pascal(opponents)
+    row = [0.0] * opponents + [1.0]
     win = [0.0] * n
-
-    def rec(j, left, w):
-        # prefix counts for integers < j are fixed and none of them is 1
-        if w == 0.0:
-            return
-        f = 1.0
-        for _ in range(left):
-            f *= tail[j + 1]
-        win[j] += w * f
-        if j == n - 1:
-            return
-        rec(j + 1, left, w)
+    for j in range(n):
+        above = tail[j + 1]
+        win[j] = sum(w * above**left for left, w in enumerate(row) if w != 0.0)
         pj = probs[j]
-        if pj > 0.0:
+        if j == n - 1 or pj == 0.0:
+            continue
+        nxt = row[:]
+        for left in range(2, opponents + 1):
+            w = row[left]
+            if w == 0.0:
+                continue
+            # term runs through w * C(left, c) * pj**c for c = 1, 2, ...
+            term = w * left * pj
             for c in range(2, left + 1):
-                w2 = w * comb[left][c]
-                for _ in range(c):
-                    w2 *= pj
-                rec(j + 1, left - c, w2)
-
-    rec(0, opponents, 1.0)
+                term *= pj * (left - c + 1) / c
+                nxt[left - c] += term
+        row = nxt
     return win
 
 
@@ -155,8 +144,7 @@ def enum_profile_payoffs(rows):
     """Expected payoff per player by full enumeration of all n**n outcomes.
 
     The slow cross-check path: every joint pure outcome is adjudicated
-    directly, so this shares nothing with the composition or capped-count
-    routes above.
+    directly, so this shares nothing with the two dynamic programs above.
     """
     n = len(rows)
     win = [0.0] * n

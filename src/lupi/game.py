@@ -7,9 +7,10 @@ one, and if no integer is picked exactly once nobody wins.
 The payoff computations here are exact (no sampling, no model
 approximations) and serve as the ground truth the closed-form model and the
 solvers are checked against. Two exact routes are used depending on the
-opponents: a composition/multinomial enumeration when all opponents share
-one strategy, and a capped-count dynamic program when they differ. A full
-n**n enumeration is kept as an independent slow cross-check.
+opponents: when all opponents share one strategy, a dynamic program over
+(integer, opponents not yet placed) with n * n cells; when they differ, a
+capped-count dynamic program over 3**n states. A full n**n enumeration is
+kept as an independent slow cross-check.
 
 Players are 0-indexed everywhere in this package; command-line output is
 1-indexed.
@@ -155,8 +156,9 @@ def win_probabilities(spec: GameSpec, others: Sequence[StrategyLike]) -> tuple:
 
     Entry i is the probability that a player picking i + 1 wins: no opponent
     picks i + 1 and every integer below it is picked by a count different
-    from one. Identical opponents go through the composition enumeration,
-    distinct opponents through the capped-count dynamic program.
+    from one. Identical opponents go through the polynomial
+    identical-opponent dynamic program, distinct opponents through the
+    capped-count dynamic program.
     """
     rows = _opponent_rows(spec, others)
     first = rows[0]
@@ -194,7 +196,7 @@ def exact_profile_payoffs(profile: StrategyProfile) -> tuple:
 def enumerated_profile_payoffs(profile: StrategyProfile) -> tuple:
     """Profile payoffs by full n**n enumeration through adjudication.
 
-    Independent of the composition and capped-count routes; intended as a
-    slow cross-check for n <= 5 or so.
+    Independent of the identical-opponent and capped-count dynamic
+    programs; intended as a slow cross-check for n <= 5 or so.
     """
     return tuple(kernels.enum_profile_payoffs(profile.rows()))

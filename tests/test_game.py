@@ -1,5 +1,6 @@
 """Game core: adjudication, strategy validation, and the exact payoff oracles."""
 
+import math
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from lupi import (
     enumerated_profile_payoffs,
     exact_profile_payoffs,
     exact_pure_vs_mixed,
+    geometric_strategy,
     win_probabilities,
 )
 from lupi._backend import kernels
@@ -144,7 +146,7 @@ def test_rejects_invalid_pick_and_opponent_count():
         win_probabilities(GameSpec(3), [HALF4, HALF4])
 
 
-def test_composition_and_dp_routes_agree_on_identical_opponents():
+def test_identical_and_distinct_routes_agree_on_identical_opponents():
     rng = random.Random(103)
     for _ in range(60):
         n = rng.randint(2, 6)
@@ -153,6 +155,28 @@ def test_composition_and_dp_routes_agree_on_identical_opponents():
         common = kernels.win_probs_common(p, m)
         dp = kernels.win_probs_distinct([p] * m)
         assert common == pytest.approx(dp, abs=1e-12)
+    # the identical-opponent route against independent brute force, also
+    # with fewer opponents than the integer range
+    for n in range(2, 8):
+        for m in sorted({1, n // 2, n - 1}):
+            p = list(random_strategy(rng, n, zeros=True))
+            common = kernels.win_probs_common(p, m)
+            for pick in range(1, n + 1):
+                assert common[pick - 1] == pytest.approx(
+                    brute_win_prob(n, pick, [p] * m), abs=1e-12
+                )
+
+
+def test_identical_opponents_at_large_n():
+    n = 30
+    geo = geometric_strategy(GameSpec(n)).probs
+    wins = win_probabilities(GameSpec(n), [geo] * (n - 1))
+    assert len(wins) == n
+    assert all(math.isfinite(w) for w in wins)
+    assert wins[0] == pytest.approx((1 - geo[0]) ** (n - 1), abs=1e-15)
+    for w, p in zip(wins, geo):
+        # choice j wins only if no opponent picks it
+        assert 0.0 <= w <= (1 - p) ** (n - 1)
 
 
 def test_heterogeneous_route_matches_independent_brute_force():
