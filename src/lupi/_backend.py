@@ -1,8 +1,9 @@
 """Kernel backend selection.
 
-The compiled extension is preferred when it imported cleanly; the
-pure-Python reference kernels are the fallback. Set LUPI_PURE_PYTHON=1 to
-force the fallback (useful for benchmarking and debugging).
+The compiled extension is preferred when it imported cleanly; the Python
+and numpy kernels of ``_kernels_py`` are the fallback. Set
+LUPI_PURE_PYTHON=1 to force the fallback (useful for benchmarking and
+debugging).
 """
 
 import os

@@ -1,11 +1,13 @@
-"""Pure-Python kernels for the hot inner loops.
+"""Kernels for the hot inner loops, in Python and numpy.
 
 ``win_probs_common`` exists only here; the compiled extension
 (``_kernels.pyx``) re-exports it, so both backends run the same code on the
-identical-opponent route. The extension translates the other kernels with
-the same arithmetic, operation for operation, so both backends return
-bit-identical results on them too; ``tests/test_backends.py`` checks that
-parity when the extension is built.
+identical-opponent route. ``win_probs_distinct`` and ``simulate_rounds`` are
+numpy-vectorised here and scalar loops in the extension; they add and
+multiply the same floats in the same order, so both backends return
+bit-identical results. ``tests/test_kernels.py`` checks the numpy kernels
+against the scalar loops in ``tests/_oracle.py``, and
+``tests/test_backends.py`` checks parity when the extension is built.
 
 Conventions shared by every kernel:
   * integers chosen by players are stored 0-based (choice ``v`` means the
@@ -14,11 +16,27 @@ Conventions shared by every kernel:
     exactly one player, or -1 when every chosen integer is duplicated.
 """
 
+import numpy as np
+
 BACKEND = "python"
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _INV_2_53 = 2.0 ** -53
+_MUL_1 = 0xBF58476D1CE4E5B9
+_MUL_2 = 0x94D049BB133111EB
+
+# uint64 operands of the vectorised SplitMix64: a Python int above 2**63
+# would not mix with uint64 arrays (it raises under numpy 2, promotes to
+# float under numpy 1)
+_GOLDEN_U64 = np.uint64(_GOLDEN)
+_MUL_1_U64 = np.uint64(_MUL_1)
+_MUL_2_U64 = np.uint64(_MUL_2)
+_SHIFT_11, _SHIFT_27, _SHIFT_30, _SHIFT_31 = (np.uint64(k) for k in (11, 27, 30, 31))
+
+# rounds x players drawn per block of the sampler; larger blocks run no
+# faster and raise peak memory
+_BLOCK_CELLS = 8192
 
 _DP_MAX_N = 16
 
@@ -27,9 +45,9 @@ def _mix64(z):
     """SplitMix64 output scrambler (Steele, Lea and Flood's generator)."""
     z &= _MASK64
     z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
+    z = (z * _MUL_1) & _MASK64
     z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
+    z = (z * _MUL_2) & _MASK64
     z ^= z >> 31
     return z
 
@@ -100,43 +118,39 @@ def win_probs_distinct(rows):
     has been picked 0, 1, or >= 2 times (a base-3 digit), which is exactly
     the information adjudication needs. Opponents are folded in one at a
     time; the final distribution is then scored per candidate choice.
+
+    Digit j of a state is the middle axis of the (3**(n-1-j), 3, 3**j) view
+    of the distribution. Each target state sums its contributions in the
+    order of a scan over source states, then integers: raises of digit j
+    (0 -> 1, 1 -> 2) come from the lower state s - 3**j, so they go in for j
+    descending, then the 2 -> 2 stays from the state itself for j ascending.
+    Scores are summed sequentially in state order for the same reason.
     """
-    m = len(rows)
     n = len(rows[0])
     if n > _DP_MAX_N:
         raise ValueError(f"capped-count program supports n <= {_DP_MAX_N}, got {n}")
-    pow3 = [1] * (n + 1)
-    for j in range(n):
-        pow3[j + 1] = pow3[j] * 3
-    size = pow3[n]
-    dist = [0.0] * size
+    size = 3**n
+    dist = np.zeros(size)
     dist[0] = 1.0
-    for idx in range(m):
-        row = rows[idx]
-        new = [0.0] * size
-        for s in range(size):
-            ps = dist[s]
-            if ps == 0.0:
-                continue
-            for j in range(n):
-                q = row[j]
-                if q == 0.0:
-                    continue
-                d = (s // pow3[j]) % 3
-                t = s + pow3[j] if d < 2 else s
-                new[t] += ps * q
+    for row in rows:
+        used = [j for j in range(n) if row[j] != 0.0]
+        new = np.zeros(size)
+        for j in reversed(used):
+            src = dist.reshape(3 ** (n - 1 - j), 3, 3**j)
+            dst = new.reshape(src.shape)
+            dst[:, 1:, :] += src[:, :2, :] * row[j]
+        for j in used:
+            src = dist.reshape(3 ** (n - 1 - j), 3, 3**j)
+            dst = new.reshape(src.shape)
+            dst[:, 2, :] += src[:, 2, :] * row[j]
         dist = new
     win = [0.0] * n
-    for s in range(size):
-        ps = dist[s]
-        if ps == 0.0:
-            continue
-        for j in range(n):
-            d = (s // pow3[j]) % 3
-            if d == 1:
-                break
-            if d == 0:
-                win[j] += ps
+    # lower_ok[lo]: no digit of the lower state lo (digits below j) equals 1
+    lower_ok = np.ones(1, dtype=bool)
+    for j in range(n):
+        free = dist.reshape(3 ** (n - 1 - j), 3, 3**j)[:, 0, :][:, lower_ok]
+        win[j] = float(np.cumsum(free.ravel())[-1])
+        lower_ok = np.concatenate((lower_ok, np.zeros_like(lower_ok), lower_ok))
     return win
 
 
@@ -183,43 +197,49 @@ def enum_profile_payoffs(rows):
 def simulate_rounds(rows, rounds, seed):
     """Play seeded independent rounds; returns (win counts, no-winner count).
 
-    Player i samples from its own SplitMix64 substream (see stream_state),
-    so results do not depend on how rounds might be batched and are stable
-    across platforms and backends for a given seed.
+    Player i samples from its own SplitMix64 substream (see stream_state).
+    The generator is counter-based: before round r (0-based) is drawn,
+    player i's state is its initial state plus (r + 1) * GOLDEN (mod 2**64).
+    Rounds are therefore drawn in blocks of whole rounds with wrapping
+    uint64 arithmetic, and the counts equal a round-by-round scan for a
+    given seed on every platform and backend.
     """
     n = len(rows)
     cums = []
+    tops = []
     for row in rows:
         acc = 0.0
         cum = []
         for q in row:
             acc += q
             cum.append(acc)
-        cums.append(cum)
-    states = [stream_state(seed, i) for i in range(n)]
-    wins = [0] * n
+        cums.append(np.array(cum))
+        tops.append(choose_index(cum, 1.0))
+    bases = np.array([stream_state(seed, i) for i in range(n)], dtype=np.uint64)
+    block = max(1, _BLOCK_CELLS // n)
+    wins = np.zeros(n, dtype=np.int64)
     no_winner = 0
-    picks = [0] * n
-    counts = [0] * n
-    for _ in range(rounds):
-        for val in range(n):
-            counts[val] = 0
-        for i in range(n):
-            states[i] = (states[i] + _GOLDEN) & _MASK64
-            u = (_mix64(states[i]) >> 11) * _INV_2_53
-            pick = choose_index(cums[i], u)
-            picks[i] = pick
-            counts[pick] += 1
-        v = -1
-        for val in range(n):
-            if counts[val] == 1:
-                v = val
-                break
-        if v < 0:
-            no_winner += 1
-        else:
+    with np.errstate(over="ignore"):
+        for first in range(0, rounds, block):
+            count = min(block, rounds - first)
+            steps = np.arange(first + 1, first + count + 1, dtype=np.uint64)
+            z = bases + steps[:, None] * _GOLDEN_U64
+            z ^= z >> _SHIFT_30
+            z *= _MUL_1_U64
+            z ^= z >> _SHIFT_27
+            z *= _MUL_2_U64
+            z ^= z >> _SHIFT_31
+            draws = (z >> _SHIFT_11).astype(np.float64) * _INV_2_53
+            picks = np.empty((count, n), dtype=np.intp)
             for i in range(n):
-                if picks[i] == v:
-                    wins[i] += 1
-                    break
-    return wins, no_winner
+                col = np.searchsorted(cums[i], draws[:, i], side="right")
+                col[col == n] = tops[i]  # draw beyond a cumulative sum that ends below 1
+                picks[:, i] = col
+            counts = np.bincount((picks + np.arange(count)[:, None] * n).ravel(), minlength=count * n)
+            unique = counts.reshape(count, n) == 1
+            won = unique.any(axis=1)
+            lowest = unique.argmax(axis=1)
+            holders = (picks == lowest[:, None]).argmax(axis=1)
+            wins += np.bincount(holders[won], minlength=n)
+            no_winner += count - int(np.count_nonzero(won))
+    return wins.tolist(), no_winner

@@ -20,8 +20,8 @@ from .game import (
     GameSpec,
     StrategyLike,
     StrategyProfile,
+    _mixed_value,
     as_strategy,
-    exact_profile_payoffs,
     win_probabilities,
 )
 from .model import MODEL_EXACT, MODEL_PAPER, MODELS, closed_form_payoff
@@ -122,22 +122,24 @@ def verify_profile(
         raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
     spec = GameSpec(profile.n)
     strategies = profile.strategies
-    if model == MODEL_PAPER:
-        common = strategies[0]
-        if any(s.probs != common.probs for s in strategies[1:]):
-            raise ValueError("the closed-form model verifies symmetric profiles only")
-        payoffs = tuple(
-            closed_form_payoff(spec, s, common) for s in strategies
-        )
-    else:
-        payoffs = exact_profile_payoffs(profile)
+    common = strategies[0]
+    if model == MODEL_PAPER and any(s.probs != common.probs for s in strategies[1:]):
+        raise ValueError("the closed-form model verifies symmetric profiles only")
+    payoffs = []
     values_per_player = []
     picks_per_player = []
     gains = []
     weak_flags = []
     for i, own in enumerate(strategies):
         others = strategies[:i] + strategies[i + 1 :]
+        # one set of pure-choice values per player gives both the payoff and
+        # the best response; the exact payoff is the same dot product as
+        # exact_profile_payoffs, so both report bit-equal payoffs
         values, picks = best_response(spec, others, model)
+        if model == MODEL_PAPER:
+            payoffs.append(closed_form_payoff(spec, own, common))
+        else:
+            payoffs.append(_mixed_value(own, values))
         gain = max(values) - payoffs[i]
         indifferent = False
         if gain <= epsilon:
@@ -155,7 +157,7 @@ def verify_profile(
         profile=profile,
         model=model,
         epsilon=epsilon,
-        payoffs=payoffs,
+        payoffs=tuple(payoffs),
         best_response_values=tuple(max(v) for v in values_per_player),
         best_response_picks=tuple(picks_per_player),
         deviation_gains=tuple(gains),

@@ -185,12 +185,16 @@ def exact_profile_payoffs(profile: StrategyProfile) -> tuple:
     payoffs = []
     for i, own in enumerate(strategies):
         others = strategies[:i] + strategies[i + 1 :]
-        wins = win_probabilities(spec, others)
-        total = 0.0
-        for p, w in zip(own.probs, wins):
-            total += p * w
-        payoffs.append(total)
+        payoffs.append(_mixed_value(own, win_probabilities(spec, others)))
     return tuple(payoffs)
+
+
+def _mixed_value(strategy: MixedStrategy, values: Sequence[float]) -> float:
+    """Payoff of a mixed strategy: its probabilities dotted, in order, with pure-choice values."""
+    total = 0.0
+    for p, v in zip(strategy.probs, values):
+        total += p * v
+    return total
 
 
 def enumerated_profile_payoffs(profile: StrategyProfile) -> tuple:

@@ -1,13 +1,16 @@
 """Seeded Monte Carlo simulation of repeated rounds.
 
 Randomness comes from SplitMix64, chosen because it is trivial to implement
-identically in the pure-Python and compiled kernels. Player i draws from a
+identically in the numpy and compiled kernels. Player i draws from a
 dedicated substream whose initial state is
 ``mix64(seed + (i + 1) * 0x9E3779B97F4A7C15)`` (mod 2**64); every draw
 advances the state by the same golden-ratio constant and keeps the top 53
-output bits as a uniform in [0, 1). Choices are made by inverse CDF over
-the strategy's cumulative probabilities with half-open intervals; a draw
-landing exactly on a boundary selects the higher index.
+output bits as a uniform in [0, 1). The generator is counter-based: the
+state before round r is a closed form in r, so the numpy kernel draws
+blocks of whole rounds at once and still returns the counts of a
+round-by-round scan. Choices are made by inverse CDF over the strategy's
+cumulative probabilities with half-open intervals; a draw landing exactly
+on a boundary selects the higher index.
 
 Identical (profile, rounds, seed) inputs therefore reproduce identical
 statistics on every platform and on both kernel backends.

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from _oracle import random_strategy
-from lupi import GameSpec, StrategyProfile, exact_profile_payoffs, simulate, solve_symmetric
+from lupi import GameSpec, StrategyProfile, exact_profile_payoffs, geometric_strategy, simulate, solve_symmetric
 from lupi._backend import kernels
 
 HALF = (0.5, 0.5, 0.0)
@@ -17,6 +17,17 @@ def test_identical_inputs_reproduce_identical_stats():
     first = simulate(ASYM3, 50_000, seed=42)
     second = simulate(ASYM3, 50_000, seed=42)
     assert first == second
+
+
+def test_seeded_counts_are_pinned():
+    # counts recorded from the scalar round-by-round sampler; a kernel change
+    # must not move them
+    stats = simulate(ASYM3, 50_000, seed=42)
+    assert (stats.wins, stats.no_winner_rounds) == ((25066, 12613, 12321), 0)
+    geometric = StrategyProfile.symmetric(geometric_strategy(GameSpec(12)))
+    stats = simulate(geometric, 20_000, seed=2026)
+    assert stats.wins == (1302, 1333, 1360, 1368, 1367, 1367, 1299, 1341, 1346, 1320, 1361, 1450)
+    assert stats.no_winner_rounds == 3786
 
 
 def test_different_seeds_differ():
