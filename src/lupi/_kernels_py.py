@@ -9,14 +9,15 @@ bit-identical results. ``tests/test_kernels.py`` checks the numpy kernels
 against the scalar loops in ``tests/_oracle.py``, and
 ``tests/test_backends.py`` checks parity when the extension is built.
 
+numpy is imported inside the two array kernels, so the identical-opponent
+route, and with it the symmetric solver, never loads it.
+
 Conventions shared by every kernel:
   * integers chosen by players are stored 0-based (choice ``v`` means the
     integer ``v + 1``),
   * a round's winner is the player holding the smallest integer chosen by
     exactly one player, or -1 when every chosen integer is duplicated.
 """
-
-import numpy as np
 
 BACKEND = "python"
 
@@ -25,14 +26,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _INV_2_53 = 2.0 ** -53
 _MUL_1 = 0xBF58476D1CE4E5B9
 _MUL_2 = 0x94D049BB133111EB
-
-# uint64 operands of the vectorised SplitMix64: a Python int above 2**63
-# would not mix with uint64 arrays (it raises under numpy 2, promotes to
-# float under numpy 1)
-_GOLDEN_U64 = np.uint64(_GOLDEN)
-_MUL_1_U64 = np.uint64(_MUL_1)
-_MUL_2_U64 = np.uint64(_MUL_2)
-_SHIFT_11, _SHIFT_27, _SHIFT_30, _SHIFT_31 = (np.uint64(k) for k in (11, 27, 30, 31))
 
 # rounds x players drawn per block of the sampler; larger blocks run no
 # faster and raise peak memory
@@ -126,6 +119,8 @@ def win_probs_distinct(rows):
     descending, then the 2 -> 2 stays from the state itself for j ascending.
     Scores are summed sequentially in state order for the same reason.
     """
+    import numpy as np
+
     n = len(rows[0])
     if n > _DP_MAX_N:
         raise ValueError(f"capped-count program supports n <= {_DP_MAX_N}, got {n}")
@@ -204,6 +199,12 @@ def simulate_rounds(rows, rounds, seed):
     uint64 arithmetic, and the counts equal a round-by-round scan for a
     given seed on every platform and backend.
     """
+    import numpy as np
+
+    # uint64 operands: a Python int above 2**63 would not mix with uint64
+    # arrays (it raises under numpy 2, promotes to float under numpy 1)
+    golden, mul_1, mul_2 = np.uint64(_GOLDEN), np.uint64(_MUL_1), np.uint64(_MUL_2)
+    shift_11, shift_27, shift_30, shift_31 = (np.uint64(k) for k in (11, 27, 30, 31))
     n = len(rows)
     cums = []
     tops = []
@@ -223,13 +224,13 @@ def simulate_rounds(rows, rounds, seed):
         for first in range(0, rounds, block):
             count = min(block, rounds - first)
             steps = np.arange(first + 1, first + count + 1, dtype=np.uint64)
-            z = bases + steps[:, None] * _GOLDEN_U64
-            z ^= z >> _SHIFT_30
-            z *= _MUL_1_U64
-            z ^= z >> _SHIFT_27
-            z *= _MUL_2_U64
-            z ^= z >> _SHIFT_31
-            draws = (z >> _SHIFT_11).astype(np.float64) * _INV_2_53
+            z = bases + steps[:, None] * golden
+            z ^= z >> shift_30
+            z *= mul_1
+            z ^= z >> shift_27
+            z *= mul_2
+            z ^= z >> shift_31
+            draws = (z >> shift_11).astype(np.float64) * _INV_2_53
             picks = np.empty((count, n), dtype=np.intp)
             for i in range(n):
                 col = np.searchsorted(cums[i], draws[:, i], side="right")

@@ -7,17 +7,18 @@ probabilities (the last one is eliminated by normalization):
   * ``exact``: equalize the exact win probabilities of all pure choices
     (the residuals are the consecutive differences).
 
-The Jacobian is approximated by forward differences; steps are halved until
+The Jacobian is approximated by forward differences and the Newton step
+solved by Gaussian elimination with partial pivoting; steps are halved until
 the residual norm drops. Iterates are clamped to the closed simplex with a
 small interior margin so the formulas stay well-defined near the boundary.
+Everything is plain Python lists: the systems are at most 11 x 11, so the
+solver needs no array library.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from ._backend import kernels
 from .game import GameSpec, MixedStrategy, as_strategy
@@ -69,17 +70,17 @@ def _full_probs(x):
     """Extend free variables to a full probability vector (last = remainder)."""
     total = 0.0
     for v in x:
-        total += float(v)
+        total += v
     last = 1.0 - total
     if last < 0.0:
         last = 0.0
-    return [float(v) for v in x] + [last]
+    return [*x, last]
 
 
 def _paper_residual(spec: GameSpec):
     def residual(x):
-        g = np.array(closed_form_gradient(spec, _full_probs(x) ), dtype=float)
-        return g, float(np.max(np.abs(g)))
+        g = closed_form_gradient(spec, _full_probs(x))
+        return g, max(abs(v) for v in g)
 
     return residual
 
@@ -89,16 +90,16 @@ def _exact_residual(spec: GameSpec):
 
     def residual(x):
         wins = kernels.win_probs_common(_full_probs(x), m)
-        r = np.array([wins[i + 1] - wins[i] for i in range(m)], dtype=float)
-        return r, float(max(wins) - min(wins))
+        r = [wins[i + 1] - wins[i] for i in range(m)]
+        return r, max(wins) - min(wins)
 
     return residual
 
 
 def _clamp(x):
-    out = np.clip(np.asarray(x, dtype=float), _CLAMP_LO, _CLAMP_HI)
+    out = [min(max(float(v), _CLAMP_LO), _CLAMP_HI) for v in x]
     running = 0.0
-    for k in range(out.size):
+    for k in range(len(out)):
         cap = _CLAMP_HI - running
         if out[k] > cap:
             out[k] = max(_CLAMP_LO, cap)
@@ -106,28 +107,56 @@ def _clamp(x):
     return out
 
 
+def _solve_linear(a, b):
+    """Solve ``a @ x = b`` by Gaussian elimination with partial pivoting.
+
+    ``a`` is a list of rows; both arguments are overwritten. Returns None
+    when a pivot is exactly zero, i.e. the matrix is singular.
+    """
+    k = len(b)
+    for col in range(k):
+        pivot = max(range(col, k), key=lambda r: abs(a[r][col]))
+        if a[pivot][col] == 0.0:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        b[col], b[pivot] = b[pivot], b[col]
+        top = a[col]
+        for r in range(col + 1, k):
+            row = a[r]
+            f = row[col] / top[col]
+            for c in range(col + 1, k):
+                row[c] -= f * top[c]
+            b[r] -= f * b[col]
+    x = [0.0] * k
+    for r in range(k - 1, -1, -1):
+        row = a[r]
+        acc = b[r]
+        for c in range(r + 1, k):
+            acc -= row[c] * x[c]
+        x[r] = acc / row[r]
+    return x
+
+
 def _newton(residual, x0, tol, max_iterations):
     x = _clamp(x0)
     r, norm = residual(x)
     iterations = 0
-    k = x.size
+    k = len(x)
     while norm > tol and iterations < max_iterations:
-        jac = np.empty((k, k))
+        columns = []
         for j in range(k):
-            xp = x.copy()
+            xp = x[:]
             xp[j] += _FD_STEP
             rj, _ = residual(xp)
-            jac[:, j] = (rj - r) / _FD_STEP
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
+            columns.append([(a - b) / _FD_STEP for a, b in zip(rj, r)])
+        jac = [list(row) for row in zip(*columns)]
+        step = _solve_linear(jac, [-v for v in r])
+        if step is None or not all(math.isfinite(v) for v in step):
             break
         t = 1.0
         candidate, rc, nc = None, None, None
         for _ in range(_MAX_HALVINGS):
-            candidate = _clamp(x + t * step)
+            candidate = _clamp([xi + t * si for xi, si in zip(x, step)])
             rc, nc = residual(candidate)
             if nc < norm:
                 break
@@ -137,11 +166,26 @@ def _newton(residual, x0, tol, max_iterations):
     return x, iterations
 
 
+def _grid_points(k, total=0.0):
+    """Restart-grid points in k coordinates, in lexicographic order, whose
+    running sum from ``total`` stays within the simplex.
+
+    Float sums of positive values never decrease, so a prefix past the bound
+    is dropped with all its extensions.
+    """
+    if k == 0:
+        yield []
+        return
+    for v in _RESTART_VALUES:
+        running = total + v
+        if running <= 1.0 + 1e-12:
+            for rest in _grid_points(k - 1, running):
+                yield [v, *rest]
+
+
 def _starting_points(spec: GameSpec):
-    yield np.array(geometric_strategy(spec).probs[: spec.n - 1])
-    for combo in itertools.product(_RESTART_VALUES, repeat=spec.n - 1):
-        if sum(combo) <= 1.0 + 1e-12:
-            yield np.array(combo)
+    yield list(geometric_strategy(spec).probs[: spec.n - 1])
+    yield from _grid_points(spec.n - 1)
 
 
 def _package(spec: GameSpec, model: str, x, iterations: int, tol: float) -> SolveResult:
@@ -201,7 +245,7 @@ def solve_symmetric(
     tol = _check_args(spec, model, tol, max_iterations)
     residual = _paper_residual(spec) if model == MODEL_PAPER else _exact_residual(spec)
     if start is not None:
-        starts = [np.array(as_strategy(start).probs[: spec.n - 1])]
+        starts = [list(as_strategy(start).probs[: spec.n - 1])]
     else:
         starts = _starting_points(spec)
     best = None

@@ -4,9 +4,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lupi
 from lupi.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_NOT_NASH, EXIT_OK, format_sig3, main
 
 SQRT3 = math.sqrt(3.0)
@@ -238,6 +243,49 @@ def test_approx_reports_strategy_and_payoff(capsys):
 def test_approx_range(capsys):
     code, _, _ = run_cli(capsys, "approx", "--n", "2")
     assert code == EXIT_INPUT
+
+
+# ---------------------------------------------------------------------------
+# import footprint
+
+_SYMMETRIC_THEN_PAYOFF = """
+import contextlib, io, sys
+from lupi.cli import main
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    assert code == 0, (argv, code)
+    return out.getvalue()
+
+saved, hetero = sys.argv[1:]
+run("solve", "--n", "4", "--model", "paper")
+run("solve", "--n", "5", "--model", "exact", "--save-profile", saved)
+run("approx", "--n", "6")
+run("table", "--max-n", "6")
+run("verify", "--profile", saved)
+run("best-response", "--n", "3", "--others", "0.5,0.3,0.2", "0.5,0.3,0.2")
+assert "numpy" not in sys.modules, "a symmetric command loaded numpy"
+payoffs = run("payoff", "--profile", hetero, "--format", "json")
+assert "numpy" in sys.modules
+sys.stdout.write(payoffs)
+"""
+
+
+def test_symmetric_commands_leave_numpy_unloaded(capsys, tmp_path):
+    saved = tmp_path / "symmetric.json"
+    hetero = write_profile(tmp_path, ASYM4)
+    src = str(Path(lupi.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SYMMETRIC_THEN_PAYOFF, str(saved), hetero],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run_cli(capsys, "payoff", "--profile", hetero, "--format", "json")
+    assert code == EXIT_OK
+    assert proc.stdout == out
 
 
 # ---------------------------------------------------------------------------

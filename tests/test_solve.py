@@ -1,19 +1,25 @@
 """Symmetric equilibrium solver: both models, determinism, multistart."""
 
+import itertools
 import math
+import random
 
+import numpy as np
 import pytest
 
 from lupi import (
     GameSpec,
+    StrategyProfile,
     closed_form_gradient,
     geometric_payoff,
     geometric_strategy,
     multistart_roots,
     solve_symmetric,
     two_choice_baseline,
+    verify_profile,
     win_probabilities,
 )
+from lupi.solve import _newton, _solve_linear, _starting_points
 
 SQRT3 = math.sqrt(3.0)
 ROOT3 = (2 * SQRT3 - 3, 2 - SQRT3, 2 - SQRT3)
@@ -102,14 +108,17 @@ def test_exact_n4_differs_from_closed_form_root():
     assert abs(exact[-1] - exact[-2]) > 0.05
 
 
-@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("n", range(5, 11))
 def test_exact_solver_larger_n(n):
     spec = GameSpec(n)
     result = solve_symmetric(spec, model="exact")
     assert result.converged
-    assert result.full_support
+    if n < 10:
+        # at n = 10 the last weight settles at the clamp floor (about 2e-12)
+        assert result.full_support
     assert _spread(spec, result.strategy) <= 1e-10
     assert sum(result.strategy.probs) == pytest.approx(1.0, abs=1e-12)
+    assert verify_profile(StrategyProfile([result.strategy] * n)).is_nash
 
 
 @pytest.mark.parametrize("model", ["paper", "exact"])
@@ -137,6 +146,48 @@ def test_multistart_finds_a_single_root(n, model):
     roots = multistart_roots(GameSpec(n), model=model)
     assert len(roots) == 1
     assert roots[0].converged
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_restart_grid_is_the_filtered_product(n):
+    spec = GameSpec(n)
+    want = [list(geometric_strategy(spec).probs[: n - 1])]
+    want += [list(c) for c in itertools.product((0.1, 0.3, 0.5), repeat=n - 1) if sum(c) <= 1.0 + 1e-12]
+    assert list(_starting_points(spec)) == want
+
+
+@pytest.mark.parametrize("k", range(1, 12))
+def test_linear_solve_matches_numpy(k):
+    rng = random.Random(k)
+    for _ in range(20):
+        # a diagonally dominant matrix with its rows permuted is well
+        # conditioned; a near-zero leading entry makes elimination without
+        # row swaps fail
+        perm = list(range(k))
+        rng.shuffle(perm)
+        a = [[rng.uniform(-1.0, 1.0) for c in range(k)] for r in range(k)]
+        for r in range(k):
+            a[r][perm[r]] += rng.choice((-k, k))
+        if perm[0] != 0:
+            a[0][0] = 1e-20
+        b = [rng.uniform(-1.0, 1.0) for _ in range(k)]
+        want = np.linalg.solve(np.array(a), np.array(b))
+        got = _solve_linear([row[:] for row in a], b[:])
+        assert np.max(np.abs(np.array(got) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_singular_jacobian_stops_newton():
+    assert _solve_linear([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0]) is None
+
+    def residual(x):
+        # the second residual is exactly twice the first, so every
+        # forward-difference Jacobian is singular
+        r0 = x[0] + x[1] - 0.9
+        return [r0, 2.0 * r0], abs(2.0 * r0)
+
+    x, iterations = _newton(residual, [0.2, 0.3], 1e-12, 100)
+    assert iterations == 0
+    assert x == [0.2, 0.3]
 
 
 def test_failure_is_reported_not_fabricated():
