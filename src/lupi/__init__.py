@@ -23,7 +23,6 @@ from .game import (
     StrategyProfile,
     adjudicate,
     as_strategy,
-    enumerated_profile_payoffs,
     exact_profile_payoffs,
     exact_pure_vs_mixed,
     win_probabilities,
@@ -69,7 +68,6 @@ __all__ = [
     "best_response",
     "closed_form_gradient",
     "closed_form_payoff",
-    "enumerated_profile_payoffs",
     "exact_profile_payoffs",
     "exact_pure_vs_mixed",
     "geometric_payoff",

@@ -1,13 +1,9 @@
 """Kernels for the hot inner loops, in Python and numpy.
 
-``win_probs_common`` exists only here; the compiled extension
-(``_kernels.pyx``) re-exports it, so both backends run the same code on the
-identical-opponent route. ``win_probs_distinct`` and ``simulate_rounds`` are
-numpy-vectorised here and scalar loops in the extension; they add and
-multiply the same floats in the same order, so both backends return
-bit-identical results. ``tests/test_kernels.py`` checks the numpy kernels
-against the scalar loops in ``tests/_oracle.py``, and
-``tests/test_backends.py`` checks parity when the extension is built.
+``win_probs_distinct`` and ``simulate_rounds`` are numpy-vectorised; they add
+and multiply the same floats in the same order as scalar loops over states
+and rounds, and ``tests/test_kernels.py`` checks them bit for bit against
+those loops, kept in ``tests/_oracle.py``.
 
 numpy is imported inside the two array kernels, so the identical-opponent
 route, and with it the symmetric solver, never loads it.
@@ -149,46 +145,6 @@ def win_probs_distinct(rows):
     return win
 
 
-def enum_profile_payoffs(rows):
-    """Expected payoff per player by full enumeration of all n**n outcomes.
-
-    The slow cross-check path: every joint pure outcome is adjudicated
-    directly, so this shares nothing with the two dynamic programs above.
-    """
-    n = len(rows)
-    win = [0.0] * n
-    picks = [0] * n
-    counts = [0] * n
-
-    def rec(d, w):
-        if w == 0.0:
-            return
-        if d == n:
-            v = -1
-            for val in range(n):
-                if counts[val] == 1:
-                    v = val
-                    break
-            if v >= 0:
-                for i in range(n):
-                    if picks[i] == v:
-                        win[i] += w
-                        break
-            return
-        row = rows[d]
-        for val in range(n):
-            q = row[val]
-            if q == 0.0:
-                continue
-            picks[d] = val
-            counts[val] += 1
-            rec(d + 1, w * q)
-            counts[val] -= 1
-
-    rec(0, 1.0)
-    return win
-
-
 def simulate_rounds(rows, rounds, seed):
     """Play seeded independent rounds; returns (win counts, no-winner count).
 
@@ -197,7 +153,7 @@ def simulate_rounds(rows, rounds, seed):
     player i's state is its initial state plus (r + 1) * GOLDEN (mod 2**64).
     Rounds are therefore drawn in blocks of whole rounds with wrapping
     uint64 arithmetic, and the counts equal a round-by-round scan for a
-    given seed on every platform and backend.
+    given seed on every platform.
     """
     import numpy as np
 

@@ -9,8 +9,7 @@ approximations) and serve as the ground truth the closed-form model and the
 solvers are checked against. Two exact routes are used depending on the
 opponents: when all opponents share one strategy, a dynamic program over
 (integer, opponents not yet placed) with n * n cells; when they differ, a
-capped-count dynamic program over 3**n states. A full n**n enumeration is
-kept as an independent slow cross-check.
+capped-count dynamic program over 3**n states.
 
 Players are 0-indexed everywhere in this package; command-line output is
 1-indexed.
@@ -195,12 +194,3 @@ def _mixed_value(strategy: MixedStrategy, values: Sequence[float]) -> float:
     for p, v in zip(strategy.probs, values):
         total += p * v
     return total
-
-
-def enumerated_profile_payoffs(profile: StrategyProfile) -> tuple:
-    """Profile payoffs by full n**n enumeration through adjudication.
-
-    Independent of the identical-opponent and capped-count dynamic
-    programs; intended as a slow cross-check for n <= 5 or so.
-    """
-    return tuple(kernels.enum_profile_payoffs(profile.rows()))

@@ -1,7 +1,7 @@
 """Seeded Monte Carlo simulation of repeated rounds.
 
-Randomness comes from SplitMix64, chosen because it is trivial to implement
-identically in the numpy and compiled kernels. Player i draws from a
+Randomness comes from SplitMix64, chosen because it is small and its output
+is exactly reproducible in integer arithmetic. Player i draws from a
 dedicated substream whose initial state is
 ``mix64(seed + (i + 1) * 0x9E3779B97F4A7C15)`` (mod 2**64); every draw
 advances the state by the same golden-ratio constant and keeps the top 53
@@ -13,7 +13,7 @@ cumulative probabilities with half-open intervals; a draw landing exactly
 on a boundary selects the higher index.
 
 Identical (profile, rounds, seed) inputs therefore reproduce identical
-statistics on every platform and on both kernel backends.
+statistics on every platform.
 """
 
 from __future__ import annotations

@@ -14,13 +14,12 @@ import random
 
 import pytest
 
-from _oracle import random_interior, random_strategy
+from _oracle import brute_payoffs, random_interior, random_strategy
 from lupi import (
     GameSpec,
     StrategyProfile,
     closed_form_gradient,
     closed_form_payoff,
-    enumerated_profile_payoffs,
     exact_profile_payoffs,
     exact_pure_vs_mixed,
     indifference_spread,
@@ -178,6 +177,6 @@ def test_criterion_10_brute_force_equivalence():
                 tuple(random_strategy(rng, n, zeros=True) for _ in range(n))
             )
             fast = exact_profile_payoffs(profile)
-            slow = enumerated_profile_payoffs(profile)
+            slow = brute_payoffs(profile.rows())
             assert max(abs(a - b) for a, b in zip(fast, slow)) <= 1e-12
     _report(10, "oracle equals full n**n enumeration on 100 random profiles (n <= 5)")

@@ -5,12 +5,11 @@ import random
 
 import pytest
 
-from _oracle import random_strategy
+from _oracle import brute_payoffs, random_strategy
 from lupi import (
     GameSpec,
     StrategyProfile,
     best_response,
-    enumerated_profile_payoffs,
     indifference_spread,
     solve_symmetric,
     verify_profile,
@@ -174,13 +173,13 @@ def test_nash_verdicts_survive_enumeration_recheck():
         assert report.is_nash
         n = profile.n
         for i in range(n):
-            base = enumerated_profile_payoffs(profile)[i]
+            base = brute_payoffs(profile.rows())[i]
             for pick in range(1, n + 1):
                 unit = tuple(1.0 if k == pick - 1 else 0.0 for k in range(n))
                 deviated = StrategyProfile(
                     profile.strategies[:i] + (unit,) + profile.strategies[i + 1 :]
                 )
-                gain = enumerated_profile_payoffs(deviated)[i] - base
+                gain = brute_payoffs(deviated.rows())[i] - base
                 assert gain <= 1e-9
 
 

@@ -1,25 +1,14 @@
-"""Kernel backend selection; runs with or without the compiled extension."""
-
-import os
-import subprocess
-import sys
+"""The kernel module that the computation layers and the benchmark trace reach."""
 
 import lupi
+from lupi import _backend
 from lupi import _kernels_py as py
 
 
 def test_backend_names():
     assert py.BACKEND == "python"
-    assert lupi.backend_name() in ("c", "python")
-
-
-def test_env_var_forces_pure_python():
-    env = dict(os.environ, LUPI_PURE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "import lupi; print(lupi.backend_name())"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "python"
+    assert lupi.backend_name() == "python"
+    assert _backend.kernels is py
+    # the kernel routes that the per-layer trace wraps on lupi._backend.kernels
+    for attr in ("win_probs_common", "win_probs_distinct", "simulate_rounds"):
+        assert callable(getattr(_backend.kernels, attr))

@@ -11,7 +11,6 @@ from lupi import (
     MixedStrategy,
     StrategyProfile,
     adjudicate,
-    enumerated_profile_payoffs,
     exact_profile_payoffs,
     exact_pure_vs_mixed,
     geometric_strategy,
@@ -233,7 +232,7 @@ def test_profile_payoffs_match_full_enumeration(n):
     for _ in range(15):
         profile = random_profile(rng, n, zeros=True)
         fast = exact_profile_payoffs(profile)
-        slow = enumerated_profile_payoffs(profile)
+        slow = brute_payoffs(profile.rows())
         assert fast == pytest.approx(slow, abs=1e-12)
 
 

@@ -2,7 +2,6 @@
 
 Both kernels add and multiply the same floats in the same order as the
 pre-vectorisation loops in ``_oracle``, so results must be equal, not close.
-These tests need no compiled extension.
 """
 
 import random
