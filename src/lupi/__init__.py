@@ -2,10 +2,11 @@
 
 n players each pick an integer from 1..n; the smallest integer picked by
 exactly one player wins that player a utility of one. The package computes
-exact expected payoffs by enumeration, evaluates the closed-form payoff
-model and the geometric approximate strategy, finds symmetric equilibria
-for both models by Newton iteration, verifies equilibrium claims against
-the exact oracle, and runs seeded Monte Carlo simulations.
+exact expected payoffs by dynamic programming, evaluates the closed-form
+payoff model and the geometric approximate strategy, finds symmetric
+equilibria for both models by one-dimensional shooting, verifies
+equilibrium claims against the exact oracle, and runs seeded Monte Carlo
+simulations.
 """
 
 from ._backend import backend_name

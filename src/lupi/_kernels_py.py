@@ -69,9 +69,9 @@ def win_probs_common(probs, opponents):
     Forward dynamic program over the integers. Entry l of the state row for
     integer j is the probability weight of placing all but l opponents on
     integers below j with no integer picked exactly once; the l opponents
-    left must then all pick above j for choice j to win. Moving past j
-    places c = 0 or c >= 2 of the l opponents on it, weighted by
-    C(l, c) * p_j**c. That is n * (opponents + 1) cells and
+    left must then all pick above j for choice j to win (``common_win``).
+    Moving past j places c = 0 or c >= 2 of the l opponents on it
+    (``common_step``). That is n * (opponents + 1) cells and
     O(n * opponents**2) work.
     """
     n = len(probs)
@@ -81,23 +81,35 @@ def win_probs_common(probs, opponents):
     row = [0.0] * opponents + [1.0]
     win = [0.0] * n
     for j in range(n):
-        above = tail[j + 1]
-        win[j] = sum(w * above**left for left, w in enumerate(row) if w != 0.0)
+        win[j] = common_win(row, tail[j + 1])
         pj = probs[j]
-        if j == n - 1 or pj == 0.0:
-            continue
-        nxt = row[:]
-        for left in range(2, opponents + 1):
-            w = row[left]
-            if w == 0.0:
-                continue
-            # term runs through w * C(left, c) * pj**c for c = 1, 2, ...
-            term = w * left * pj
-            for c in range(2, left + 1):
-                term *= pj * (left - c + 1) / c
-                nxt[left - c] += term
-        row = nxt
+        if j < n - 1 and pj != 0.0:
+            row = common_step(row, pj)
     return win
+
+
+def common_win(row, above):
+    """Win probability of an integer from its state row and the mass above it."""
+    return sum(w * above**left for left, w in enumerate(row) if w != 0.0)
+
+
+def common_step(row, pj):
+    """State row of the next integer, past one chosen with probability ``pj``.
+
+    c = 0 or c >= 2 of the l opponents left pick it, weighted by
+    C(l, c) * pj**c.
+    """
+    nxt = row[:]
+    for left in range(2, len(row)):
+        w = row[left]
+        if w == 0.0:
+            continue
+        # term runs through w * C(left, c) * pj**c for c = 1, 2, ...
+        term = w * left * pj
+        for c in range(2, left + 1):
+            term *= pj * (left - c + 1) / c
+            nxt[left - c] += term
+    return nxt
 
 
 def win_probs_distinct(rows):

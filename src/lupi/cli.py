@@ -37,7 +37,9 @@ EXIT_INPUT = 1
 EXIT_NOT_NASH = 2
 EXIT_NO_CONVERGENCE = 3
 
-MAX_CLI_N = MAX_SOLVER_N
+# largest n for the profile commands (verify, payoff, simulate,
+# best-response); solve, approx and table go up to MAX_SOLVER_N
+MAX_CLI_N = 12
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,15 +90,17 @@ def _check_cli_n(n: int, low: int = 2) -> None:
         raise ValueError(f"n={n} is outside the supported range {low}..{MAX_CLI_N}")
 
 
+def _check_solver_n(n: int, flag: str) -> None:
+    if not MIN_SOLVER_N <= n <= MAX_SOLVER_N:
+        raise ValueError(f"{flag} must be between {MIN_SOLVER_N} and {MAX_SOLVER_N}, got {n}")
+
+
 # ---------------------------------------------------------------------------
 # solve
 
 
 def _cmd_solve(args) -> int:
-    if not MIN_SOLVER_N <= args.n <= MAX_SOLVER_N:
-        raise ValueError(
-            f"--n must be between {MIN_SOLVER_N} and {MAX_SOLVER_N}, got {args.n}"
-        )
+    _check_solver_n(args.n, "--n")
     spec = GameSpec(args.n)
     result = solve_symmetric(
         spec, model=args.model, tol=args.tol, max_iterations=args.max_iter
@@ -161,10 +165,7 @@ def _table_data(max_n: int):
 
 
 def _cmd_table(args) -> int:
-    if not MIN_SOLVER_N <= args.max_n <= MAX_SOLVER_N:
-        raise ValueError(
-            f"--max-n must be between {MIN_SOLVER_N} and {MAX_SOLVER_N}, got {args.max_n}"
-        )
+    _check_solver_n(args.max_n, "--max-n")
     ns, approx, reference, exact = _table_data(args.max_n)
     if args.format == "json":
         _print_json(
@@ -327,10 +328,7 @@ def _cmd_best_response(args) -> int:
 
 
 def _cmd_approx(args) -> int:
-    if not MIN_SOLVER_N <= args.n <= MAX_SOLVER_N:
-        raise ValueError(
-            f"--n must be between {MIN_SOLVER_N} and {MAX_SOLVER_N}, got {args.n}"
-        )
+    _check_solver_n(args.n, "--n")
     spec = GameSpec(args.n)
     strategy = geometric_strategy(spec)
     payoff = geometric_payoff(spec)
@@ -416,23 +414,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Analyze the lowest-unique-positive-integer game.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    solver_range = f"({MIN_SOLVER_N}..{MAX_SOLVER_N})"
 
     p = sub.add_parser("solve", help="find the symmetric equilibrium strategy")
-    p.add_argument("--n", type=int, required=True, help="number of players (3..12)")
+    p.add_argument("--n", type=int, required=True, help=f"number of players {solver_range}")
     p.add_argument(
         "--model",
         choices=MODELS,
         default=MODEL_PAPER,
-        help="payoff model: 'paper' (closed form) or 'exact' (enumeration oracle)",
+        help="payoff model: 'paper' (closed form) or 'exact' (exact win probabilities)",
     )
-    p.add_argument("--tol", type=float, default=None, help="residual tolerance (default per model)")
-    p.add_argument("--max-iter", type=int, default=100, help="iteration cap per start")
+    p.add_argument("--tol", type=float, default=None, help="convergence threshold (default per model)")
+    p.add_argument("--max-iter", type=int, default=100, help="cap on the steps of the scalar search")
     p.add_argument("--save-profile", metavar="PATH", help="write the symmetric profile as JSON")
     _add_format(p)
     p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("table", help="payoff comparison table across player counts")
-    p.add_argument("--max-n", type=int, default=8, help="largest player count (3..12)")
+    p.add_argument("--max-n", type=int, default=8, help=f"largest player count {solver_range}")
     _add_format(p)
     p.set_defaults(handler=_cmd_table)
 
@@ -448,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_payoff)
 
     p = sub.add_parser("best-response", help="pure-choice values against given opponents")
-    p.add_argument("--n", type=int, required=True, help="number of players (2..12)")
+    p.add_argument("--n", type=int, required=True, help=f"number of players (2..{MAX_CLI_N})")
     p.add_argument(
         "--others",
         nargs="+",
@@ -460,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_best_response)
 
     p = sub.add_parser("approx", help="geometric strategy and its payoff")
-    p.add_argument("--n", type=int, required=True, help="number of players (3..12)")
+    p.add_argument("--n", type=int, required=True, help=f"number of players {solver_range}")
     p.add_argument("--save-profile", metavar="PATH", help="write the symmetric profile as JSON")
     _add_format(p)
     p.set_defaults(handler=_cmd_approx)

@@ -1,48 +1,47 @@
-"""Symmetric-equilibrium search by damped Newton iteration.
+"""Symmetric-equilibrium search by one-dimensional shooting.
 
-Both models reduce to a root-finding problem in the first n - 1
-probabilities (the last one is eliminated by normalization):
+Both models' equilibrium conditions are triangular: once one scalar is
+fixed, the probabilities follow one choice at a time, so the n - 1 unknowns
+reduce to a scalar root search.
 
-  * ``paper``: zero the closed-form payoff gradient,
-  * ``exact``: equalize the exact win probabilities of all pure choices
-    (the residuals are the consecutive differences).
+  * ``exact``: shoot forward on the equilibrium value v. Choice j gets the
+    probability p_j at which its exact win probability equals v (win_j
+    falls as p_j grows, so this is an inner search), or 0 when win_j is
+    already at most v at p_j = 0. The last choice that takes mass gets all
+    the mass left, and the map is R(v) = its win probability - v. From
+    n = 11 on, the root leaves the top choices at 0.
+  * ``paper``: shoot backward from s = p_{n-1}. A zero closed-form gradient
+    forces p_{n-2} = s, and then the tail masses t_g = p_{g+1} + ... +
+    p_{n-1} follow from t_{n-2} = s, t_{n-3} = 2s and
+    t_{g-2} = t_{g-1} * (1 + (1 - (t_g / t_{g-1})**m)**(1/m)), m = n - 1.
+    The map is H(s) = t_{-1} - 1.
 
-The Jacobian is approximated by forward differences and the Newton step
-solved by Gaussian elimination with partial pivoting; steps are halved until
-the residual norm drops. Iterates are clamped to the closed simplex with a
-small interior margin so the formulas stay well-defined near the boundary.
-Everything is plain Python lists: the systems are at most 11 x 11, so the
-solver needs no array library.
+Every search, outer and inner, is Illinois false position on a bracket with
+a bisection fallback, run to full floating-point precision; it needs no
+derivatives. The tolerance only decides whether the residual, recomputed
+from the returned strategy, counts as converged. Everything is plain Python
+lists: the solver needs no array library.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ._backend import kernels
-from .game import GameSpec, MixedStrategy, as_strategy
-from .model import (
-    MODEL_EXACT,
-    MODEL_PAPER,
-    MODELS,
-    closed_form_gradient,
-    closed_form_payoff,
-    geometric_strategy,
-)
+from .game import GameSpec, MixedStrategy, _mixed_value
+from .model import MODEL_EXACT, MODEL_PAPER, MODELS, closed_form_gradient, closed_form_payoff
 
 MIN_SOLVER_N = 3
-MAX_SOLVER_N = 12
+MAX_SOLVER_N = 40
 
 DEFAULT_TOLERANCES = {MODEL_PAPER: 1e-12, MODEL_EXACT: 1e-10}
 
-_CLAMP_LO = 1e-12
-_CLAMP_HI = 1.0 - 1e-12
-_FD_STEP = 1e-7
-_MAX_HALVINGS = 40
-_RESTART_VALUES = (0.1, 0.3, 0.5)
-_SUPPORT_FLOOR = 1e-9
-_DISTINCT_ROOT_TOL = 1e-8
+_EPS = 2.0**-52
+# cap on one inner search; three steps at least halve its bracket, and it
+# closes within about 60 halvings
+_INNER_STEPS = 200
+# intervals of the grid that multistart_roots scans for sign changes
+_SCAN_INTERVALS = 64
 
 
 @dataclass(frozen=True)
@@ -50,10 +49,12 @@ class SolveResult:
     """A symmetric equilibrium candidate and its diagnostics.
 
     ``residual_norm`` is recomputed from the returned strategy, so a result
-    claiming convergence can always be re-verified directly. ``payoff`` is
-    the per-player payoff when everyone adopts the strategy, under the same
-    model that was solved. ``full_support`` is False when the iteration
-    settled essentially on the simplex boundary.
+    claiming convergence can always be re-verified directly: the largest
+    closed-form gradient entry for ``paper``, and for ``exact`` the largest
+    win probability minus the smallest one on the support. ``payoff`` is the
+    per-player payoff when everyone adopts the strategy, under the same
+    model that was solved. ``iterations`` counts the steps of the scalar
+    search. ``full_support`` is False when some choice has probability 0.
     """
 
     model: str
@@ -66,142 +67,129 @@ class SolveResult:
     full_support: bool
 
 
-def _full_probs(x):
-    """Extend free variables to a full probability vector (last = remainder)."""
-    total = 0.0
-    for v in x:
-        total += v
-    last = 1.0 - total
-    if last < 0.0:
-        last = 0.0
-    return [*x, last]
+def _find_root(f, lo, hi, f_lo, f_hi, max_steps):
+    """Shrink a bracket [lo, hi] on which ``f`` changes sign.
 
-
-def _paper_residual(spec: GameSpec):
-    def residual(x):
-        g = closed_form_gradient(spec, _full_probs(x))
-        return g, max(abs(v) for v in g)
-
-    return residual
-
-
-def _exact_residual(spec: GameSpec):
-    m = spec.n - 1
-
-    def residual(x):
-        wins = kernels.win_probs_common(_full_probs(x), m)
-        r = [wins[i + 1] - wins[i] for i in range(m)]
-        return r, max(wins) - min(wins)
-
-    return residual
-
-
-def _clamp(x):
-    out = [min(max(float(v), _CLAMP_LO), _CLAMP_HI) for v in x]
-    running = 0.0
-    for k in range(len(out)):
-        cap = _CLAMP_HI - running
-        if out[k] > cap:
-            out[k] = max(_CLAMP_LO, cap)
-        running += out[k]
-    return out
-
-
-def _solve_linear(a, b):
-    """Solve ``a @ x = b`` by Gaussian elimination with partial pivoting.
-
-    ``a`` is a list of rows; both arguments are overwritten. Returns None
-    when a pivot is exactly zero, i.e. the matrix is singular.
+    Illinois false position: each step evaluates f where the chord through
+    the bracket ends crosses zero, and an end kept twice in a row has its
+    value halved so that it gives way. A step bisects instead when the
+    bracket is wider than half its width two steps earlier (the widths
+    before the first step count as the starting one, so the first step
+    bisects). Steps stay two units in the last place inside the bracket, so
+    it closes around a root it has come that close to. Stops when the
+    bracket has closed, f is exactly 0, or after ``max_steps`` evaluations.
+    Returns the final (lo, hi, steps); f has the sign of ``f_lo`` at lo.
     """
-    k = len(b)
-    for col in range(k):
-        pivot = max(range(col, k), key=lambda r: abs(a[r][col]))
-        if a[pivot][col] == 0.0:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        b[col], b[pivot] = b[pivot], b[col]
-        top = a[col]
-        for r in range(col + 1, k):
-            row = a[r]
-            f = row[col] / top[col]
-            for c in range(col + 1, k):
-                row[c] -= f * top[c]
-            b[r] -= f * b[col]
-    x = [0.0] * k
-    for r in range(k - 1, -1, -1):
-        row = a[r]
-        acc = b[r]
-        for c in range(r + 1, k):
-            acc -= row[c] * x[c]
-        x[r] = acc / row[r]
-    return x
-
-
-def _newton(residual, x0, tol, max_iterations):
-    x = _clamp(x0)
-    r, norm = residual(x)
-    iterations = 0
-    k = len(x)
-    while norm > tol and iterations < max_iterations:
-        columns = []
-        for j in range(k):
-            xp = x[:]
-            xp[j] += _FD_STEP
-            rj, _ = residual(xp)
-            columns.append([(a - b) / _FD_STEP for a, b in zip(rj, r)])
-        jac = [list(row) for row in zip(*columns)]
-        step = _solve_linear(jac, [-v for v in r])
-        if step is None or not all(math.isfinite(v) for v in step):
+    steps = 0
+    if f_lo == 0.0 or f_hi == 0.0:
+        x = lo if f_lo == 0.0 else hi
+        return x, x, steps
+    kept = 0  # end kept by the last step: -1 lo, +1 hi
+    older = prev = hi - lo
+    while steps < max_steps:
+        width = hi - lo
+        gap = 2.0 * _EPS * max(abs(lo), abs(hi))
+        if width <= 2.0 * gap:
             break
-        t = 1.0
-        candidate, rc, nc = None, None, None
-        for _ in range(_MAX_HALVINGS):
-            candidate = _clamp([xi + t * si for xi, si in zip(x, step)])
-            rc, nc = residual(candidate)
-            if nc < norm:
-                break
-            t *= 0.5
-        x, r, norm = candidate, rc, nc
-        iterations += 1
-    return x, iterations
+        if width > 0.5 * older:
+            x = lo + 0.5 * width
+        else:
+            x = lo + width * (f_lo / (f_lo - f_hi))
+        x = min(max(x, lo + gap), hi - gap)
+        fx = f(x)
+        steps += 1
+        if fx == 0.0:
+            return x, x, steps
+        if (fx > 0.0) == (f_lo > 0.0):
+            lo, f_lo = x, fx
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi = x, fx
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
+        older, prev = prev, width
+    return lo, hi, steps
 
 
-def _grid_points(k, total=0.0):
-    """Restart-grid points in k coordinates, in lexicographic order, whose
-    running sum from ``total`` stays within the simplex.
+def _exact_shot(n, v):
+    """Forward shot at equilibrium value v: (probabilities, R(v)).
 
-    Float sums of positive values never decrease, so a prefix past the bound
-    is dropped with all its extensions.
+    The last choice that takes mass gets all the mass left when the loop
+    ends, and R(v) is its win probability with that mass, minus v. The
+    inner search compares m-th roots of the win probabilities (m = n - 1
+    opponents): early on, win_j is close to (1 - p_0 - ... - p_j)**m, and
+    its m-th root is close to linear in p_j.
     """
-    if k == 0:
-        yield []
-        return
-    for v in _RESTART_VALUES:
-        running = total + v
-        if running <= 1.0 + 1e-12:
-            for rest in _grid_points(k - 1, running):
-                yield [v, *rest]
+    k = 1.0 / (n - 1)
+    v_k = v**k
+    probs = [0.0] * n
+    row = [0.0] * (n - 1) + [1.0]
+    rem = 1.0
+    last, w_last = 0, row[0]
+    for j in range(n):
+        w_none = kernels.common_win(row, rem)
+        if w_none <= v:
+            continue
+        w_all = row[0]  # win probability with all the remaining mass on j
+        last, w_last = j, w_all
+        if w_all > v:
+            break
+
+        def excess(p):
+            return kernels.common_win(row, rem - p) ** k - v_k
+
+        pj = _find_root(excess, 0.0, rem, w_none**k - v_k, w_all**k - v_k, _INNER_STEPS)[0]
+        probs[j] = pj
+        rem -= pj
+        row = kernels.common_step(row, pj)
+    probs[last] += rem
+    return probs, w_last - v
 
 
-def _starting_points(spec: GameSpec):
-    yield list(geometric_strategy(spec).probs[: spec.n - 1])
-    yield from _grid_points(spec.n - 1)
+def _paper_shot(n, s):
+    """Backward shot from p_{n-1} = s: (probabilities, H(s)).
+
+    The tail masses run from t_{n-2} = s down to t_{-1}; p_0 is 1 - t_0, so
+    the probabilities sum to one whenever t_0 <= 1.
+    """
+    m = n - 1
+    tails = [s, 2.0 * s]
+    while len(tails) < n:
+        last = tails[-1]
+        ratio = tails[-2] / last if last > 0.0 else 0.0
+        tails.append(last * (1.0 + (1.0 - ratio**m) ** (1.0 / m)))
+    # tails[k] is t_{n-2-k}; tails[n - 1] is t_{-1}
+    probs = [1.0 - tails[n - 2]]
+    probs += [tails[k] - tails[k - 1] for k in range(n - 2, 0, -1)]
+    probs.append(s)
+    return probs, tails[n - 1] - 1.0
 
 
-def _package(spec: GameSpec, model: str, x, iterations: int, tol: float) -> SolveResult:
-    probs = _full_probs(x)
-    total = sum(probs)
-    strategy = MixedStrategy(tuple(p / total for p in probs))
+def _scalar_map(n: int, model: str):
+    """The model's shot and the upper end of its scalar's domain [0, top].
+
+    v <= 1/n because the n payoffs of a symmetric profile sum to at most
+    one; s <= 1/2 because t_{n-3} = 2s cannot exceed 1.
+    """
+    if model == MODEL_EXACT:
+        return _exact_shot, 1.0 / n
+    return _paper_shot, 0.5
+
+
+def _package(spec: GameSpec, model: str, probs, iterations: int, tol: float) -> SolveResult:
+    strategy = MixedStrategy(tuple(probs))
     if model == MODEL_PAPER:
         grad = closed_form_gradient(spec, strategy)
         residual_norm = max(abs(g) for g in grad)
         payoff = closed_form_payoff(spec, strategy, strategy)
     else:
         wins = kernels.win_probs_common(list(strategy.probs), spec.n - 1)
-        residual_norm = max(wins) - min(wins)
-        payoff = 0.0
-        for p, w in zip(strategy.probs, wins):
-            payoff += p * w
+        support = [w for p, w in zip(strategy.probs, wins) if p > 0.0]
+        residual_norm = max(wins) - min(support)
+        payoff = _mixed_value(strategy, wins)
     return SolveResult(
         model=model,
         n=spec.n,
@@ -210,8 +198,16 @@ def _package(spec: GameSpec, model: str, x, iterations: int, tol: float) -> Solv
         residual_norm=residual_norm,
         iterations=iterations,
         converged=residual_norm <= tol,
-        full_support=min(strategy.probs) > _SUPPORT_FLOOR,
+        full_support=min(strategy.probs) > 0.0,
     )
+
+
+def _refine(spec, model, lo, hi, f_lo, f_hi, tol, max_iterations) -> SolveResult:
+    shot = _scalar_map(spec.n, model)[0]
+    lo, _, steps = _find_root(
+        lambda x: shot(spec.n, x)[1], lo, hi, f_lo, f_hi, max_iterations
+    )
+    return _package(spec, model, shot(spec.n, lo)[0], steps, tol)
 
 
 def _check_args(spec: GameSpec, model: str, tol, max_iterations: int) -> float:
@@ -232,31 +228,19 @@ def solve_symmetric(
     model: str = MODEL_PAPER,
     tol: float | None = None,
     max_iterations: int = 100,
-    start=None,
 ) -> SolveResult:
     """Find a common strategy that is its own best response under ``model``.
 
-    Starts from the geometric strategy and, if that fails, retries from a
-    deterministic grid of interior points before reporting failure. The
-    returned result is never fabricated: ``converged`` is False whenever no
-    start drove the residual below the tolerance, and the least-bad point is
-    reported as-is.
+    Searches the whole domain of the model's scalar map, whose ends bracket
+    its sign change, with at most ``max_iterations`` steps, and returns the
+    strategy shot from the low end of the final bracket. The result is never
+    fabricated: ``converged`` is False whenever the recomputed residual
+    exceeds the tolerance, and the point reached is reported as-is.
     """
     tol = _check_args(spec, model, tol, max_iterations)
-    residual = _paper_residual(spec) if model == MODEL_PAPER else _exact_residual(spec)
-    if start is not None:
-        starts = [list(as_strategy(start).probs[: spec.n - 1])]
-    else:
-        starts = _starting_points(spec)
-    best = None
-    for x0 in starts:
-        x, iterations = _newton(residual, x0, tol, max_iterations)
-        result = _package(spec, model, x, iterations, tol)
-        if result.converged:
-            return result
-        if best is None or result.residual_norm < best.residual_norm:
-            best = result
-    return best
+    shot, top = _scalar_map(spec.n, model)
+    f_lo, f_hi = shot(spec.n, 0.0)[1], shot(spec.n, top)[1]
+    return _refine(spec, model, 0.0, top, f_lo, f_hi, tol, max_iterations)
 
 
 def multistart_roots(
@@ -265,30 +249,22 @@ def multistart_roots(
     tol: float | None = None,
     max_iterations: int = 100,
 ) -> list:
-    """All distinct converged strategies over the full deterministic start grid.
+    """One refined result per sign change of the scalar map on a fixed grid.
 
     Uniqueness of the symmetric equilibrium is a theorem only for small n,
-    so rather than asserting it, this enumerates what the iteration actually
-    finds; callers can inspect whether the root is unique. Results are
-    sorted by strategy and deduplicated at max-coordinate distance 1e-8.
+    so rather than asserting it, this scans the model's scalar map at evenly
+    spaced points of its domain and refines every interval on which the map
+    changes sign with the search ``solve_symmetric`` uses. Results come in
+    increasing order of the scalar, converged or not; a single converged
+    result means the scan saw one root.
     """
     tol = _check_args(spec, model, tol, max_iterations)
-    residual = _paper_residual(spec) if model == MODEL_PAPER else _exact_residual(spec)
+    shot, top = _scalar_map(spec.n, model)
+    grid = [top * i / _SCAN_INTERVALS for i in range(_SCAN_INTERVALS + 1)]
+    values = [shot(spec.n, x)[1] for x in grid]
     found = []
-    for x0 in _starting_points(spec):
-        x, iterations = _newton(residual, x0, tol, max_iterations)
-        result = _package(spec, model, x, iterations, tol)
-        if not result.converged:
-            continue
-        duplicate = False
-        for other in found:
-            gap = max(
-                abs(a - b) for a, b in zip(result.strategy.probs, other.strategy.probs)
-            )
-            if gap <= _DISTINCT_ROOT_TOL:
-                duplicate = True
-                break
-        if not duplicate:
-            found.append(result)
-    found.sort(key=lambda res: res.strategy.probs)
+    for i in range(_SCAN_INTERVALS):
+        f_lo, f_hi = values[i], values[i + 1]
+        if f_lo != 0.0 and (f_hi == 0.0 or (f_lo > 0.0) != (f_hi > 0.0)):
+            found.append(_refine(spec, model, grid[i], grid[i + 1], f_lo, f_hi, tol, max_iterations))
     return found

@@ -124,7 +124,7 @@ def test_table_json_keeps_full_precision(capsys):
 
 
 def test_table_range_validation(capsys):
-    code, _, err = run_cli(capsys, "table", "--max-n", "13")
+    code, _, err = run_cli(capsys, "table", "--max-n", "41")
     assert code == EXIT_INPUT
     assert "max-n" in err
 

@@ -75,6 +75,16 @@ def test_empirical_payoffs_at_symmetric_equilibrium():
         assert abs(emp - ref) <= 3 * se
 
 
+def test_empirical_payoffs_at_the_n40_exact_equilibrium():
+    # the sampler shares no code with the dynamic program that both the
+    # solver and verify_profile use, so this checks the n = 40 root
+    # independently of them
+    result = solve_symmetric(GameSpec(40), model="exact")
+    stats = simulate(StrategyProfile.symmetric(result.strategy), 200_000, seed=2026)
+    for emp, se in zip(stats.payoffs, stats.standard_errors):
+        assert abs(emp - result.payoff) <= 4 * se
+
+
 def test_empirical_payoffs_on_random_profiles():
     rng = random.Random(602)
     for trial in range(3):
