@@ -21,6 +21,7 @@ from .game import (
     StrategyLike,
     StrategyProfile,
     _mixed_value,
+    _profile_choice_values,
     as_strategy,
     win_probabilities,
 )
@@ -89,9 +90,13 @@ def best_response(spec: GameSpec, others: Sequence[StrategyLike], model: str = M
     checks, robust to exact ties).
     """
     values = pure_choice_values(spec, others, model)
+    return values, _best_picks(values)
+
+
+def _best_picks(values: Sequence[float]) -> tuple:
+    """Every pure choice (1-based) whose value is within 1e-12 of the best one."""
     top = max(values)
-    picks = tuple(i + 1 for i, v in enumerate(values) if v >= top - _TIE_TOLERANCE)
-    return values, picks
+    return tuple(i + 1 for i, v in enumerate(values) if v >= top - _TIE_TOLERANCE)
 
 
 def indifference_spread(spec: GameSpec, common: StrategyLike, model: str = MODEL_EXACT) -> float:
@@ -115,6 +120,11 @@ def verify_profile(
     Claims made about specific profiles elsewhere are not trusted by this
     function: it recomputes payoffs, per-player best responses and gains,
     and labels the profile accordingly.
+
+    Under the exact model, every player's pure-choice values come from one
+    pass shared with ``exact_profile_payoffs``, so the two report bit-equal
+    payoffs: one identical-opponent pass when all strategies are equal,
+    otherwise one leave-one-out capped-count pass over the whole profile.
     """
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")
@@ -123,33 +133,27 @@ def verify_profile(
     spec = GameSpec(profile.n)
     strategies = profile.strategies
     common = strategies[0]
-    if model == MODEL_PAPER and any(s.probs != common.probs for s in strategies[1:]):
-        raise ValueError("the closed-form model verifies symmetric profiles only")
-    payoffs = []
-    values_per_player = []
-    picks_per_player = []
+    if model == MODEL_PAPER:
+        if any(s.probs != common.probs for s in strategies[1:]):
+            raise ValueError("the closed-form model verifies symmetric profiles only")
+        values_per_player = [pure_choice_values(spec, [common] * (spec.n - 1), model)] * spec.n
+        payoffs = [closed_form_payoff(spec, common, common)] * spec.n
+    else:
+        # the same values and dot products as exact_profile_payoffs, so both
+        # report bit-equal payoffs
+        values_per_player = _profile_choice_values(profile)
+        payoffs = [_mixed_value(own, v) for own, v in zip(strategies, values_per_player)]
     gains = []
     weak_flags = []
-    for i, own in enumerate(strategies):
-        others = strategies[:i] + strategies[i + 1 :]
-        # one set of pure-choice values per player gives both the payoff and
-        # the best response; the exact payoff is the same dot product as
-        # exact_profile_payoffs, so both report bit-equal payoffs
-        values, picks = best_response(spec, others, model)
-        if model == MODEL_PAPER:
-            payoffs.append(closed_form_payoff(spec, own, common))
-        else:
-            payoffs.append(_mixed_value(own, values))
-        gain = max(values) - payoffs[i]
+    for own, values, payoff in zip(strategies, values_per_player, payoffs):
+        gain = max(values) - payoff
         indifferent = False
         if gain <= epsilon:
             for choice, value in enumerate(values):
                 unused = own.probs[choice] <= epsilon
-                if unused and abs(value - payoffs[i]) <= epsilon:
+                if unused and abs(value - payoff) <= epsilon:
                     indifferent = True
                     break
-        values_per_player.append(values)
-        picks_per_player.append(picks)
         gains.append(gain)
         weak_flags.append(indifferent)
     payoff_sum = sum(payoffs)
@@ -159,7 +163,7 @@ def verify_profile(
         epsilon=epsilon,
         payoffs=tuple(payoffs),
         best_response_values=tuple(max(v) for v in values_per_player),
-        best_response_picks=tuple(picks_per_player),
+        best_response_picks=tuple(_best_picks(v) for v in values_per_player),
         deviation_gains=tuple(gains),
         indifferent_deviations=tuple(weak_flags),
         is_nash=max(gains) <= epsilon,

@@ -179,6 +179,19 @@ def _scalar_map(n: int, model: str):
     return _paper_shot, 0.5
 
 
+def _scan_grid(model: str, top: float) -> list:
+    """Ascending points of [0, top] at which ``multistart_roots`` shoots.
+
+    The exact root v lies near the top of [0, 1/n], so even spacing
+    resolves it. The paper root s is about 2**-(n-1): an even grid would put
+    it in its first interval from n = 9 on, so the paper grid is geometric,
+    top * 2**-k for k = 63 down to 0, after 0.
+    """
+    if model == MODEL_PAPER:
+        return [0.0] + [top * 2.0**-k for k in range(_SCAN_INTERVALS - 1, -1, -1)]
+    return [top * i / _SCAN_INTERVALS for i in range(_SCAN_INTERVALS + 1)]
+
+
 def _package(spec: GameSpec, model: str, probs, iterations: int, tol: float) -> SolveResult:
     strategy = MixedStrategy(tuple(probs))
     if model == MODEL_PAPER:
@@ -252,15 +265,16 @@ def multistart_roots(
     """One refined result per sign change of the scalar map on a fixed grid.
 
     Uniqueness of the symmetric equilibrium is a theorem only for small n,
-    so rather than asserting it, this scans the model's scalar map at evenly
-    spaced points of its domain and refines every interval on which the map
-    changes sign with the search ``solve_symmetric`` uses. Results come in
-    increasing order of the scalar, converged or not; a single converged
-    result means the scan saw one root.
+    so rather than asserting it, this scans the model's scalar map at 65
+    points of its domain (evenly spaced for ``exact``, halving towards 0 for
+    ``paper``) and refines every interval on which the map changes sign with
+    the search ``solve_symmetric`` uses. Results come in increasing order of
+    the scalar, converged or not; a single converged result means the scan
+    saw one root.
     """
     tol = _check_args(spec, model, tol, max_iterations)
     shot, top = _scalar_map(spec.n, model)
-    grid = [top * i / _SCAN_INTERVALS for i in range(_SCAN_INTERVALS + 1)]
+    grid = _scan_grid(model, top)
     values = [shot(spec.n, x)[1] for x in grid]
     found = []
     for i in range(_SCAN_INTERVALS):

@@ -10,6 +10,7 @@ from lupi import (
     GameSpec,
     StrategyProfile,
     best_response,
+    exact_profile_payoffs,
     indifference_spread,
     solve_symmetric,
     verify_profile,
@@ -157,9 +158,10 @@ def test_symmetric_profiles_report_identical_rows():
         n = rng.randint(3, 5)
         profile = StrategyProfile.symmetric(random_strategy(rng, n), n)
         report = verify_profile(profile)
+        # every player faces the same opponents, evaluated once
         for i in range(1, n):
-            assert report.payoffs[i] == pytest.approx(report.payoffs[0], abs=1e-12)
-            assert report.deviation_gains[i] == pytest.approx(report.deviation_gains[0], abs=1e-12)
+            assert report.payoffs[i] == report.payoffs[0]
+            assert report.deviation_gains[i] == report.deviation_gains[0]
 
 
 def test_nash_verdicts_survive_enumeration_recheck():
@@ -181,6 +183,48 @@ def test_nash_verdicts_survive_enumeration_recheck():
                 )
                 gain = brute_payoffs(deviated.rows())[i] - base
                 assert gain <= 1e-9
+
+
+def _unit(n, pick):
+    return [1.0 if k == pick else 0.0 for k in range(n)]
+
+
+def test_payoff_and_verify_report_bit_equal_payoffs():
+    rng = random.Random(506)
+    symmetric = StrategyProfile.symmetric(solve_symmetric(GameSpec(6), model="exact").strategy)
+    common = random_strategy(rng, 7)
+    one_deviant = StrategyProfile((random_strategy(rng, 7),) + (common,) * 6)
+    dense = random_profile(rng, 8)
+    sparse = random_profile(rng, 9, zeros=True)
+    for profile in (symmetric, one_deviant, dense, sparse):
+        assert exact_profile_payoffs(profile) == verify_profile(profile).payoffs
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_verdicts_match_brute_force_deviations(n):
+    rng = random.Random(507 + n)
+    common = random_strategy(rng, n)
+    profiles = [
+        random_profile(rng, n, zeros=True),
+        random_profile(rng, n),
+        StrategyProfile((random_strategy(rng, n, zeros=True),) + (common,) * (n - 1)),
+    ]
+    if n >= 3:
+        profiles.append(StrategyProfile.symmetric(solve_symmetric(GameSpec(n), model="exact").strategy))
+    for profile in profiles:
+        rows = profile.rows()
+        base = brute_payoffs(rows)
+        gains = []
+        for i in range(n):
+            best = max(
+                brute_payoffs(rows[:i] + [_unit(n, pick)] + rows[i + 1 :])[i]
+                for pick in range(n)
+            )
+            gains.append(best - base[i])
+        report = verify_profile(profile)
+        assert report.payoffs == pytest.approx(base, abs=1e-12)
+        assert report.deviation_gains == pytest.approx(gains, abs=1e-12)
+        assert report.is_nash == (max(gains) <= report.epsilon)
 
 
 def test_verify_rejects_bad_epsilon():

@@ -1,7 +1,9 @@
-"""The numpy kernels against the scalar loops they replaced, bit for bit.
+"""The numpy kernels against the scalar loops they replaced.
 
-Both kernels add and multiply the same floats in the same order as the
-pre-vectorisation loops in ``_oracle``, so results must be equal, not close.
+The fold and the sampler add and multiply the same floats in the same order
+as the pre-vectorisation loops in ``_oracle``, so results must be equal, not
+close. The leave-one-out fold shares its folds between players, which
+changes the order of the additions, so it is checked to 1e-14.
 """
 
 import random
@@ -62,6 +64,33 @@ def test_fold_matches_scalar_loop_on_sparse_rows():
     assert kernels.win_probs_distinct(rows) == scalar_win_probs_distinct(rows)
 
 
+def _check_leave_one_out(rows):
+    wins = kernels.win_probs_leave_one_out(rows)
+    assert len(wins) == len(rows)
+    for i, got in enumerate(wins):
+        expected = scalar_win_probs_distinct(rows[:i] + rows[i + 1 :])
+        assert got == pytest.approx(expected, rel=0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_leave_one_out_matches_scalar_loop(n):
+    rng = random.Random(1000 + n)
+    rows = [list(random_strategy(rng, n, zeros=True)) for _ in range(n)]
+    _check_leave_one_out(rows)
+    # a pure strategy and a repeated row
+    rows[0] = [0.0] * n
+    rows[0][rng.randrange(n)] = 1.0
+    rows[-1] = rows[1][:]
+    _check_leave_one_out(rows)
+
+
+def test_leave_one_out_matches_scalar_loop_dense_n10():
+    rng = random.Random(1010)
+    _check_leave_one_out([list(random_strategy(rng, 10)) for _ in range(10)])
+
+
 def test_fold_size_guard():
     with pytest.raises(ValueError):
         kernels.win_probs_distinct([[1.0 / 17] * 17] * 2)
+    with pytest.raises(ValueError):
+        kernels.win_probs_leave_one_out([[1.0 / 17] * 17] * 2)

@@ -16,6 +16,7 @@ from lupi import (
     verify_profile,
     win_probabilities,
 )
+from lupi.solve import _scalar_map, _scan_grid
 
 SQRT3 = math.sqrt(3.0)
 ROOT3 = (2 * SQRT3 - 3, 2 - SQRT3, 2 - SQRT3)
@@ -139,6 +140,22 @@ def test_multistart_finds_a_single_root(n, model):
     roots = multistart_roots(GameSpec(n), model=model)
     assert len(roots) == 1
     assert roots[0].converged
+
+
+@pytest.mark.parametrize("model", ["paper", "exact"])
+def test_scan_brackets_the_root_away_from_zero(model):
+    # a root inside the scan's first interval [0, x] would be found however
+    # many roots the map has near 0, so the uniqueness scan would check nothing
+    for n in range(3, MAX_SOLVER_N + 1):
+        shot, top = _scalar_map(n, model)
+        result = solve_symmetric(GameSpec(n), model=model)
+        root = result.strategy.probs[-1] if model == "paper" else result.payoff
+        grid = _scan_grid(model, top)
+        below = max(x for x in grid if x < root)
+        above = min(x for x in grid if x >= root)
+        assert below > 0.0, n
+        f_below, f_above = shot(n, below)[1], shot(n, above)[1]
+        assert f_above == 0.0 or (f_below > 0.0) != (f_above > 0.0), n
 
 
 def test_failure_is_reported_not_fabricated():
