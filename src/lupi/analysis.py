@@ -13,26 +13,25 @@ one cannot make any player better off without hurting another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .game import (
+    DEFAULT_EPSILON,
     GameSpec,
     StrategyLike,
     StrategyProfile,
     _mixed_value,
+    _Record,
     _profile_choice_values,
     as_strategy,
     win_probabilities,
 )
 from .model import MODEL_EXACT, MODEL_PAPER, MODELS, closed_form_payoff
 
-DEFAULT_EPSILON = 1e-9
 _TIE_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """Per-player deviation analysis of one strategy profile.
 
     ``deviation_gains[i]`` is player i's best-response value minus their

@@ -8,29 +8,26 @@ fixed: 0 success or verified, 1 input or usage error, 2 verified-false,
 Values are carried at full precision everywhere; the only place rounding
 happens is the rendering of the ``table`` command, which rounds half up to
 three significant figures.
+
+Each command imports the layers it runs when it runs; the parser's
+constants come from ``lupi.game``, which every command needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
-from decimal import ROUND_HALF_UP, Decimal
 
-from .analysis import DEFAULT_EPSILON, best_response, verify_profile
-from .game import GameSpec, StrategyProfile, exact_profile_payoffs
-from .model import (
+from .game import (
+    DEFAULT_EPSILON,
+    MAX_SOLVER_N,
+    MIN_SOLVER_N,
     MODEL_PAPER,
     MODELS,
-    geometric_payoff,
-    geometric_strategy,
-    two_choice_baseline,
+    GameSpec,
+    StrategyProfile,
+    exact_profile_payoffs,
 )
-from .profiles import load_profile, save_profile
-from .simulate import simulate
-from .solve import MAX_SOLVER_N, MIN_SOLVER_N, solve_symmetric
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -56,6 +53,8 @@ def format_sig3(value: float) -> str:
     Half-up, not banker's rounding: 0.03125 renders as 0.0313. Trailing
     zeros are dropped (0.250 renders as 0.25).
     """
+    from decimal import ROUND_HALF_UP, Decimal
+
     if value == 0:
         return "0"
     d = Decimal(value)
@@ -69,6 +68,9 @@ def _num(value: float) -> str:
 
 
 def _csv_text(rows) -> str:
+    import csv
+    import io
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerows(rows)
@@ -76,6 +78,8 @@ def _csv_text(rows) -> str:
 
 
 def _print_json(payload) -> None:
+    import json
+
     print(json.dumps(payload, indent=2))
 
 
@@ -100,12 +104,16 @@ def _check_solver_n(n: int, flag: str) -> None:
 
 
 def _cmd_solve(args) -> int:
+    from .solve import solve_symmetric
+
     _check_solver_n(args.n, "--n")
     spec = GameSpec(args.n)
     result = solve_symmetric(
         spec, model=args.model, tol=args.tol, max_iterations=args.max_iter
     )
     if args.save_profile:
+        from .profiles import save_profile
+
         save_profile(args.save_profile, StrategyProfile.symmetric(result.strategy))
     if args.format == "json":
         _print_json(
@@ -152,6 +160,9 @@ def _cmd_solve(args) -> int:
 
 
 def _table_data(max_n: int):
+    from .model import geometric_payoff, two_choice_baseline
+    from .solve import solve_symmetric
+
     ns = list(range(3, max_n + 1))
     approx = [geometric_payoff(GameSpec(n)) for n in ns]
     reference = [two_choice_baseline(GameSpec(n)) for n in ns]
@@ -197,6 +208,9 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .analysis import verify_profile
+    from .profiles import load_profile
+
     profile, labels = load_profile(args.profile)
     _check_cli_n(profile.n)
     report = verify_profile(profile, epsilon=args.eps)
@@ -267,6 +281,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_payoff(args) -> int:
+    from .profiles import load_profile
+
     profile, labels = load_profile(args.profile)
     _check_cli_n(profile.n)
     payoffs = exact_profile_payoffs(profile)
@@ -305,6 +321,8 @@ def _parse_vector(text: str):
 
 
 def _cmd_best_response(args) -> int:
+    from .analysis import best_response
+
     _check_cli_n(args.n)
     spec = GameSpec(args.n)
     others = [_parse_vector(text) for text in args.others]
@@ -328,11 +346,15 @@ def _cmd_best_response(args) -> int:
 
 
 def _cmd_approx(args) -> int:
+    from .model import geometric_payoff, geometric_strategy
+
     _check_solver_n(args.n, "--n")
     spec = GameSpec(args.n)
     strategy = geometric_strategy(spec)
     payoff = geometric_payoff(spec)
     if args.save_profile:
+        from .profiles import save_profile
+
         save_profile(args.save_profile, StrategyProfile.symmetric(strategy))
     if args.format == "json":
         _print_json({"n": args.n, "strategy": list(strategy.probs), "payoff": payoff})
@@ -352,6 +374,9 @@ def _cmd_approx(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .profiles import load_profile
+    from .simulate import simulate
+
     profile, labels = load_profile(args.profile)
     _check_cli_n(profile.n)
     stats = simulate(profile, args.rounds, args.seed)

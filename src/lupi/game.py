@@ -22,18 +22,70 @@ Players are 0-indexed everywhere in this package; command-line output is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from ._backend import kernels
 
 SUM_TOLERANCE = 1e-9
 
+# model names, the solver's range of n and the verifier's default tolerance
+MODEL_PAPER = "paper"
+MODEL_EXACT = "exact"
+MODELS = (MODEL_PAPER, MODEL_EXACT)
+MIN_SOLVER_N = 3
+MAX_SOLVER_N = 40
+DEFAULT_EPSILON = 1e-9
+
 StrategyLike = Union["MixedStrategy", Sequence[float]]
 
 
-@dataclass(frozen=True)
-class GameSpec:
+class _Record:
+    """Base of the package's immutable value records.
+
+    The fields are the names annotated in the subclass body, in order, given
+    by position or keyword. Records of one class with equal fields are equal
+    and hash alike; they print as ``Name(field=value, ...)`` and refuse
+    assignment and deletion with AttributeError. A subclass's
+    ``__post_init__``, if any, runs once the fields are set, to validate
+    them or replace them with ``object.__setattr__``.
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = dict(zip(fields, args))
+        values.update(kwargs)
+        if len(args) + len(kwargs) != len(fields) or values.keys() != set(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
+        self.__dict__.update(values)
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, field) for field in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        inner = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GameSpec(_Record):
     """Player count n, which is also the size of the integer range 1..n."""
 
     n: int
@@ -43,8 +95,7 @@ class GameSpec:
             raise ValueError(f"player count must be an integer >= 2, got {self.n!r}")
 
 
-@dataclass(frozen=True)
-class MixedStrategy:
+class MixedStrategy(_Record):
     """Probability distribution over the pure choices 1..n.
 
     Entry i is the probability of choosing the integer i + 1. Entries must
@@ -86,8 +137,7 @@ def as_strategy(value: StrategyLike) -> MixedStrategy:
     return MixedStrategy(tuple(value))
 
 
-@dataclass(frozen=True)
-class StrategyProfile:
+class StrategyProfile(_Record):
     """One mixed strategy per player."""
 
     strategies: tuple

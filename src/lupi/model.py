@@ -14,11 +14,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .game import GameSpec, MixedStrategy, StrategyLike
-
-MODEL_PAPER = "paper"
-MODEL_EXACT = "exact"
-MODELS = (MODEL_PAPER, MODEL_EXACT)
+from .game import MODEL_EXACT, MODEL_PAPER, MODELS, GameSpec, MixedStrategy, StrategyLike
 
 
 def _ipow(base: float, exp: int) -> float:

@@ -19,16 +19,14 @@ statistics on every platform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._backend import kernels
-from .game import StrategyProfile
+from .game import StrategyProfile, _Record
 
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class SimulationStats:
+class SimulationStats(_Record):
     """Outcome counts and frequency estimates of one simulation run."""
 
     rounds: int

@@ -25,14 +25,9 @@ lists: the solver needs no array library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._backend import kernels
-from .game import GameSpec, MixedStrategy, _mixed_value
+from .game import MAX_SOLVER_N, MIN_SOLVER_N, GameSpec, MixedStrategy, _mixed_value, _Record
 from .model import MODEL_EXACT, MODEL_PAPER, MODELS, closed_form_gradient, closed_form_payoff
-
-MIN_SOLVER_N = 3
-MAX_SOLVER_N = 40
 
 DEFAULT_TOLERANCES = {MODEL_PAPER: 1e-12, MODEL_EXACT: 1e-10}
 
@@ -44,8 +39,7 @@ _INNER_STEPS = 200
 _SCAN_INTERVALS = 64
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(_Record):
     """A symmetric equilibrium candidate and its diagnostics.
 
     ``residual_norm`` is recomputed from the returned strategy, so a result
@@ -231,7 +225,7 @@ def _check_args(spec: GameSpec, model: str, tol, max_iterations: int) -> float:
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     tol = DEFAULT_TOLERANCES[model] if tol is None else float(tol)
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tolerance must be positive")
     return tol
 

@@ -86,6 +86,14 @@ def test_solve_nonconvergence_exit_code(capsys):
     assert "converged: no" in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "0", "-1e-12"])
+def test_solve_rejects_a_tolerance_that_is_not_positive(capsys, tol):
+    code, out, err = run_cli(capsys, "solve", "--n", "5", f"--tol={tol}")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "lupi: error: tolerance must be positive\n"
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main([])
@@ -266,7 +274,8 @@ run("approx", "--n", "6")
 run("table", "--max-n", "6")
 run("verify", "--profile", saved)
 run("best-response", "--n", "3", "--others", "0.5,0.3,0.2", "0.5,0.3,0.2")
-assert "numpy" not in sys.modules, "a symmetric command loaded numpy"
+heavy = {"dataclasses", "inspect", "numpy"} & set(sys.modules)
+assert not heavy, f"a symmetric command loaded {sorted(heavy)}"
 payoffs = run("payoff", "--profile", hetero, "--format", "json")
 assert "numpy" in sys.modules
 sys.stdout.write(payoffs)
@@ -286,6 +295,45 @@ def test_symmetric_commands_leave_numpy_unloaded(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "payoff", "--profile", hetero, "--format", "json")
     assert code == EXIT_OK
     assert proc.stdout == out
+
+
+_MODULES_AFTER = """
+import contextlib, io, json, sys
+argv = sys.argv[1:]
+if argv:
+    from lupi.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+else:
+    import lupi
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def _modules_after(*argv):
+    """Modules loaded by a fresh interpreter that runs one command, or only
+    ``import lupi`` when no command is given."""
+    src = str(Path(lupi.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_AFTER, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def test_each_command_loads_only_its_layers(tmp_path):
+    saved = str(tmp_path / "symmetric.json")
+    solve = _modules_after("solve", "--n", "5", "--model", "exact", "--save-profile", saved)
+    assert {"lupi.game", "lupi.solve", "lupi.profiles"} <= solve
+    assert not {"lupi.analysis", "lupi.simulate", "numpy", "dataclasses", "inspect"} & solve
+    verify = _modules_after("verify", "--profile", saved)
+    assert {"lupi.game", "lupi.analysis", "lupi.profiles"} <= verify
+    assert not {"lupi.solve", "lupi.simulate", "numpy", "dataclasses", "inspect"} & verify
+    bare = _modules_after()
+    assert {name for name in bare if name.startswith("lupi")} == {"lupi"}
+    assert not {"dataclasses", "inspect", "numpy"} & bare
 
 
 # ---------------------------------------------------------------------------

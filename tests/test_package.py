@@ -1,0 +1,52 @@
+"""The package namespace: every public name resolves lazily to its module's object."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import lupi
+
+
+def test_public_names_resolve_to_their_modules_objects():
+    assert len(set(lupi.__all__)) == len(lupi.__all__)
+    for name in lupi.__all__:
+        home = importlib.import_module(f"lupi.{lupi._HOMES[name]}")
+        assert getattr(lupi, name) is getattr(home, name), name
+
+
+def test_star_import_and_dir_list_every_public_name():
+    namespace = {}
+    exec("from lupi import *", namespace)
+    for name in lupi.__all__:
+        assert namespace[name] is getattr(lupi, name)
+    assert set(lupi.__all__) <= set(dir(lupi))
+    assert "__version__" in dir(lupi)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        lupi.no_such_name
+    assert not hasattr(lupi, "_kernels")
+    with pytest.raises(ImportError):
+        exec("from lupi import no_such_name", {})
+
+
+def test_loading_a_submodule_keeps_the_public_name_of_the_same_name():
+    # importing lupi.simulate binds the submodule on the package; the public
+    # name must stay the function, whichever is touched first
+    code = (
+        "import sys, lupi, lupi.simulate, lupi.cli\n"
+        "assert lupi.simulate is sys.modules['lupi.simulate'].simulate\n"
+        "from lupi import simulate\n"
+        "assert simulate is lupi.simulate and callable(simulate)\n"
+    )
+    src = str(Path(lupi.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -175,3 +175,12 @@ def test_argument_validation():
         solve_symmetric(GameSpec(4), max_iterations=0)
     with pytest.raises(ValueError):
         solve_symmetric(GameSpec(4), tol=-1.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -0.0, float("nan"), float("-inf")])
+def test_tolerance_must_be_a_positive_number(tol):
+    for model in ("paper", "exact"):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            solve_symmetric(GameSpec(5), model=model, tol=tol)
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            multistart_roots(GameSpec(5), model=model, tol=tol)
