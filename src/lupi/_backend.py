@@ -1,7 +1,8 @@
 """The kernel module used by the computation layers.
 
-The Python and numpy kernels of ``_kernels_py`` are the only
-implementation; every layer reaches them through ``kernels`` here.
+The kernels of ``_kernels_py`` (plain Python, numpy in the round sampler
+only) are the only implementation; every layer reaches them through
+``kernels`` here.
 """
 
 from . import _kernels_py as kernels

@@ -1,21 +1,17 @@
 """Kernels for the hot inner loops, in Python and numpy.
 
-``win_probs_distinct`` and ``simulate_rounds`` are numpy-vectorised; they add
-and multiply the same floats in the same order as scalar loops over states
-and rounds, and ``tests/test_kernels.py`` checks them bit for bit against
-those loops, kept in ``tests/_oracle.py``.
+``win_probs_common`` (identical opponents) and the distinct-opponent
+kernels ``win_probs_distinct`` and ``win_probs_leave_one_out`` are plain
+Python dynamic programs. The last two walk the integers over subsets of
+players: 2**m weights for m rows, and one pass scores every player of a
+whole profile.
+``tests/test_kernels.py`` checks them against the scalar loop over 3**n
+capped-count states kept in ``tests/_oracle.py``, to rounding.
 
-``win_probs_leave_one_out`` scores every player of a profile against all
-the others with the same fold and score steps, shared by divide and
-conquer: at most m * ceil(log2(m)) folds of a 3**n table for m players (44
-at m = 12, against m * (m - 1) = 132 one player at a time). It keeps about
-ceil(log2(m)) + 2 tables alive at once (5.4 measured at n = 12), at
-4.25 MB a table at n = 12 and 344 MB at the n = 16 guard. Its sums run in
-another order, so it agrees with the scalar loop to rounding, not bit for
-bit.
-
-numpy is imported inside the array kernels, so the identical-opponent
-route, and with it the symmetric solver, never loads it.
+``simulate_rounds`` is numpy-vectorised; it adds and multiplies the same
+floats in the same order as a scalar loop over rounds, also kept in
+``tests/_oracle.py``, and is checked against it bit for bit. numpy is
+imported inside it, so every command but ``simulate`` runs without it.
 
 Conventions shared by every kernel:
   * integers chosen by players are stored 0-based (choice ``v`` means the
@@ -23,6 +19,8 @@ Conventions shared by every kernel:
   * a round's winner is the player holding the smallest integer chosen by
     exactly one player, or -1 when every chosen integer is duplicated.
 """
+
+from operator import mul
 
 BACKEND = "python"
 
@@ -124,112 +122,87 @@ def common_step(row, pj):
 def win_probs_distinct(rows):
     """Win probability of every pure choice against distinct opponents.
 
-    Capped-count dynamic program: the state records, per integer, whether it
-    has been picked 0, 1, or >= 2 times (a base-3 digit), which is exactly
-    the information adjudication needs. Opponents are folded in one at a
-    time (``fold_step``); the final distribution is then scored per
-    candidate choice (``score_step``).
+    Dynamic program over subsets of the opponents (``_subset_steps``): a
+    choice j wins when every integer below j is picked 0 or >= 2 times and
+    every opponent outside those picks is above j.
     """
-    n = len(rows[0])
-    dist = _empty_table(n)
-    for row in rows:
-        dist = fold_step(dist, row)
-    return score_step(dist, n)
+    return [sum(map(mul, dist, above)) for dist, above in _subset_steps(rows, _player_halves(rows))]
 
 
 def win_probs_leave_one_out(rows):
     """Win probabilities of every player's pure choices against all the other rows.
 
     Entry i is what ``win_probs_distinct`` returns for the rows without row
-    i, up to rounding: the folds are shared, so each row is folded into
-    other players' distributions in a different order. Divide and conquer:
-    a group of players is split in two halves, each half is scored against
-    the distribution with the other half folded in, and single players are
-    scored. That is at most m * ceil(log2(m)) folds for m rows instead of
-    m * (m - 1).
+    i, up to rounding. One pass of ``_subset_steps`` over all m rows serves
+    every player: the weight of a subset S never involves a player outside
+    S, so player i's win at j sums the subsets without i, each with every
+    player outside S and i above j.
     """
-    n = len(rows[0])
-    wins = [None] * len(rows)
-    _score_each(_empty_table(n), (), tuple(range(len(rows))), rows, wins)
+    halves = _player_halves(rows)
+    wins = [[0.0] * len(rows[0]) for _ in rows]
+    for j, (dist, above) in enumerate(_subset_steps(rows, halves)):
+        for win, pairs in zip(wins, halves):
+            win[j] = sum(sum(map(mul, dist[lo], above[hi])) for lo, hi in pairs)
     return wins
 
 
-def _score_each(dist, folded, players, rows, wins):
-    """Score ``players`` against ``dist`` with the rows ``folded`` folded in.
+def _subset_steps(rows, halves):
+    """Yield, for each integer j, the subset distribution and the mass above j.
 
-    ``dist`` already holds every row outside ``folded`` and ``players``; the
-    caller still needs it for the sibling group, so it is folded into a new
-    array. The smaller half of each split recurses while this frame keeps
-    its distribution; the larger half continues in the loop, which drops the
-    distribution as soon as the next one is folded from it.
+    Players are the bits of a subset index. ``dist[S]`` is the probability
+    that exactly the players in S picked integers below j, each of those
+    integers 0 or >= 2 times; ``above[S]`` is the probability that every
+    player outside S picks above j. Moving past j places on it any set T of
+    players outside S with |T| != 1: players with ``row[j] != 0`` join T
+    one at a time, and ``one`` and ``many`` hold the sets that received
+    exactly one or at least two of them. That is about m * n * 2**m
+    multiply-adds for m rows of n integers.
     """
-    for i in folded:
-        dist = fold_step(dist, rows[i])
-    while len(players) > 1:
-        half = len(players) // 2
-        first, second = players[:half], players[half:]
-        _score_each(dist, second, first, rows, wins)
-        for i in first:
-            dist = fold_step(dist, rows[i])
-        players = second
-    wins[players[0]] = score_step(dist, len(rows[0]))
-
-
-def _empty_table(n):
-    """Capped-count distribution over 3**n states before any opponent is folded."""
-    import numpy as np
-
-    if n > _DP_MAX_N:
-        raise ValueError(f"capped-count program supports n <= {_DP_MAX_N}, got {n}")
-    dist = np.zeros(3**n)
+    n, size = len(rows[0]), 1 << len(rows)
+    tails = [[0.0] * (n + 1) for _ in rows]
+    for row, tail in zip(rows, tails):
+        for j in range(n - 1, -1, -1):
+            tail[j] = tail[j + 1] + row[j]
+    dist = [0.0] * size
     dist[0] = 1.0
-    return dist
-
-
-def fold_step(dist, row):
-    """Capped-count distribution after one more opponent, who picks j with ``row[j]``.
-
-    Digit j of a state is the middle axis of the (3**(n-1-j), 3, 3**j) view
-    of the distribution. Each target state sums its contributions in the
-    order of a scan over source states, then integers: raises of digit j
-    (0 -> 1, 1 -> 2) come from the lower state s - 3**j, so they go in for j
-    descending, then the 2 -> 2 stays from the state itself for j ascending.
-    """
-    import numpy as np
-
-    n = len(row)
-    used = [j for j in range(n) if row[j] != 0.0]
-    new = np.zeros_like(dist)
-    for j in reversed(used):
-        src = dist.reshape(3 ** (n - 1 - j), 3, 3**j)
-        dst = new.reshape(src.shape)
-        # one digit value at a time keeps the temporary at a third of the table
-        dst[:, 1, :] += src[:, 0, :] * row[j]
-        dst[:, 2, :] += src[:, 1, :] * row[j]
-    for j in used:
-        src = dist.reshape(3 ** (n - 1 - j), 3, 3**j)
-        dst = new.reshape(src.shape)
-        dst[:, 2, :] += src[:, 2, :] * row[j]
-    return new
-
-
-def score_step(dist, n):
-    """Win probability of every pure choice from a folded capped-count distribution.
-
-    Choice j wins in the states whose digit j is 0 and whose lower digits
-    are all 0 or 2. Scores are summed sequentially in state order, as a scan
-    over the states would.
-    """
-    import numpy as np
-
-    win = [0.0] * n
-    # lower_ok[lo]: no digit of the lower state lo (digits below j) equals 1
-    lower_ok = np.ones(1, dtype=bool)
     for j in range(n):
-        free = dist.reshape(3 ** (n - 1 - j), 3, 3**j)[:, 0, :][:, lower_ok].ravel()
-        win[j] = float(np.cumsum(free, out=free)[-1])
-        lower_ok = np.concatenate((lower_ok, np.zeros_like(lower_ok), lower_ok))
-    return win
+        above = [1.0]
+        for tail in tails:
+            t = tail[j + 1]
+            above = [a * t for a in above] + above
+        yield dist, above
+        if j == n - 1:
+            break
+        one = [0.0] * size
+        many = [0.0] * size
+        for row, pairs in zip(rows, halves):
+            q = row[j]
+            if q == 0.0:
+                continue
+            for lo, hi in pairs:
+                many[hi] = [w + (a + b) * q for w, a, b in zip(many[hi], one[lo], many[lo])]
+                one[hi] = [w + d * q for w, d in zip(one[hi], dist[lo])]
+        dist = [d + w for d, w in zip(dist, many)]
+
+
+def _player_halves(rows):
+    """Per player, slice pairs that match each subset index without the player to the one with it.
+
+    Strided slices when there are fewer of them than contiguous blocks, so
+    every pair is as long as it can be.
+    """
+    n, size = len(rows[0]), 1 << len(rows)
+    if max(n, len(rows)) > _DP_MAX_N:
+        # a bound on time, not memory: the work doubles with each player,
+        # and a whole profile at n = 16 takes about 4 s on a 2-core Xeon
+        raise ValueError(f"the subset program supports n <= {_DP_MAX_N} players and integers, got {max(n, len(rows))}")
+    halves = []
+    for bit in (1 << i for i in range(len(rows))):
+        if 2 * bit * bit < size:
+            halves.append([(slice(r, size, 2 * bit), slice(r + bit, size, 2 * bit)) for r in range(bit)])
+        else:
+            halves.append([(slice(k, k + bit), slice(k + bit, k + 2 * bit)) for k in range(0, size, 2 * bit)])
+    return halves
 
 
 def simulate_rounds(rows, rounds, seed):

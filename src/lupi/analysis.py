@@ -123,7 +123,7 @@ def verify_profile(
     Under the exact model, every player's pure-choice values come from one
     pass shared with ``exact_profile_payoffs``, so the two report bit-equal
     payoffs: one identical-opponent pass when all strategies are equal,
-    otherwise one leave-one-out capped-count pass over the whole profile.
+    otherwise one pass of the subset dynamic program over the whole profile.
     """
     if not epsilon > 0.0:
         raise ValueError("epsilon must be positive")

@@ -9,11 +9,11 @@ approximations) and serve as the ground truth the closed-form model and the
 solvers are checked against. Two exact routes are used depending on the
 opponents: when all opponents share one strategy, a dynamic program over
 (integer, opponents not yet placed) with n * n cells; when they differ, a
-capped-count dynamic program over 3**n states. A whole profile's payoffs
-take the first route once when every player has the same strategy, and
-otherwise one leave-one-out pass of the second, which folds each half of
-the players into the other half's distribution and so needs about
-n * log2(n) folds for all n players together.
+dynamic program over (integer, subset of players placed below it) with
+2**m weights per integer for m players. A whole profile's payoffs take the
+first route once when every player has the same strategy, and otherwise one
+pass of the second over all n players, which scores every player against
+the others.
 
 Players are 0-indexed everywhere in this package; command-line output is
 1-indexed.
@@ -211,7 +211,7 @@ def win_probabilities(spec: GameSpec, others: Sequence[StrategyLike]) -> tuple:
     picks i + 1 and every integer below it is picked by a count different
     from one. Identical opponents go through the polynomial
     identical-opponent dynamic program, distinct opponents through the
-    capped-count dynamic program.
+    dynamic program over subsets of opponents.
     """
     rows = _opponent_rows(spec, others)
     first = rows[0]
@@ -244,8 +244,8 @@ def _profile_choice_values(profile: StrategyProfile) -> list:
 
     When all strategies are equal, every player faces the same identical
     opponents: one identical-opponent pass serves them all. Otherwise one
-    leave-one-out capped-count pass scores every player, sharing its folds
-    (about n * log2(n) instead of n * (n - 1)).
+    pass of the subset dynamic program over all the players scores every
+    player, since a subset's weight never involves a player outside it.
     """
     rows = profile.rows()
     first = rows[0]

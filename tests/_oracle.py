@@ -3,7 +3,7 @@
 The brute-force functions enumerate joint outcomes directly with their own
 winner rule, so they share no code with any of the package's computation
 paths. The scalar reference kernels at the end are the loops the numpy
-kernels replaced; they import nothing from the package either.
+kernels once replaced; they import nothing from the package either.
 """
 
 import itertools
@@ -64,9 +64,11 @@ def random_interior(rng, n, margin=0.05):
 # pre-vectorisation reference kernels
 #
 # The scalar loops that ``lupi._kernels_py.win_probs_distinct`` and
-# ``simulate_rounds`` replaced with numpy code. The numpy kernels must return
-# exactly these results (``tests/test_kernels.py``), so the loops are kept
-# here as written, with their own copy of the SplitMix64 generator.
+# ``simulate_rounds`` once replaced with numpy code, kept here as written,
+# with their own copy of the SplitMix64 generator. The sampler must return
+# exactly the round loop's counts; the distinct-opponent kernels, now a
+# dynamic program over subsets of players, must agree with the 3**n state
+# loop to rounding (``tests/test_kernels.py``).
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15

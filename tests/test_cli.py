@@ -256,7 +256,7 @@ def test_approx_range(capsys):
 # ---------------------------------------------------------------------------
 # import footprint
 
-_SYMMETRIC_THEN_PAYOFF = """
+_PROFILE_COMMANDS_THEN_SIMULATE = """
 import contextlib, io, sys
 from lupi.cli import main
 
@@ -277,6 +277,11 @@ run("best-response", "--n", "3", "--others", "0.5,0.3,0.2", "0.5,0.3,0.2")
 heavy = {"dataclasses", "inspect", "numpy"} & set(sys.modules)
 assert not heavy, f"a symmetric command loaded {sorted(heavy)}"
 payoffs = run("payoff", "--profile", hetero, "--format", "json")
+run("verify", "--profile", hetero)
+run("best-response", "--n", "4", "--others", "0,0,1,0", "0.5,0.5,0,0", "0.5,0.5,0,0")
+heavy = {"dataclasses", "inspect", "numpy"} & set(sys.modules)
+assert not heavy, f"a heterogeneous payoff command loaded {sorted(heavy)}"
+run("simulate", "--profile", hetero, "--rounds", "100")
 assert "numpy" in sys.modules
 sys.stdout.write(payoffs)
 """
@@ -288,7 +293,7 @@ def test_symmetric_commands_leave_numpy_unloaded(capsys, tmp_path):
     src = str(Path(lupi.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _SYMMETRIC_THEN_PAYOFF, str(saved), hetero],
+        [sys.executable, "-c", _PROFILE_COMMANDS_THEN_SIMULATE, str(saved), hetero],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -1,16 +1,18 @@
-"""The numpy kernels against the scalar loops they replaced.
+"""The kernels against independent reference loops.
 
-The fold and the sampler add and multiply the same floats in the same order
-as the pre-vectorisation loops in ``_oracle``, so results must be equal, not
-close. The leave-one-out fold shares its folds between players, which
-changes the order of the additions, so it is checked to 1e-14.
+The sampler adds and multiplies the same floats in the same order as the
+scalar round loop in ``_oracle``, so its counts must be equal, not close.
+The distinct-opponent kernels run a dynamic program over subsets of
+players, an algorithm apart from the oracle's scalar loop over 3**n
+capped-count states, so they are checked against that loop to 1e-14, and
+whole-profile payoffs against brute-force enumeration.
 """
 
 import random
 
 import pytest
 
-from _oracle import random_strategy, scalar_simulate_rounds, scalar_win_probs_distinct
+from _oracle import brute_payoffs, random_strategy, scalar_simulate_rounds, scalar_win_probs_distinct
 from lupi import _kernels_py as kernels
 
 SEEDS = (0, 2**64 - 1)
@@ -49,19 +51,22 @@ def test_sampler_single_round():
         assert kernels.simulate_rounds(rows, 1, seed) == scalar_simulate_rounds(rows, 1, seed)
 
 
+def _check_distinct(rows):
+    got = kernels.win_probs_distinct(rows)
+    assert got == pytest.approx(scalar_win_probs_distinct(rows), rel=0.0, abs=1e-14)
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_fold_matches_scalar_loop(n):
     rng = random.Random(900 + n)
     for _ in range(10 if n < 7 else 3):
-        rows = [list(random_strategy(rng, n, zeros=True)) for _ in range(n - 1)]
-        assert kernels.win_probs_distinct(rows) == scalar_win_probs_distinct(rows)
-    one = [list(random_strategy(rng, n, zeros=True))]
-    assert kernels.win_probs_distinct(one) == scalar_win_probs_distinct(one)
+        _check_distinct([list(random_strategy(rng, n, zeros=True)) for _ in range(n - 1)])
+    _check_distinct([list(random_strategy(rng, n, zeros=True))])
 
 
 def test_fold_matches_scalar_loop_on_sparse_rows():
     rows = [[0.0, 1.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.3, 0.7, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0]]
-    assert kernels.win_probs_distinct(rows) == scalar_win_probs_distinct(rows)
+    _check_distinct(rows)
 
 
 def _check_leave_one_out(rows):
@@ -87,6 +92,26 @@ def test_leave_one_out_matches_scalar_loop(n):
 def test_leave_one_out_matches_scalar_loop_dense_n10():
     rng = random.Random(1010)
     _check_leave_one_out([list(random_strategy(rng, 10)) for _ in range(10)])
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_leave_one_out_payoffs_match_brute_force(n):
+    rng = random.Random(1100 + n)
+    rows = [list(random_strategy(rng, n, zeros=True)) for _ in range(n)]
+    # a pure strategy, a repeated row and an integer nobody picks
+    rows[0] = [0.0] * n
+    rows[0][rng.randrange(n)] = 1.0
+    rows[-1] = rows[1][:]
+    unused = rng.randrange(n)
+    for row in rows:
+        row[unused] = 0.0
+        if not any(row):
+            row[(unused + 1) % n] = 1.0
+        total = sum(row)
+        row[:] = [v / total for v in row]
+    wins = kernels.win_probs_leave_one_out(rows)
+    payoffs = [sum(p * w for p, w in zip(row, win)) for row, win in zip(rows, wins)]
+    assert payoffs == pytest.approx(brute_payoffs(rows), rel=0.0, abs=1e-14)
 
 
 def test_fold_size_guard():
