@@ -119,3 +119,11 @@ def test_fold_size_guard():
         kernels.win_probs_distinct([[1.0 / 17] * 17] * 2)
     with pytest.raises(ValueError):
         kernels.win_probs_leave_one_out([[1.0 / 17] * 17] * 2)
+
+
+def test_subset_size_guard_counts_players():
+    # the subset table doubles with each row, whatever the row length
+    with pytest.raises(ValueError):
+        kernels.win_probs_distinct([[0.5, 0.5]] * 17)
+    with pytest.raises(ValueError):
+        kernels.win_probs_leave_one_out([[0.5, 0.5]] * 17)
