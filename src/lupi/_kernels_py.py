@@ -3,10 +3,9 @@
 ``win_probs_common`` (identical opponents) and the distinct-opponent
 kernels ``win_probs_distinct`` and ``win_probs_leave_one_out`` are plain
 Python dynamic programs. The last two walk the integers over subsets of
-players: 2**m weights for m rows, and one pass scores every player of a
-whole profile.
-``tests/test_kernels.py`` checks them against the scalar loop over 3**n
-capped-count states kept in ``tests/_oracle.py``, to rounding.
+players, 2**m weights for m rows, and one pass scores every player of a
+whole profile. ``tests/test_kernels.py`` checks them to rounding against
+the scalar loop over 3**n capped-count states kept in ``tests/_oracle.py``.
 
 ``simulate_rounds`` is numpy-vectorised; it adds and multiplies the same
 floats in the same order as a scalar loop over rounds, also kept in
@@ -123,8 +122,8 @@ def win_probs_distinct(rows):
     """Win probability of every pure choice against distinct opponents.
 
     Dynamic program over subsets of the opponents (``_subset_steps``): a
-    choice j wins when every integer below j is picked 0 or >= 2 times and
-    every opponent outside those picks is above j.
+    choice j wins when the opponents who pick below j leave no integer
+    picked exactly once and all the others pick above j.
     """
     return [sum(map(mul, dist, above)) for dist, above in _subset_steps(rows, _player_halves(rows))]
 
