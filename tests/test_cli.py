@@ -418,3 +418,28 @@ def test_csv_numbers_are_locale_independent(capsys, tmp_path):
             for cell in row:
                 if cell and cell[0].isdigit() and "." in cell:
                     float(cell)  # parses with a '.' separator, no grouping
+
+
+# ---------------------------------------------------------------------------
+# golden output
+
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
+def test_output_matches_golden_bytes(capsys, tmp_path, case):
+    """Every command in every format prints exactly the recorded bytes.
+
+    ``cli_golden.json`` holds one case per command line: argv (``{ASYM3}``
+    and ``{ASYM4}`` stand for profile files), exit status and stdout.
+    """
+    paths = {"ASYM3": write_profile(tmp_path, ASYM3, "asym3.json"),
+             "ASYM4": write_profile(tmp_path, ASYM4, "asym4.json")}
+    code, out, _ = run_cli(capsys, *(arg.format(**paths) for arg in case["argv"]))
+    assert (code, out) == (case["exit"], case["stdout"])
+    if case["argv"][-1] == "json":
+        json.loads(out, parse_constant=_reject_constant)
