@@ -125,8 +125,8 @@ def verify_profile(
     payoffs: one identical-opponent pass when all strategies are equal,
     otherwise one pass of the subset dynamic program over the whole profile.
     """
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < float("inf"):
+        raise ValueError("epsilon must be positive and finite")
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
     spec = GameSpec(profile.n)

@@ -5,6 +5,16 @@ Every command supports ``--format text|csv|json``. Exit status mapping is
 fixed: 0 success or verified, 1 input or usage error, 2 verified-false,
 3 solver non-convergence.
 
+Each command builds its result once, as an ordered record plus, where
+needed, csv rows and text lines, and ``_show`` prints it under three rules:
+
+- json prints the record itself, at full precision;
+- csv prints the command's rows (one per player or choice), or else one
+  wide row: the record's scalars in order, then its one list as p1..pn;
+  floats use repr, lists are joined by ";", bools print as True/False;
+- text prints the command's lines, or else one ``name: value`` line per
+  field; floats use repr, lists are joined by spaces, bools print as yes/no.
+
 Values are carried at full precision everywhere; the only place rounding
 happens is the rendering of the ``table`` command, which rounds half up to
 three significant figures.
@@ -63,35 +73,76 @@ def format_sig3(value: float) -> str:
     return format(q.normalize(), "f")
 
 
+# ---------------------------------------------------------------------------
+# rendering
+
+
 def _num(value: float) -> str:
     return repr(float(value))
 
 
-def _csv_text(rows) -> str:
-    import csv
-    import io
+def _text_value(value) -> str:
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float):
+        return _num(value)
+    if isinstance(value, list):
+        return " ".join(map(_text_value, value))
+    return str(value)
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows(rows)
-    return buffer.getvalue().rstrip("\n")
+
+def _csv_cell(value) -> str:
+    if isinstance(value, list):
+        return ";".join(map(_csv_cell, value))
+    if isinstance(value, float):
+        return _num(value)
+    return "" if value is None else str(value)
 
 
-def _print_json(payload) -> None:
-    import json
+def _fields(record) -> list:
+    """One ``name: value`` text line per field of ``record``."""
+    return [f"{name}: {_text_value(value)}" for name, value in record.items()]
 
-    print(json.dumps(payload, indent=2))
+
+def _show(fmt: str, record: dict, rows=None, text=None) -> None:
+    """Print one command's result in ``fmt`` by the rules of the module docstring."""
+    if fmt == "json":
+        import json
+
+        print(json.dumps(record, indent=2))
+    elif fmt == "csv":
+        import csv
+        import io
+
+        if rows is None:
+            names = [name for name, value in record.items() if not isinstance(value, list)]
+            (values,) = [value for value in record.values() if isinstance(value, list)]
+            header = names + [f"p{i + 1}" for i in range(len(values))]
+            rows = [header, [record[name] for name in names] + values]
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerows([_csv_cell(value) for value in row] for row in rows)
+        print(buffer.getvalue().rstrip("\n"))
+    else:
+        print("\n".join(_fields(record) if text is None else text))
 
 
 def _player_names(n, labels):
-    if labels:
-        return [f"{i + 1} ({labels[i]})" for i in range(n)]
-    return [str(i + 1) for i in range(n)]
+    return [f"{i + 1} ({labels[i]})" if labels else str(i + 1) for i in range(n)]
 
 
-def _check_cli_n(n: int, low: int = 2) -> None:
-    if n < low or n > MAX_CLI_N:
-        raise ValueError(f"n={n} is outside the supported range {low}..{MAX_CLI_N}")
+def _player_rows(labels, *columns) -> list:
+    """csv rows of player number, label (blank without labels), then one cell per column."""
+    return [[i + 1, labels[i] if labels else "", *cells] for i, cells in enumerate(zip(*columns))]
+
+
+# ---------------------------------------------------------------------------
+# commands: each returns (exit status, record, csv rows or None, text lines or None)
+
+
+def _check_cli_n(n: int) -> None:
+    if not 2 <= n <= MAX_CLI_N:
+        raise ValueError(f"n={n} is outside the supported range 2..{MAX_CLI_N}")
 
 
 def _check_solver_n(n: int, flag: str) -> None:
@@ -99,218 +150,115 @@ def _check_solver_n(n: int, flag: str) -> None:
         raise ValueError(f"{flag} must be between {MIN_SOLVER_N} and {MAX_SOLVER_N}, got {n}")
 
 
-# ---------------------------------------------------------------------------
-# solve
+def _save_symmetric(path, strategy) -> None:
+    """Write the symmetric profile of ``strategy`` to ``path``, if one was given."""
+    if path:
+        from .profiles import save_profile
+
+        save_profile(path, StrategyProfile.symmetric(strategy))
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args):
     from .solve import solve_symmetric
 
     _check_solver_n(args.n, "--n")
-    spec = GameSpec(args.n)
     result = solve_symmetric(
-        spec, model=args.model, tol=args.tol, max_iterations=args.max_iter
+        GameSpec(args.n), model=args.model, tol=args.tol, max_iterations=args.max_iter
     )
-    if args.save_profile:
-        from .profiles import save_profile
-
-        save_profile(args.save_profile, StrategyProfile.symmetric(result.strategy))
-    if args.format == "json":
-        _print_json(
-            {
-                "model": result.model,
-                "n": result.n,
-                "converged": result.converged,
-                "iterations": result.iterations,
-                "residual_norm": result.residual_norm,
-                "payoff": result.payoff,
-                "full_support": result.full_support,
-                "strategy": list(result.strategy.probs),
-            }
-        )
-    elif args.format == "csv":
-        header = ["model", "n", "converged", "iterations", "residual_norm", "payoff", "full_support"]
-        header += [f"p{i + 1}" for i in range(result.n)]
-        row = [
-            result.model,
-            result.n,
-            result.converged,
-            result.iterations,
-            _num(result.residual_norm),
-            _num(result.payoff),
-            result.full_support,
-        ]
-        row += [_num(p) for p in result.strategy.probs]
-        print(_csv_text([header, row]))
-    else:
-        print(f"model: {result.model}")
-        print(f"n: {result.n}")
-        print(f"converged: {'yes' if result.converged else 'no'}")
-        print(f"iterations: {result.iterations}")
-        print(f"residual_norm: {_num(result.residual_norm)}")
-        print(f"payoff: {_num(result.payoff)}")
-        print("strategy: " + " ".join(_num(p) for p in result.strategy.probs))
-        if not result.full_support:
-            print("warning: strategy sits on the simplex boundary")
-    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+    _save_symmetric(args.save_profile, result.strategy)
+    record = {
+        "model": result.model,
+        "n": result.n,
+        "converged": result.converged,
+        "iterations": result.iterations,
+        "residual_norm": result.residual_norm,
+        "payoff": result.payoff,
+        "full_support": result.full_support,
+        "strategy": list(result.strategy.probs),
+    }
+    text = _fields({name: value for name, value in record.items() if name != "full_support"})
+    if not result.full_support:
+        text.append("warning: strategy sits on the simplex boundary")
+    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE, record, None, text
 
 
-# ---------------------------------------------------------------------------
-# table
-
-
-def _table_data(max_n: int):
+def _cmd_table(args):
     from .model import geometric_payoff, two_choice_baseline
     from .solve import solve_symmetric
 
-    ns = list(range(3, max_n + 1))
-    approx = [geometric_payoff(GameSpec(n)) for n in ns]
-    reference = [two_choice_baseline(GameSpec(n)) for n in ns]
-    exact = []
-    for n in ns:
-        if n <= 4:
-            exact.append(solve_symmetric(GameSpec(n), model=MODEL_PAPER).payoff)
-        else:
-            exact.append(None)
-    return ns, approx, reference, exact
-
-
-def _cmd_table(args) -> int:
     _check_solver_n(args.max_n, "--max-n")
-    ns, approx, reference, exact = _table_data(args.max_n)
-    if args.format == "json":
-        _print_json(
-            {
-                "n": ns,
-                "approx": approx,
-                "reference": reference,
-                "exact": exact,
-            }
-        )
-        return EXIT_OK
-    cells = [
-        ["row"] + [str(n) for n in ns],
-        ["approx"] + [format_sig3(v) for v in approx],
-        ["reference"] + [format_sig3(v) for v in reference],
-        ["exact"] + [format_sig3(v) if v is not None else "" for v in exact],
-    ]
-    if args.format == "csv":
-        print(_csv_text(cells))
-    else:
-        widths = [max(len(row[c]) for row in cells) for c in range(len(cells[0]))]
-        for row in cells:
-            print("  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip())
-    return EXIT_OK
+    ns = list(range(3, args.max_n + 1))
+    record = {
+        "n": ns,
+        "approx": [geometric_payoff(GameSpec(n)) for n in ns],
+        "reference": [two_choice_baseline(GameSpec(n)) for n in ns],
+        "exact": [
+            solve_symmetric(GameSpec(n), model=MODEL_PAPER).payoff if n <= 4 else None for n in ns
+        ],
+    }
+    rows = [["row"] + [str(n) for n in ns]]
+    for name in ("approx", "reference", "exact"):
+        rows.append([name] + [format_sig3(v) if v is not None else "" for v in record[name]])
+    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
+    text = ["  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip() for row in rows]
+    return EXIT_OK, record, rows, text
 
 
-# ---------------------------------------------------------------------------
-# verify
-
-
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     from .analysis import verify_profile
     from .profiles import load_profile
 
     profile, labels = load_profile(args.profile)
     _check_cli_n(profile.n)
     report = verify_profile(profile, epsilon=args.eps)
+    record = {
+        "n": profile.n,
+        "model": report.model,
+        "epsilon": report.epsilon,
+        "is_nash": report.is_nash,
+        "payoff_sum": report.payoff_sum,
+        "is_payoff_sum_maximal": report.is_payoff_sum_maximal,
+        "payoffs": list(report.payoffs),
+        "best_response_values": list(report.best_response_values),
+        "deviation_gains": list(report.deviation_gains),
+        "best_response_picks": [list(p) for p in report.best_response_picks],
+        "indifferent_deviations": list(report.indifferent_deviations),
+        "labels": labels,
+    }
+    columns = [record[name] for name in ("payoffs", "best_response_values", "deviation_gains",
+                                         "best_response_picks", "indifferent_deviations")]
+    rows = [["player", "label", "payoff", "best_response_value", "deviation_gain",
+             "best_picks", "indifferent_deviations"]]
+    rows += _player_rows(labels, *columns)
     names = _player_names(profile.n, labels)
-    if args.format == "json":
-        _print_json(
-            {
-                "n": profile.n,
-                "model": report.model,
-                "epsilon": report.epsilon,
-                "is_nash": report.is_nash,
-                "payoff_sum": report.payoff_sum,
-                "is_payoff_sum_maximal": report.is_payoff_sum_maximal,
-                "payoffs": list(report.payoffs),
-                "best_response_values": list(report.best_response_values),
-                "deviation_gains": list(report.deviation_gains),
-                "best_response_picks": [list(p) for p in report.best_response_picks],
-                "indifferent_deviations": list(report.indifferent_deviations),
-                "labels": labels,
-            }
+    text = _fields({"n": profile.n, "epsilon": report.epsilon})
+    for name, payoff, best, gain, picks, indifferent in zip(names, *columns):
+        line = (
+            f"player {name}: payoff {_num(payoff)}"
+            f" | best response {_num(best)} (picks {','.join(map(str, picks))})"
+            f" | gain {_num(gain)}"
         )
-    elif args.format == "csv":
-        rows = [
-            [
-                "player",
-                "label",
-                "payoff",
-                "best_response_value",
-                "deviation_gain",
-                "best_picks",
-                "indifferent_deviations",
-            ]
-        ]
-        for i in range(profile.n):
-            rows.append(
-                [
-                    i + 1,
-                    labels[i] if labels else "",
-                    _num(report.payoffs[i]),
-                    _num(report.best_response_values[i]),
-                    _num(report.deviation_gains[i]),
-                    ";".join(str(p) for p in report.best_response_picks[i]),
-                    report.indifferent_deviations[i],
-                ]
-            )
-        print(_csv_text(rows))
-    else:
-        print(f"n: {profile.n}")
-        print(f"epsilon: {_num(report.epsilon)}")
-        for i in range(profile.n):
-            line = (
-                f"player {names[i]}: payoff {_num(report.payoffs[i])}"
-                f" | best response {_num(report.best_response_values[i])}"
-                f" (picks {','.join(str(p) for p in report.best_response_picks[i])})"
-                f" | gain {_num(report.deviation_gains[i])}"
-            )
-            if report.indifferent_deviations[i]:
-                line += " | indifferent deviations exist"
-            print(line)
-        print(f"payoff_sum: {_num(report.payoff_sum)}")
-        print(f"payoff_sum_maximal: {'yes' if report.is_payoff_sum_maximal else 'no'}")
-        print(f"nash_equilibrium: {'yes' if report.is_nash else 'no'}")
-    return EXIT_OK if report.is_nash else EXIT_NOT_NASH
+        text.append(line + " | indifferent deviations exist" if indifferent else line)
+    text += _fields({
+        "payoff_sum": report.payoff_sum,
+        "payoff_sum_maximal": report.is_payoff_sum_maximal,
+        "nash_equilibrium": report.is_nash,
+    })
+    return EXIT_OK if report.is_nash else EXIT_NOT_NASH, record, rows, text
 
 
-# ---------------------------------------------------------------------------
-# payoff
-
-
-def _cmd_payoff(args) -> int:
+def _cmd_payoff(args):
     from .profiles import load_profile
 
     profile, labels = load_profile(args.profile)
     _check_cli_n(profile.n)
-    payoffs = exact_profile_payoffs(profile)
+    payoffs = list(exact_profile_payoffs(profile))
+    record = {"n": profile.n, "payoffs": payoffs, "payoff_sum": sum(payoffs), "labels": labels}
+    rows = [["player", "label", "payoff"]] + _player_rows(labels, payoffs)
     names = _player_names(profile.n, labels)
-    total = sum(payoffs)
-    if args.format == "json":
-        _print_json(
-            {
-                "n": profile.n,
-                "payoffs": list(payoffs),
-                "payoff_sum": total,
-                "labels": labels,
-            }
-        )
-    elif args.format == "csv":
-        rows = [["player", "label", "payoff"]]
-        for i, value in enumerate(payoffs):
-            rows.append([i + 1, labels[i] if labels else "", _num(value)])
-        print(_csv_text(rows))
-    else:
-        for i, value in enumerate(payoffs):
-            print(f"player {names[i]}: {_num(value)}")
-        print(f"payoff_sum: {_num(total)}")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# best-response
+    text = [f"player {name}: {_num(value)}" for name, value in zip(names, payoffs)]
+    text += _fields({"payoff_sum": record["payoff_sum"]})
+    return EXIT_OK, record, rows, text
 
 
 def _parse_vector(text: str):
@@ -320,104 +268,56 @@ def _parse_vector(text: str):
         raise ValueError(f"cannot parse probability vector {text!r}") from None
 
 
-def _cmd_best_response(args) -> int:
+def _cmd_best_response(args):
     from .analysis import best_response
 
     _check_cli_n(args.n)
-    spec = GameSpec(args.n)
     others = [_parse_vector(text) for text in args.others]
-    values, picks = best_response(spec, others)
-    if args.format == "json":
-        _print_json({"n": args.n, "values": list(values), "best_picks": list(picks)})
-    elif args.format == "csv":
-        rows = [["choice", "value", "is_best"]]
-        for i, value in enumerate(values):
-            rows.append([i + 1, _num(value), i + 1 in picks])
-        print(_csv_text(rows))
-    else:
-        for i, value in enumerate(values):
-            print(f"choice {i + 1}: {_num(value)}")
-        print("best: " + ",".join(str(p) for p in picks))
-    return EXIT_OK
+    values, picks = best_response(GameSpec(args.n), others)
+    record = {"n": args.n, "values": list(values), "best_picks": list(picks)}
+    rows = [["choice", "value", "is_best"]]
+    rows += [[i + 1, value, i + 1 in picks] for i, value in enumerate(values)]
+    text = [f"choice {i + 1}: {_num(value)}" for i, value in enumerate(values)]
+    text.append("best: " + ",".join(map(str, picks)))
+    return EXIT_OK, record, rows, text
 
 
-# ---------------------------------------------------------------------------
-# approx
-
-
-def _cmd_approx(args) -> int:
+def _cmd_approx(args):
     from .model import geometric_payoff, geometric_strategy
 
     _check_solver_n(args.n, "--n")
     spec = GameSpec(args.n)
     strategy = geometric_strategy(spec)
-    payoff = geometric_payoff(spec)
-    if args.save_profile:
-        from .profiles import save_profile
-
-        save_profile(args.save_profile, StrategyProfile.symmetric(strategy))
-    if args.format == "json":
-        _print_json({"n": args.n, "strategy": list(strategy.probs), "payoff": payoff})
-    elif args.format == "csv":
-        header = ["n", "payoff"] + [f"p{i + 1}" for i in range(args.n)]
-        row = [args.n, _num(payoff)] + [_num(p) for p in strategy.probs]
-        print(_csv_text([header, row]))
-    else:
-        print(f"n: {args.n}")
-        print("strategy: " + " ".join(_num(p) for p in strategy.probs))
-        print(f"payoff: {_num(payoff)}")
-    return EXIT_OK
+    _save_symmetric(args.save_profile, strategy)
+    record = {"n": args.n, "strategy": list(strategy.probs), "payoff": geometric_payoff(spec)}
+    return EXIT_OK, record, None, None
 
 
-# ---------------------------------------------------------------------------
-# simulate
-
-
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     from .profiles import load_profile
     from .simulate import simulate
 
     profile, labels = load_profile(args.profile)
     _check_cli_n(profile.n)
     stats = simulate(profile, args.rounds, args.seed)
+    record = {
+        "n": profile.n,
+        "rounds": stats.rounds,
+        "seed": stats.seed,
+        "no_winner_rounds": stats.no_winner_rounds,
+        "wins": list(stats.wins),
+        "payoffs": list(stats.payoffs),
+        "standard_errors": list(stats.standard_errors),
+        "labels": labels,
+    }
+    columns = (record["wins"], record["payoffs"], record["standard_errors"])
+    rows = [["player", "label", "wins", "payoff", "standard_error"]]
+    rows += _player_rows(labels, *columns)
     names = _player_names(profile.n, labels)
-    if args.format == "json":
-        _print_json(
-            {
-                "n": profile.n,
-                "rounds": stats.rounds,
-                "seed": stats.seed,
-                "no_winner_rounds": stats.no_winner_rounds,
-                "wins": list(stats.wins),
-                "payoffs": list(stats.payoffs),
-                "standard_errors": list(stats.standard_errors),
-                "labels": labels,
-            }
-        )
-    elif args.format == "csv":
-        rows = [["player", "label", "wins", "payoff", "standard_error"]]
-        for i in range(profile.n):
-            rows.append(
-                [
-                    i + 1,
-                    labels[i] if labels else "",
-                    stats.wins[i],
-                    _num(stats.payoffs[i]),
-                    _num(stats.standard_errors[i]),
-                ]
-            )
-        print(_csv_text(rows))
-    else:
-        print(f"rounds: {stats.rounds}")
-        print(f"seed: {stats.seed}")
-        print(f"no_winner_rounds: {stats.no_winner_rounds}")
-        for i in range(profile.n):
-            print(
-                f"player {names[i]}: wins {stats.wins[i]}"
-                f" | payoff {_num(stats.payoffs[i])}"
-                f" | stderr {_num(stats.standard_errors[i])}"
-            )
-    return EXIT_OK
+    text = _fields({name: record[name] for name in ("rounds", "seed", "no_winner_rounds")})
+    for name, wins, payoff, error in zip(names, *columns):
+        text.append(f"player {name}: wins {wins} | payoff {_num(payoff)} | stderr {_num(error)}")
+    return EXIT_OK, record, rows, text
 
 
 # ---------------------------------------------------------------------------
@@ -500,13 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        status, *shown = args.handler(args)
+        _show(args.format, *shown)
     except ValueError as exc:
         print(f"lupi: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return status
 
 
 def run() -> None:

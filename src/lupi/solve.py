@@ -225,8 +225,8 @@ def _check_args(spec: GameSpec, model: str, tol, max_iterations: int) -> float:
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     tol = DEFAULT_TOLERANCES[model] if tol is None else float(tol)
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < float("inf"):
+        raise ValueError("tolerance must be positive and finite")
     return tol
 
 

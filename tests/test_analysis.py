@@ -230,6 +230,8 @@ def test_verdicts_match_brute_force_deviations(n):
 def test_verify_rejects_bad_epsilon():
     with pytest.raises(ValueError):
         verify_profile(ASYM3, epsilon=0.0)
+    with pytest.raises(ValueError):
+        verify_profile(ASYM3, epsilon=float("inf"))
 
 
 # ---------------------------------------------------------------------------

@@ -86,12 +86,12 @@ def test_solve_nonconvergence_exit_code(capsys):
     assert "converged: no" in out
 
 
-@pytest.mark.parametrize("tol", ["nan", "0", "-1e-12"])
+@pytest.mark.parametrize("tol", ["nan", "0", "-1e-12", "inf"])
 def test_solve_rejects_a_tolerance_that_is_not_positive(capsys, tol):
     code, out, err = run_cli(capsys, "solve", "--n", "5", f"--tol={tol}")
     assert code == EXIT_INPUT
     assert out == ""
-    assert err == "lupi: error: tolerance must be positive\n"
+    assert err == "lupi: error: tolerance must be positive and finite\n"
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -175,6 +175,15 @@ def test_verify_json_fields(capsys, tmp_path):
     assert data["payoffs"] == pytest.approx([0.5, 0.25, 0.25], abs=1e-12)
     assert data["best_response_values"][1] == pytest.approx(0.5, abs=1e-12)
     assert data["labels"] == ["Alice", "Bob", "Charles"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_rejects_an_infinite_epsilon(capsys, tmp_path, fmt):
+    path = write_profile(tmp_path, ASYM3)
+    code, out, err = run_cli(capsys, "verify", "--profile", path, "--eps", "inf", "--format", fmt)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == "lupi: error: epsilon must be positive and finite\n"
 
 
 def test_verify_bad_row_reports_index(capsys, tmp_path):

@@ -177,7 +177,7 @@ def test_argument_validation():
         solve_symmetric(GameSpec(4), tol=-1.0)
 
 
-@pytest.mark.parametrize("tol", [0.0, -0.0, float("nan"), float("-inf")])
+@pytest.mark.parametrize("tol", [0.0, -0.0, float("nan"), float("-inf"), float("inf")])
 def test_tolerance_must_be_a_positive_number(tol):
     for model in ("paper", "exact"):
         with pytest.raises(ValueError, match="tolerance must be positive"):
