@@ -96,7 +96,7 @@ def _csv_cell(value) -> str:
         return ";".join(map(_csv_cell, value))
     if isinstance(value, float):
         return _num(value)
-    return "" if value is None else str(value)
+    return str(value)
 
 
 def _fields(record) -> list:
