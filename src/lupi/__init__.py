@@ -28,12 +28,12 @@ _HOMES = {
                      " verify_profile"),
         ("game", "DEFAULT_EPSILON GameSpec MAX_SOLVER_N MIN_SOLVER_N MixedStrategy MODEL_EXACT"
                  " MODEL_PAPER MODELS StrategyProfile adjudicate as_strategy exact_profile_payoffs"
-                 " exact_pure_vs_mixed win_probabilities"),
+                 " win_probabilities"),
         ("model", "closed_form_gradient closed_form_payoff geometric_payoff geometric_strategy"
                   " two_choice_baseline"),
         ("profiles", "load_profile parse_profile_document save_profile"),
         ("simulate", "SimulationStats simulate"),
-        ("solve", "SolveResult multistart_roots solve_symmetric"),
+        ("solve", "SolveResult solve_symmetric"),
     ]
     for name in names.split()
 }

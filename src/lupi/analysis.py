@@ -21,12 +21,13 @@ from .game import (
     StrategyLike,
     StrategyProfile,
     _mixed_value,
+    _opponent_rows,
     _Record,
     _profile_choice_values,
     as_strategy,
     win_probabilities,
 )
-from .model import MODEL_EXACT, MODEL_PAPER, MODELS, closed_form_payoff
+from .model import MODEL_EXACT, MODEL_PAPER, MODELS, _closed_form_values, closed_form_payoff
 
 _TIE_TOLERANCE = 1e-12
 
@@ -64,20 +65,11 @@ def pure_choice_values(spec: GameSpec, others: Sequence[StrategyLike], model: st
         raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
     if model == MODEL_EXACT:
         return win_probabilities(spec, others)
-    strategies = [as_strategy(s) for s in others]
-    if len(strategies) != spec.n - 1:
-        raise ValueError(
-            f"expected {spec.n - 1} opponent strategies for n={spec.n}, got {len(strategies)}"
-        )
-    common = strategies[0]
-    if any(s.probs != common.probs for s in strategies[1:]):
+    rows = _opponent_rows(spec, others)
+    common = rows[0]
+    if any(row != common for row in rows[1:]):
         raise ValueError("the closed-form model needs all opponents on one common strategy")
-    values = []
-    for pick in range(1, spec.n + 1):
-        unit = [0.0] * spec.n
-        unit[pick - 1] = 1.0
-        values.append(closed_form_payoff(spec, unit, common))
-    return tuple(values)
+    return tuple(_closed_form_values(spec, common))
 
 
 def best_response(spec: GameSpec, others: Sequence[StrategyLike], model: str = MODEL_EXACT):

@@ -220,13 +220,6 @@ def win_probabilities(spec: GameSpec, others: Sequence[StrategyLike]) -> tuple:
     return tuple(kernels.win_probs_distinct(rows))
 
 
-def exact_pure_vs_mixed(spec: GameSpec, my_pick: int, others: Sequence[StrategyLike]) -> float:
-    """Exact probability that a player picking ``my_pick`` wins."""
-    if not isinstance(my_pick, int) or isinstance(my_pick, bool) or not 1 <= my_pick <= spec.n:
-        raise ValueError(f"pick {my_pick!r} is outside 1..{spec.n}")
-    return win_probabilities(spec, others)[my_pick - 1]
-
-
 def exact_profile_payoffs(profile: StrategyProfile) -> tuple:
     """Exact expected payoff of every player under the joint distribution.
 

@@ -12,8 +12,6 @@ verbatim here, gap included; nothing is corrected toward the exact game.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .game import MODEL_EXACT, MODEL_PAPER, MODELS, GameSpec, MixedStrategy, StrategyLike
 
 
@@ -31,6 +29,27 @@ def _entries(strategy: StrategyLike, n: int, name: str):
     return entries
 
 
+def _closed_form_values(spec: GameSpec, common: StrategyLike) -> list:
+    """Closed-form payoff of each pure choice against all-``common`` opponents.
+
+    Entry k, for k < n - 1, is (1 - p_0 - ... - p_k)**m + p_0**m + ... +
+    p_{k-1}**m with m = n - 1 opponents; the last entry is p_0**m + ... +
+    p_{n-2}**m, so ``common``'s last weight is never read.
+    """
+    n = spec.n
+    m = n - 1
+    p = _entries(common, n, "opponents_common")
+    values = [_ipow(1.0 - p[0], m)]
+    prefix = p[0]
+    below = 0.0
+    for k in range(1, n - 1):
+        prefix += p[k]
+        below += _ipow(p[k - 1], m)
+        values.append(_ipow(1.0 - prefix, m) + below)
+    values.append(below + _ipow(p[n - 2], m))
+    return values
+
+
 def closed_form_payoff(spec: GameSpec, mine: StrategyLike, opponents_common: StrategyLike) -> float:
     """Deviator's expected winnings under the closed-form model.
 
@@ -42,21 +61,14 @@ def closed_form_payoff(spec: GameSpec, mine: StrategyLike, opponents_common: Str
     """
     n = spec.n
     pi = _entries(mine, n, "mine")
-    p = _entries(opponents_common, n, "opponents_common")
-    shared = 0.0
-    for j in range(n - 1):
-        shared += _ipow(p[j], n - 1)
+    values = _closed_form_values(spec, opponents_common)
     head = 0.0
     for k in range(n - 1):
         head += pi[k]
-    total = pi[0] * _ipow(1.0 - p[0], n - 1)
-    total += (1.0 - head) * shared
-    prefix = p[0]
-    below = 0.0
-    for i in range(2, n):
-        prefix += p[i - 1]
-        below += _ipow(p[i - 2], n - 1)
-        total += pi[i - 1] * (_ipow(1.0 - prefix, n - 1) + below)
+    total = pi[0] * values[0]
+    total += (1.0 - head) * values[n - 1]
+    for k in range(1, n - 1):
+        total += pi[k] * values[k]
     return total
 
 
@@ -68,19 +80,9 @@ def closed_form_gradient(spec: GameSpec, opponents_common: StrategyLike) -> tupl
     A symmetric equilibrium candidate is a common strategy at which all n - 1
     derivatives vanish.
     """
-    n = spec.n
-    p = _entries(opponents_common, n, "opponents_common")
-    shared = 0.0
-    for j in range(n - 1):
-        shared += _ipow(p[j], n - 1)
-    grad = [_ipow(1.0 - p[0], n - 1) - shared]
-    prefix = p[0]
-    below = 0.0
-    for i in range(2, n):
-        prefix += p[i - 1]
-        below += _ipow(p[i - 2], n - 1)
-        grad.append(_ipow(1.0 - prefix, n - 1) + below - shared)
-    return tuple(grad)
+    values = _closed_form_values(spec, opponents_common)
+    last = values.pop()
+    return tuple(v - last for v in values)
 
 
 def geometric_strategy(spec: GameSpec) -> MixedStrategy:

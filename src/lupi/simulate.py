@@ -23,8 +23,6 @@ import math
 from ._backend import kernels
 from .game import StrategyProfile, _Record
 
-_MASK64 = (1 << 64) - 1
-
 
 class SimulationStats(_Record):
     """Outcome counts and frequency estimates of one simulation run."""
@@ -49,7 +47,7 @@ def simulate(profile: StrategyProfile, rounds: int, seed: int = 0) -> Simulation
         raise ValueError(f"rounds must be a positive integer, got {rounds!r}")
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ValueError(f"seed must be an integer, got {seed!r}")
-    wins, no_winner = kernels.simulate_rounds(profile.rows(), rounds, seed & _MASK64)
+    wins, no_winner = kernels.simulate_rounds(profile.rows(), rounds, seed)
     freqs = tuple(w / rounds for w in wins)
     errors = tuple(math.sqrt(f * (1.0 - f) / rounds) for f in freqs)
     return SimulationStats(

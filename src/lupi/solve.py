@@ -35,8 +35,6 @@ _EPS = 2.0**-52
 # cap on one inner search; three steps at least halve its bracket, and it
 # closes within about 60 halvings
 _INNER_STEPS = 200
-# intervals of the grid that multistart_roots scans for sign changes
-_SCAN_INTERVALS = 64
 
 
 class SolveResult(_Record):
@@ -173,19 +171,6 @@ def _scalar_map(n: int, model: str):
     return _paper_shot, 0.5
 
 
-def _scan_grid(model: str, top: float) -> list:
-    """Ascending points of [0, top] at which ``multistart_roots`` shoots.
-
-    The exact root v lies near the top of [0, 1/n], so even spacing
-    resolves it. The paper root s is about 2**-(n-1): an even grid would put
-    it in its first interval from n = 9 on, so the paper grid is geometric,
-    top * 2**-k for k = 63 down to 0, after 0.
-    """
-    if model == MODEL_PAPER:
-        return [0.0] + [top * 2.0**-k for k in range(_SCAN_INTERVALS - 1, -1, -1)]
-    return [top * i / _SCAN_INTERVALS for i in range(_SCAN_INTERVALS + 1)]
-
-
 def _package(spec: GameSpec, model: str, probs, iterations: int, tol: float) -> SolveResult:
     strategy = MixedStrategy(tuple(probs))
     if model == MODEL_PAPER:
@@ -209,27 +194,6 @@ def _package(spec: GameSpec, model: str, probs, iterations: int, tol: float) -> 
     )
 
 
-def _refine(spec, model, lo, hi, f_lo, f_hi, tol, max_iterations) -> SolveResult:
-    shot = _scalar_map(spec.n, model)[0]
-    lo, _, steps = _find_root(
-        lambda x: shot(spec.n, x)[1], lo, hi, f_lo, f_hi, max_iterations
-    )
-    return _package(spec, model, shot(spec.n, lo)[0], steps, tol)
-
-
-def _check_args(spec: GameSpec, model: str, tol, max_iterations: int) -> float:
-    if not MIN_SOLVER_N <= spec.n <= MAX_SOLVER_N:
-        raise ValueError(f"solver supports {MIN_SOLVER_N} <= n <= {MAX_SOLVER_N}, got {spec.n}")
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
-    tol = DEFAULT_TOLERANCES[model] if tol is None else float(tol)
-    if not 0.0 < tol < float("inf"):
-        raise ValueError("tolerance must be positive and finite")
-    return tol
-
-
 def solve_symmetric(
     spec: GameSpec,
     model: str = MODEL_PAPER,
@@ -244,35 +208,16 @@ def solve_symmetric(
     fabricated: ``converged`` is False whenever the recomputed residual
     exceeds the tolerance, and the point reached is reported as-is.
     """
-    tol = _check_args(spec, model, tol, max_iterations)
+    if not MIN_SOLVER_N <= spec.n <= MAX_SOLVER_N:
+        raise ValueError(f"solver supports {MIN_SOLVER_N} <= n <= {MAX_SOLVER_N}, got {spec.n}")
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
+    tol = DEFAULT_TOLERANCES[model] if tol is None else float(tol)
+    if not 0.0 < tol < float("inf"):
+        raise ValueError("tolerance must be positive and finite")
     shot, top = _scalar_map(spec.n, model)
     f_lo, f_hi = shot(spec.n, 0.0)[1], shot(spec.n, top)[1]
-    return _refine(spec, model, 0.0, top, f_lo, f_hi, tol, max_iterations)
-
-
-def multistart_roots(
-    spec: GameSpec,
-    model: str = MODEL_PAPER,
-    tol: float | None = None,
-    max_iterations: int = 100,
-) -> list:
-    """One refined result per sign change of the scalar map on a fixed grid.
-
-    Uniqueness of the symmetric equilibrium is a theorem only for small n,
-    so rather than asserting it, this scans the model's scalar map at 65
-    points of its domain (evenly spaced for ``exact``, halving towards 0 for
-    ``paper``) and refines every interval on which the map changes sign with
-    the search ``solve_symmetric`` uses. Results come in increasing order of
-    the scalar, converged or not; a single converged result means the scan
-    saw one root.
-    """
-    tol = _check_args(spec, model, tol, max_iterations)
-    shot, top = _scalar_map(spec.n, model)
-    grid = _scan_grid(model, top)
-    values = [shot(spec.n, x)[1] for x in grid]
-    found = []
-    for i in range(_SCAN_INTERVALS):
-        f_lo, f_hi = values[i], values[i + 1]
-        if f_lo != 0.0 and (f_hi == 0.0 or (f_lo > 0.0) != (f_hi > 0.0)):
-            found.append(_refine(spec, model, grid[i], grid[i + 1], f_lo, f_hi, tol, max_iterations))
-    return found
+    lo, _, steps = _find_root(lambda x: shot(spec.n, x)[1], 0.0, top, f_lo, f_hi, max_iterations)
+    return _package(spec, model, shot(spec.n, lo)[0], steps, tol)

@@ -21,7 +21,6 @@ from lupi import (
     closed_form_gradient,
     closed_form_payoff,
     exact_profile_payoffs,
-    exact_pure_vs_mixed,
     indifference_spread,
     simulate,
     solve_symmetric,
@@ -97,7 +96,7 @@ def test_criterion_05_model_gap_at_n4():
     spec = GameSpec(4)
     others = [(2 / 3, 0.0, 1 / 3, 0.0)] * 3
     model_value = closed_form_payoff(spec, (0, 1, 0, 0), others[0])
-    oracle_value = exact_pure_vs_mixed(spec, 2, others)
+    oracle_value = win_probabilities(spec, others)[2 - 1]
     assert abs(model_value - 1 / 3) <= 1e-12
     assert abs(oracle_value - 7 / 9) <= 1e-12
     _report(5, "deviator on '2' vs (2/3, 0, 1/3, 0): model 1/3, oracle 7/9")

@@ -12,6 +12,7 @@ from lupi import (
     best_response,
     exact_profile_payoffs,
     indifference_spread,
+    pure_choice_values,
     solve_symmetric,
     verify_profile,
 )
@@ -67,6 +68,8 @@ def test_paper_and_exact_best_responses_agree_at_n3():
 def test_paper_model_requires_common_opponents():
     with pytest.raises(ValueError):
         best_response(GameSpec(3), [(0, 0, 1), HALF], model="paper")
+    with pytest.raises(ValueError, match=r"expected 2 opponent strategies for n=3, got 1"):
+        pure_choice_values(GameSpec(3), [HALF], model="paper")
 
 
 # ---------------------------------------------------------------------------

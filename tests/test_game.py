@@ -12,7 +12,6 @@ from lupi import (
     StrategyProfile,
     adjudicate,
     exact_profile_payoffs,
-    exact_pure_vs_mixed,
     geometric_strategy,
     win_probabilities,
 )
@@ -112,18 +111,18 @@ def test_game_spec_validation():
 
 
 def test_win_pick3_against_two_half_half():
-    assert exact_pure_vs_mixed(GameSpec(3), 3, [HALF, HALF]) == pytest.approx(0.5, abs=1e-15)
+    assert win_probabilities(GameSpec(3), [HALF, HALF])[3 - 1] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_win_pick3_n4():
-    assert exact_pure_vs_mixed(GameSpec(4), 3, [HALF4] * 3) == pytest.approx(0.25, abs=1e-15)
+    assert win_probabilities(GameSpec(4), [HALF4] * 3)[3 - 1] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_win_pick2_n4_mixed_opponent_configurations():
     # brute-force enumeration of all 4**3 opponent outcomes gives 7/9,
     # including wins through configurations like {1, 1, 3}
     others = [(2 / 3, 0.0, 1 / 3, 0.0)] * 3
-    value = exact_pure_vs_mixed(GameSpec(4), 2, others)
+    value = win_probabilities(GameSpec(4), others)[2 - 1]
     assert value == pytest.approx(7 / 9, abs=1e-12)
     assert value == pytest.approx(brute_win_prob(4, 2, others), abs=1e-12)
 
@@ -134,13 +133,9 @@ def test_win_probabilities_at_geometric_n4():
     assert wins == pytest.approx((0.125, 0.328125, 0.259765625, 0.142578125), abs=1e-15)
 
 
-def test_rejects_invalid_pick_and_opponent_count():
+def test_rejects_wrong_opponent_count_and_length():
     with pytest.raises(ValueError):
-        exact_pure_vs_mixed(GameSpec(3), 0, [HALF, HALF])
-    with pytest.raises(ValueError):
-        exact_pure_vs_mixed(GameSpec(3), 4, [HALF, HALF])
-    with pytest.raises(ValueError):
-        exact_pure_vs_mixed(GameSpec(3), 1, [HALF])
+        win_probabilities(GameSpec(3), [HALF])
     with pytest.raises(ValueError):
         win_probabilities(GameSpec(3), [HALF4, HALF4])
 

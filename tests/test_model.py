@@ -8,10 +8,12 @@ import pytest
 from _oracle import random_interior, random_strategy
 from lupi import (
     GameSpec,
+    as_strategy,
     closed_form_gradient,
     closed_form_payoff,
     geometric_payoff,
     geometric_strategy,
+    pure_choice_values,
     two_choice_baseline,
     win_probabilities,
 )
@@ -112,6 +114,20 @@ def test_gradient_matches_centered_finite_differences(n):
             down[i] -= step
             fd = (closed_form_payoff(spec, up, p) - closed_form_payoff(spec, down, p)) / (2 * step)
             assert grad[i] == pytest.approx(fd, abs=1e-6)
+
+
+def test_pure_choice_values_payoff_and_gradient_agree_bitwise():
+    # all three read one per-choice value loop: a pure choice's value is the
+    # payoff of that unit vector, and the gradient is each value minus the last
+    rng = random.Random(304)
+    for n in range(3, 41):
+        spec = GameSpec(n)
+        for _ in range(5):
+            common = as_strategy(random_strategy(rng, n, zeros=True))
+            values = pure_choice_values(spec, [common] * (n - 1), model="paper")
+            units = [tuple(float(i == k) for i in range(n)) for k in range(n)]
+            assert values == tuple(closed_form_payoff(spec, u, common) for u in units)
+            assert closed_form_gradient(spec, common) == tuple(v - values[-1] for v in values[:-1])
 
 
 # ---------------------------------------------------------------------------

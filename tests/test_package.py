@@ -11,6 +11,43 @@ import pytest
 import lupi
 
 
+def test_public_api_is_pinned():
+    # adding or removing a public name has to edit this list
+    assert lupi.__all__ == [
+        "DEFAULT_EPSILON",
+        "GameSpec",
+        "MAX_SOLVER_N",
+        "MIN_SOLVER_N",
+        "MODELS",
+        "MODEL_EXACT",
+        "MODEL_PAPER",
+        "MixedStrategy",
+        "SimulationStats",
+        "SolveResult",
+        "StrategyProfile",
+        "VerificationReport",
+        "adjudicate",
+        "as_strategy",
+        "backend_name",
+        "best_response",
+        "closed_form_gradient",
+        "closed_form_payoff",
+        "exact_profile_payoffs",
+        "geometric_payoff",
+        "geometric_strategy",
+        "indifference_spread",
+        "load_profile",
+        "parse_profile_document",
+        "pure_choice_values",
+        "save_profile",
+        "simulate",
+        "solve_symmetric",
+        "two_choice_baseline",
+        "verify_profile",
+        "win_probabilities",
+    ]
+
+
 def test_public_names_resolve_to_their_modules_objects():
     assert len(set(lupi.__all__)) == len(lupi.__all__)
     for name in lupi.__all__:

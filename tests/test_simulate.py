@@ -110,6 +110,9 @@ def test_rejects_bad_arguments():
 def test_negative_seed_is_accepted():
     stats = simulate(ASYM3, 1_000, seed=-7)
     assert sum(stats.wins) + stats.no_winner_rounds == 1_000
+    # seeds are taken mod 2**64
+    same = simulate(ASYM3, 1_000, seed=2**64 - 7)
+    assert (same.wins, same.no_winner_rounds) == (stats.wins, stats.no_winner_rounds)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Symmetric equilibrium solver: both models, determinism, multistart."""
+"""Symmetric equilibrium solver: both models, determinism, uniqueness of the root."""
 
 import math
 
@@ -10,13 +10,12 @@ from lupi import (
     StrategyProfile,
     closed_form_gradient,
     geometric_payoff,
-    multistart_roots,
     solve_symmetric,
     two_choice_baseline,
     verify_profile,
     win_probabilities,
 )
-from lupi.solve import _scalar_map, _scan_grid
+from lupi.solve import _paper_shot, _scalar_map
 
 SQRT3 = math.sqrt(3.0)
 ROOT3 = (2 * SQRT3 - 3, 2 - SQRT3, 2 - SQRT3)
@@ -134,28 +133,23 @@ def test_solver_is_deterministic(model):
     assert first == second
 
 
-@pytest.mark.parametrize("n", range(3, 13))
-@pytest.mark.parametrize("model", ["paper", "exact"])
-def test_multistart_finds_a_single_root(n, model):
-    roots = multistart_roots(GameSpec(n), model=model)
-    assert len(roots) == 1
-    assert roots[0].converged
+@pytest.mark.parametrize("n", range(3, MAX_SOLVER_N + 1))
+def test_exact_map_changes_sign_once(n):
+    # no theorem makes the exact root unique: this is the evidence that the
+    # one root the solver's bracket closes on is the only one in [0, 1/n]
+    shot, top = _scalar_map(n, "exact")
+    values = [shot(n, top * i / 64)[1] for i in range(65)]
+    assert sum((a > 0.0) != (b > 0.0) for a, b in zip(values, values[1:])) == 1
 
 
-@pytest.mark.parametrize("model", ["paper", "exact"])
-def test_scan_brackets_the_root_away_from_zero(model):
-    # a root inside the scan's first interval [0, x] would be found however
-    # many roots the map has near 0, so the uniqueness scan would check nothing
-    for n in range(3, MAX_SOLVER_N + 1):
-        shot, top = _scalar_map(n, model)
-        result = solve_symmetric(GameSpec(n), model=model)
-        root = result.strategy.probs[-1] if model == "paper" else result.payoff
-        grid = _scan_grid(model, top)
-        below = max(x for x in grid if x < root)
-        above = min(x for x in grid if x >= root)
-        assert below > 0.0, n
-        f_below, f_above = shot(n, below)[1], shot(n, above)[1]
-        assert f_above == 0.0 or (f_below > 0.0) != (f_above > 0.0), n
+@pytest.mark.parametrize("n", range(3, MAX_SOLVER_N + 1))
+def test_paper_map_is_linear_in_its_last_weight(n):
+    # the backward recurrence is homogeneous of degree 1 in s, so
+    # H(s) = s * t_{-1}(1) - 1 is linear and has exactly one root
+    slope = _paper_shot(n, 1.0)[1] + 1.0
+    for k in range(1, 65):
+        s = 2.0**-k
+        assert _paper_shot(n, s)[1] == s * slope - 1.0, k
 
 
 def test_failure_is_reported_not_fabricated():
@@ -182,5 +176,3 @@ def test_tolerance_must_be_a_positive_number(tol):
     for model in ("paper", "exact"):
         with pytest.raises(ValueError, match="tolerance must be positive"):
             solve_symmetric(GameSpec(5), model=model, tol=tol)
-        with pytest.raises(ValueError, match="tolerance must be positive"):
-            multistart_roots(GameSpec(5), model=model, tol=tol)
