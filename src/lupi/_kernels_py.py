@@ -192,8 +192,8 @@ def _player_halves(rows):
     """
     n, size = len(rows[0]), 1 << len(rows)
     if max(n, len(rows)) > _DP_MAX_N:
-        # a bound on time, not memory: the work doubles with each player,
-        # and a whole profile at n = 16 takes about 4 s on a 2-core Xeon
+        # a bound on time, not memory, and the CLI's limit on heterogeneous profiles:
+        # a whole-process `verify` of a dense n = 16 profile takes 2.6 s on a 2-core Xeon
         raise ValueError(f"the subset program supports n <= {_DP_MAX_N} players and integers, got {max(n, len(rows))}")
     halves = []
     for bit in (1 << i for i in range(len(rows))):

@@ -60,6 +60,8 @@ def pure_choice_values(spec: GameSpec, others: Sequence[StrategyLike], model: st
 
     The closed-form model only describes a deviator facing identical
     opponents, so ``model="paper"`` requires all opponent strategies equal.
+    Opponents are renormalized first, unlike in ``closed_form_payoff``, so
+    the two can differ in the last bits on a tuple whose sum is not 1.
     """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")

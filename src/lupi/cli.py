@@ -44,10 +44,6 @@ EXIT_INPUT = 1
 EXIT_NOT_NASH = 2
 EXIT_NO_CONVERGENCE = 3
 
-# largest n for the profile commands (verify, payoff, simulate,
-# best-response); solve, approx and table go up to MAX_SOLVER_N
-MAX_CLI_N = 12
-
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser whose usage errors exit with status 1, not 2."""
@@ -140,14 +136,10 @@ def _player_rows(labels, *columns) -> list:
 # commands: each returns (exit status, record, csv rows or None, text lines or None)
 
 
-def _check_cli_n(n: int) -> None:
-    if not 2 <= n <= MAX_CLI_N:
-        raise ValueError(f"n={n} is outside the supported range 2..{MAX_CLI_N}")
-
-
-def _check_solver_n(n: int, flag: str) -> None:
-    if not MIN_SOLVER_N <= n <= MAX_SOLVER_N:
-        raise ValueError(f"{flag} must be between {MIN_SOLVER_N} and {MAX_SOLVER_N}, got {n}")
+def _check_n(n: int, name: str, low: int = MIN_SOLVER_N) -> None:
+    """Reject n outside ``low``..``MAX_SOLVER_N``; heterogeneous profiles stop lower, in the subset program."""
+    if not low <= n <= MAX_SOLVER_N:
+        raise ValueError(f"{name} must be between {low} and {MAX_SOLVER_N}, got {n}")
 
 
 def _save_symmetric(path, strategy) -> None:
@@ -161,7 +153,6 @@ def _save_symmetric(path, strategy) -> None:
 def _cmd_solve(args):
     from .solve import solve_symmetric
 
-    _check_solver_n(args.n, "--n")
     result = solve_symmetric(
         GameSpec(args.n), model=args.model, tol=args.tol, max_iterations=args.max_iter
     )
@@ -186,7 +177,7 @@ def _cmd_table(args):
     from .model import geometric_payoff, two_choice_baseline
     from .solve import solve_symmetric
 
-    _check_solver_n(args.max_n, "--max-n")
+    _check_n(args.max_n, "--max-n")
     ns = list(range(3, args.max_n + 1))
     record = {
         "n": ns,
@@ -209,7 +200,7 @@ def _cmd_verify(args):
     from .profiles import load_profile
 
     profile, labels = load_profile(args.profile)
-    _check_cli_n(profile.n)
+    _check_n(profile.n, "profile n", 2)
     report = verify_profile(profile, epsilon=args.eps)
     record = {
         "n": profile.n,
@@ -251,7 +242,7 @@ def _cmd_payoff(args):
     from .profiles import load_profile
 
     profile, labels = load_profile(args.profile)
-    _check_cli_n(profile.n)
+    _check_n(profile.n, "profile n", 2)
     payoffs = list(exact_profile_payoffs(profile))
     record = {"n": profile.n, "payoffs": payoffs, "payoff_sum": sum(payoffs), "labels": labels}
     rows = [["player", "label", "payoff"]] + _player_rows(labels, payoffs)
@@ -271,7 +262,7 @@ def _parse_vector(text: str):
 def _cmd_best_response(args):
     from .analysis import best_response
 
-    _check_cli_n(args.n)
+    _check_n(args.n, "--n", 2)
     others = [_parse_vector(text) for text in args.others]
     values, picks = best_response(GameSpec(args.n), others)
     record = {"n": args.n, "values": list(values), "best_picks": list(picks)}
@@ -285,7 +276,7 @@ def _cmd_best_response(args):
 def _cmd_approx(args):
     from .model import geometric_payoff, geometric_strategy
 
-    _check_solver_n(args.n, "--n")
+    _check_n(args.n, "--n")
     spec = GameSpec(args.n)
     strategy = geometric_strategy(spec)
     _save_symmetric(args.save_profile, strategy)
@@ -298,7 +289,7 @@ def _cmd_simulate(args):
     from .simulate import simulate
 
     profile, labels = load_profile(args.profile)
-    _check_cli_n(profile.n)
+    _check_n(profile.n, "profile n", 2)
     stats = simulate(profile, args.rounds, args.seed)
     record = {
         "n": profile.n,
@@ -372,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_payoff)
 
     p = sub.add_parser("best-response", help="pure-choice values against given opponents")
-    p.add_argument("--n", type=int, required=True, help=f"number of players (2..{MAX_CLI_N})")
+    p.add_argument("--n", type=int, required=True, help=f"number of players (2..{MAX_SOLVER_N})")
     p.add_argument(
         "--others",
         nargs="+",

@@ -55,9 +55,10 @@ def closed_form_payoff(spec: GameSpec, mine: StrategyLike, opponents_common: Str
 
     ``mine`` weights the deviator's choices, ``opponents_common`` is the one
     strategy shared by all n - 1 opponents. The final entry of each vector
-    is recovered from normalization, exactly as the expression is written,
-    so raw sequences whose first n - 1 entries are meaningful are accepted
-    (finite-difference checks rely on this).
+    is recovered from normalization, exactly as the expression is written.
+    Raw sequences are read as given, neither validated nor renormalized
+    (finite-difference checks rely on this); ``pure_choice_values`` renormalizes,
+    so the two can differ in the last bits on a tuple whose sum is not 1.
     """
     n = spec.n
     pi = _entries(mine, n, "mine")

@@ -2,11 +2,15 @@
 
 The brute-force functions enumerate joint outcomes directly with their own
 winner rule, so they share no code with any of the package's computation
-paths. The scalar reference kernels at the end are the loops the numpy
-kernels once replaced; they import nothing from the package either.
+paths. The generating-function oracle scores identical opponents in
+50-digit decimal arithmetic by an algorithm apart from the package's
+dynamic program. The scalar reference kernels at the end are the loops the
+numpy kernels once replaced; they import nothing from the package either.
 """
 
 import itertools
+import math
+from decimal import Decimal, localcontext
 
 
 def brute_winner(picks):
@@ -44,6 +48,40 @@ def brute_payoffs(rows):
         if winner is not None:
             pay[winner] += prob
     return pay
+
+
+def egf_win_probs(probs):
+    """Win probability of every pure choice against n - 1 opponents who all play ``probs``.
+
+    With m = n - 1 opponents and T_j = p_j + ... + p_{n-1}, choice j wins
+    with probability m! [x^m] prod_{i<j} (e^{p_i x} - p_i x) * e^{T_{j+1} x}:
+    each integer below j takes any count of opponents but one, j takes none
+    and the integers above take the rest. Series are truncated at degree m
+    and multiplied in 50-digit decimal arithmetic.
+    """
+    n = len(probs)
+    m = n - 1
+    with localcontext() as ctx:
+        ctx.prec = 50
+        p = [Decimal(v) for v in probs]
+
+        def exp_series(a):
+            # c_k = a**k / k!, built up because Decimal(0) ** 0 raises
+            coeffs = [Decimal(1)]
+            for k in range(1, m + 1):
+                coeffs.append(coeffs[-1] * a / k)
+            return coeffs
+
+        below = [Decimal(1)] + [Decimal(0)] * m
+        win = []
+        for j in range(n):
+            above = exp_series(sum(p[j + 1:], Decimal(0)))
+            coeff = sum(below[k] * above[m - k] for k in range(m + 1))
+            win.append(float(coeff * math.factorial(m)))
+            factor = exp_series(p[j])
+            factor[1] = Decimal(0)
+            below = [sum(below[i] * factor[k - i] for i in range(k + 1)) for k in range(m + 1)]
+    return win
 
 
 def random_strategy(rng, n, zeros=False):

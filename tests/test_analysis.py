@@ -7,6 +7,7 @@ import pytest
 
 from _oracle import brute_payoffs, random_strategy
 from lupi import (
+    MAX_SOLVER_N,
     GameSpec,
     StrategyProfile,
     best_response,
@@ -262,3 +263,16 @@ def test_spread_separates_models_at_n4():
     paper_root = solve_symmetric(GameSpec(4), model="paper").strategy
     assert indifference_spread(GameSpec(4), paper_root, model="paper") <= 1e-12
     assert indifference_spread(GameSpec(4), paper_root, model="exact") > 0.1
+
+
+@pytest.mark.parametrize("n", range(3, MAX_SOLVER_N + 1))
+def test_paper_root_is_an_exact_equilibrium_only_at_n3(n):
+    # the paper's claim at every n: the closed-form root is exact at n = 3
+    # and leaves a best exact deviation gain above 0.1 from n = 4 on (the
+    # gain is not monotone in n)
+    root = solve_symmetric(GameSpec(n), model="paper").strategy
+    gain = max(verify_profile(StrategyProfile.symmetric(root)).deviation_gains)
+    if n == 3:
+        assert gain <= 1e-12
+    else:
+        assert gain > 0.1

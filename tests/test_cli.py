@@ -5,14 +5,18 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from _oracle import random_strategy
 import lupi
+from lupi import MAX_SOLVER_N, GameSpec, StrategyProfile, solve_symmetric
 from lupi.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_NOT_NASH, EXIT_OK, format_sig3, main
+from lupi.profiles import save_profile
 
 SQRT3 = math.sqrt(3.0)
 
@@ -208,13 +212,39 @@ def test_verify_missing_file(capsys, tmp_path):
     assert "error" in err
 
 
-def test_verify_rejects_oversized_n(capsys, tmp_path):
-    n = 13
-    row = [1.0 / n] * n
-    path = write_profile(tmp_path, {"n": n, "strategies": [row] * n})
-    code, _, err = run_cli(capsys, "verify", "--profile", path)
-    assert code == EXIT_INPUT
-    assert "12" in err
+def _dense_profile(n):
+    rng = random.Random(1300 + n)
+    return {"n": n, "strategies": [list(random_strategy(rng, n)) for _ in range(n)]}
+
+
+def test_profile_above_the_solver_range_is_rejected(capsys, tmp_path):
+    n = MAX_SOLVER_N + 1
+    path = write_profile(tmp_path, {"n": n, "strategies": [[1.0 / n] * n] * n})
+    for argv in (["verify"], ["payoff"], ["simulate", "--rounds", "10"]):
+        code, out, err = run_cli(capsys, *argv, "--profile", path)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"lupi: error: profile n must be between 2 and {MAX_SOLVER_N}, got {n}\n"
+
+
+def test_heterogeneous_profile_above_the_subset_limit_is_rejected(capsys, tmp_path):
+    path = write_profile(tmp_path, _dense_profile(17))
+    code, out, err = run_cli(capsys, "verify", "--profile", path)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "the subset program supports n <= 16 players" in err
+
+
+def test_heterogeneous_profile_above_twelve_is_accepted(capsys, tmp_path):
+    path = write_profile(tmp_path, _dense_profile(13))
+    code, out, _ = run_cli(capsys, "verify", "--profile", path)
+    assert code == EXIT_NOT_NASH
+    assert "nash_equilibrium: no" in out
+
+
+def test_two_players_are_accepted(capsys, tmp_path):
+    path = write_profile(tmp_path, {"n": 2, "strategies": [[1.0, 0.0], [0.0, 1.0]]})
+    assert run_cli(capsys, "verify", "--profile", path)[0] == EXIT_OK
+    assert run_cli(capsys, "payoff", "--profile", path)[0] == EXIT_OK
+    assert run_cli(capsys, "best-response", "--n", "2", "--others", "0.5,0.5")[0] == EXIT_OK
 
 
 def test_payoff_csv(capsys, tmp_path):
@@ -394,22 +424,23 @@ def test_simulate_rejects_zero_rounds(capsys, tmp_path):
 # round trips and formats
 
 
-def test_saved_profiles_are_accepted_by_every_reader(capsys, tmp_path):
-    saved = str(tmp_path / "solved.json")
-    code, _, _ = run_cli(capsys, "solve", "--n", "3", "--save-profile", saved)
-    assert code == EXIT_OK
-    code, _, _ = run_cli(capsys, "verify", "--profile", saved)
-    assert code == EXIT_OK  # the solved strategy verifies as an equilibrium
-    code, _, _ = run_cli(capsys, "payoff", "--profile", saved)
-    assert code == EXIT_OK
-    code, _, _ = run_cli(capsys, "simulate", "--profile", saved, "--rounds", "100")
-    assert code == EXIT_OK
+# every profile writer with the exit status of ``verify`` on what it wrote:
+# the exact root is an equilibrium at every n, the paper root only at n = 3
+SAVED = [
+    *((["solve", "--n", str(n), "--model", "paper"], EXIT_OK if n == 3 else EXIT_NOT_NASH)
+      for n in (3, 13, 40)),
+    *((["solve", "--n", str(n), "--model", "exact"], EXIT_OK) for n in (3, 13, 40)),
+    (["approx", "--n", "20"], EXIT_NOT_NASH),
+]
 
-    saved = str(tmp_path / "approx.json")
-    code, _, _ = run_cli(capsys, "approx", "--n", "4", "--save-profile", saved)
-    assert code == EXIT_OK
-    code, _, _ = run_cli(capsys, "payoff", "--profile", saved)
-    assert code == EXIT_OK
+
+@pytest.mark.parametrize("argv, verified", SAVED, ids=[" ".join(argv) for argv, _ in SAVED])
+def test_saved_profiles_are_accepted_by_every_reader(capsys, tmp_path, argv, verified):
+    saved = str(tmp_path / "saved.json")
+    assert run_cli(capsys, *argv, "--save-profile", saved)[0] == EXIT_OK
+    assert run_cli(capsys, "verify", "--profile", saved)[0] == verified
+    assert run_cli(capsys, "payoff", "--profile", saved)[0] == EXIT_OK
+    assert run_cli(capsys, "simulate", "--profile", saved, "--rounds", "100")[0] == EXIT_OK
 
 
 def test_csv_numbers_are_locale_independent(capsys, tmp_path):
@@ -439,16 +470,28 @@ def _reject_constant(token):
     raise ValueError(f"non-standard JSON token {token}")
 
 
+@pytest.fixture(scope="module")
+def golden_profiles(tmp_path_factory):
+    """The profile files that the placeholders in ``cli_golden.json`` stand for."""
+    root = tmp_path_factory.mktemp("golden")
+    paths = {"ASYM3": write_profile(root, ASYM3, "asym3.json"),
+             "ASYM4": write_profile(root, ASYM4, "asym4.json")}
+    for model in ("paper", "exact"):
+        paths[f"{model.upper()}40"] = path = str(root / f"{model}40.json")
+        save_profile(path, StrategyProfile.symmetric(solve_symmetric(GameSpec(40), model=model).strategy))
+    return paths
+
+
 @pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
-def test_output_matches_golden_bytes(capsys, tmp_path, case):
+def test_output_matches_golden_bytes(capsys, golden_profiles, case):
     """Every command in every format prints exactly the recorded bytes.
 
-    ``cli_golden.json`` holds one case per command line: argv (``{ASYM3}``
-    and ``{ASYM4}`` stand for profile files), exit status and stdout.
+    ``cli_golden.json`` holds one case per command line: argv, exit status
+    and stdout. In argv, ``{ASYM3}`` and ``{ASYM4}`` stand for the profiles
+    of the same names above, and ``{PAPER40}`` and ``{EXACT40}`` for the
+    symmetric profiles of the n = 40 ``paper`` and ``exact`` roots.
     """
-    paths = {"ASYM3": write_profile(tmp_path, ASYM3, "asym3.json"),
-             "ASYM4": write_profile(tmp_path, ASYM4, "asym4.json")}
-    code, out, _ = run_cli(capsys, *(arg.format(**paths) for arg in case["argv"]))
+    code, out, _ = run_cli(capsys, *(arg.format(**golden_profiles) for arg in case["argv"]))
     assert (code, out) == (case["exit"], case["stdout"])
     if case["argv"][-1] == "json":
         json.loads(out, parse_constant=_reject_constant)

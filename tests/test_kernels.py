@@ -5,14 +5,22 @@ scalar round loop in ``_oracle``, so its counts must be equal, not close.
 The distinct-opponent kernels run a dynamic program over subsets of
 players, an algorithm apart from the oracle's scalar loop over 3**n
 capped-count states, so they are checked against that loop to 1e-14, and
-whole-profile payoffs against brute-force enumeration.
+whole-profile payoffs against brute-force enumeration. The
+identical-opponent kernel is checked against the generating-function
+oracle, which reads the same win probabilities off power series.
 """
 
 import random
 
 import pytest
 
-from _oracle import brute_payoffs, random_strategy, scalar_simulate_rounds, scalar_win_probs_distinct
+from _oracle import (
+    brute_payoffs,
+    egf_win_probs,
+    random_strategy,
+    scalar_simulate_rounds,
+    scalar_win_probs_distinct,
+)
 from lupi import _kernels_py as kernels
 
 SEEDS = (0, 2**64 - 1)
@@ -112,6 +120,14 @@ def test_leave_one_out_payoffs_match_brute_force(n):
     wins = kernels.win_probs_leave_one_out(rows)
     payoffs = [sum(p * w for p, w in zip(row, win)) for row, win in zip(rows, wins)]
     assert payoffs == pytest.approx(brute_payoffs(rows), rel=0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_common_matches_generating_function_oracle(n):
+    rng = random.Random(1200 + n)
+    for zeros in (False, True, True):
+        probs = list(random_strategy(rng, n, zeros=zeros))
+        assert kernels.win_probs_common(probs, n - 1) == pytest.approx(egf_win_probs(probs), rel=0.0, abs=1e-13)
 
 
 def test_fold_size_guard():

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from _oracle import egf_win_probs
 from lupi import (
     MAX_SOLVER_N,
     GameSpec,
@@ -112,6 +113,17 @@ def test_exact_solver_larger_n(n):
     assert _spread(spec, result.strategy) <= 1e-10
     assert sum(result.strategy.probs) == pytest.approx(1.0, abs=1e-12)
     assert verify_profile(StrategyProfile([result.strategy] * n), epsilon=1e-12).is_nash
+
+
+@pytest.mark.parametrize("n", [20, 30, 40])
+def test_exact_root_is_an_equilibrium_of_the_generating_function_oracle(n):
+    # above n = 16 no other exact route runs: the oracle is an algorithm
+    # apart from the kernel's, in 50-digit arithmetic
+    probs = solve_symmetric(GameSpec(n), model="exact").strategy.probs
+    oracle = egf_win_probs(probs)
+    kernel = win_probabilities(GameSpec(n), [probs] * (n - 1))
+    assert kernel == pytest.approx(oracle, rel=0.0, abs=1e-13)
+    assert max(oracle) - min(w for p, w in zip(probs, oracle) if p > 0.0) <= 1e-13
 
 
 @pytest.mark.parametrize("model", ["paper", "exact"])
