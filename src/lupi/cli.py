@@ -153,9 +153,7 @@ def _save_symmetric(path, strategy) -> None:
 def _cmd_solve(args):
     from .solve import solve_symmetric
 
-    result = solve_symmetric(
-        GameSpec(args.n), model=args.model, tol=args.tol, max_iterations=args.max_iter
-    )
+    result = solve_symmetric(GameSpec(args.n), model=args.model, tol=args.tol)
     _save_symmetric(args.save_profile, result.strategy)
     record = {
         "model": result.model,
@@ -341,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="payoff model: 'paper' (closed form) or 'exact' (exact win probabilities)",
     )
     p.add_argument("--tol", type=float, default=None, help="convergence threshold (default per model)")
-    p.add_argument("--max-iter", type=int, default=100, help="cap on the steps of the scalar search")
     p.add_argument("--save-profile", metavar="PATH", help="write the symmetric profile as JSON")
     _add_format(p)
     p.set_defaults(handler=_cmd_solve)

@@ -98,21 +98,17 @@ def geometric_strategy(spec: GameSpec) -> MixedStrategy:
 
 
 def geometric_payoff(spec: GameSpec) -> float:
-    """Per-player payoff when everyone plays the geometric strategy (n >= 3)."""
+    """Per-player payoff when everyone plays the geometric strategy (n >= 3).
+
+    The closed-form payoff at the geometric point; written out, it is the
+    published double sum over the deviator's choice k and the opponents'
+    common choice j <= k.
+    """
     n = spec.n
     if n < 3:
         raise ValueError(f"geometric payoff is defined for n >= 3, got {n}")
-    total = 0.0
-    for k in range(1, n):
-        inner = 0.0
-        for j in range(1, k + 1):
-            inner += _ipow(_ipow(0.5, j), n - 1)
-        total += _ipow(0.5, k) * inner
-    tail = 0.0
-    for j in range(1, n):
-        tail += _ipow(_ipow(0.5, j), n - 1)
-    total += _ipow(0.5, n - 1) * tail
-    return total
+    geo = geometric_strategy(spec)
+    return closed_form_payoff(spec, geo, geo)
 
 
 def two_choice_baseline(spec: GameSpec) -> float:

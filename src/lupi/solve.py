@@ -1,8 +1,8 @@
-"""Symmetric-equilibrium search by one-dimensional shooting.
+"""Symmetric equilibria by one-dimensional shooting.
 
 Both models' equilibrium conditions are triangular: once one scalar is
 fixed, the probabilities follow one choice at a time, so the n - 1 unknowns
-reduce to a scalar root search.
+reduce to one scalar equation.
 
   * ``exact``: shoot forward on the equilibrium value v. Choice j gets the
     probability p_j at which its exact win probability equals v (win_j
@@ -14,13 +14,16 @@ reduce to a scalar root search.
     forces p_{n-2} = s, and then the tail masses t_g = p_{g+1} + ... +
     p_{n-1} follow from t_{n-2} = s, t_{n-3} = 2s and
     t_{g-2} = t_{g-1} * (1 + (1 - (t_g / t_{g-1})**m)**(1/m)), m = n - 1.
-    The map is H(s) = t_{-1} - 1.
+    The recurrence is homogeneous of degree 1 in s, so the map
+    H(s) = t_{-1} - 1 = s * t_{-1}(1) - 1 is linear: one shot at s = 1 and
+    one division give the root, and no search runs.
 
-Every search, outer and inner, is Illinois false position on a bracket with
-a bisection fallback, run to full floating-point precision; it needs no
-derivatives. The tolerance only decides whether the residual, recomputed
-from the returned strategy, counts as converged. Everything is plain Python
-lists: the solver needs no array library.
+Every ``exact`` search, outer and inner, is Illinois false position on a
+bracket with a bisection fallback, run to full floating-point precision; it
+needs no derivatives and stops on its own. The tolerance only decides
+whether the residual, recomputed from the returned strategy, counts as
+converged. Everything is plain Python lists: the solver needs no array
+library.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ from .model import MODEL_EXACT, MODEL_PAPER, MODELS, closed_form_gradient, close
 DEFAULT_TOLERANCES = {MODEL_PAPER: 1e-12, MODEL_EXACT: 1e-10}
 
 _EPS = 2.0**-52
-# cap on one inner search; three steps at least halve its bracket, and it
-# closes within about 60 halvings
-_INNER_STEPS = 200
+# cap on the steps of one search; three steps at least halve its bracket, so
+# it closes within about 60 halvings, and the cap only rules out a hang
+_MAX_STEPS = 200
 
 
 class SolveResult(_Record):
@@ -45,8 +48,9 @@ class SolveResult(_Record):
     closed-form gradient entry for ``paper``, and for ``exact`` the largest
     win probability minus the smallest one on the support. ``payoff`` is the
     per-player payoff when everyone adopts the strategy, under the same
-    model that was solved. ``iterations`` counts the steps of the scalar
-    search. ``full_support`` is False when some choice has probability 0.
+    model that was solved. ``iterations`` counts the steps of the outer
+    ``exact`` search; it is 0 for ``paper``, whose root takes no search.
+    ``full_support`` is False when some choice has probability 0.
     """
 
     model: str
@@ -59,7 +63,7 @@ class SolveResult(_Record):
     full_support: bool
 
 
-def _find_root(f, lo, hi, f_lo, f_hi, max_steps):
+def _find_root(f, lo, hi, f_lo, f_hi):
     """Shrink a bracket [lo, hi] on which ``f`` changes sign.
 
     Illinois false position: each step evaluates f where the chord through
@@ -69,7 +73,7 @@ def _find_root(f, lo, hi, f_lo, f_hi, max_steps):
     before the first step count as the starting one, so the first step
     bisects). Steps stay two units in the last place inside the bracket, so
     it closes around a root it has come that close to. Stops when the
-    bracket has closed, f is exactly 0, or after ``max_steps`` evaluations.
+    bracket has closed, f is exactly 0, or after ``_MAX_STEPS`` evaluations.
     Returns the final (lo, hi, steps); f has the sign of ``f_lo`` at lo.
     """
     steps = 0
@@ -78,7 +82,7 @@ def _find_root(f, lo, hi, f_lo, f_hi, max_steps):
         return x, x, steps
     kept = 0  # end kept by the last step: -1 lo, +1 hi
     older = prev = hi - lo
-    while steps < max_steps:
+    while steps < _MAX_STEPS:
         width = hi - lo
         gap = 2.0 * _EPS * max(abs(lo), abs(hi))
         if width <= 2.0 * gap:
@@ -133,7 +137,7 @@ def _exact_shot(n, v):
         def excess(p):
             return kernels.common_win(row, rem - p) ** k - v_k
 
-        pj = _find_root(excess, 0.0, rem, w_none**k - v_k, w_all**k - v_k, _INNER_STEPS)[0]
+        pj = _find_root(excess, 0.0, rem, w_none**k - v_k, w_all**k - v_k)[0]
         probs[j] = pj
         rem -= pj
         row = kernels.common_step(row, pj)
@@ -160,17 +164,6 @@ def _paper_shot(n, s):
     return probs, tails[n - 1] - 1.0
 
 
-def _scalar_map(n: int, model: str):
-    """The model's shot and the upper end of its scalar's domain [0, top].
-
-    v <= 1/n because the n payoffs of a symmetric profile sum to at most
-    one; s <= 1/2 because t_{n-3} = 2s cannot exceed 1.
-    """
-    if model == MODEL_EXACT:
-        return _exact_shot, 1.0 / n
-    return _paper_shot, 0.5
-
-
 def _package(spec: GameSpec, model: str, probs, iterations: int, tol: float) -> SolveResult:
     strategy = MixedStrategy(tuple(probs))
     if model == MODEL_PAPER:
@@ -194,30 +187,30 @@ def _package(spec: GameSpec, model: str, probs, iterations: int, tol: float) -> 
     )
 
 
-def solve_symmetric(
-    spec: GameSpec,
-    model: str = MODEL_PAPER,
-    tol: float | None = None,
-    max_iterations: int = 100,
-) -> SolveResult:
+def solve_symmetric(spec: GameSpec, model: str = MODEL_PAPER, tol: float | None = None) -> SolveResult:
     """Find a common strategy that is its own best response under ``model``.
 
-    Searches the whole domain of the model's scalar map, whose ends bracket
-    its sign change, with at most ``max_iterations`` steps, and returns the
-    strategy shot from the low end of the final bracket. The result is never
-    fabricated: ``converged`` is False whenever the recomputed residual
-    exceeds the tolerance, and the point reached is reported as-is.
+    ``paper`` shoots once from the root of its linear map. ``exact``
+    searches the whole domain of its scalar map, whose ends bracket its
+    sign change, and returns the strategy shot from the low end of the
+    final bracket. The result is never fabricated: ``converged`` is False
+    whenever the recomputed residual exceeds the tolerance, and the point
+    reached is reported as-is.
     """
     if not MIN_SOLVER_N <= spec.n <= MAX_SOLVER_N:
         raise ValueError(f"solver supports {MIN_SOLVER_N} <= n <= {MAX_SOLVER_N}, got {spec.n}")
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
     tol = DEFAULT_TOLERANCES[model] if tol is None else float(tol)
     if not 0.0 < tol < float("inf"):
         raise ValueError("tolerance must be positive and finite")
-    shot, top = _scalar_map(spec.n, model)
-    f_lo, f_hi = shot(spec.n, 0.0)[1], shot(spec.n, top)[1]
-    lo, _, steps = _find_root(lambda x: shot(spec.n, x)[1], 0.0, top, f_lo, f_hi, max_iterations)
-    return _package(spec, model, shot(spec.n, lo)[0], steps, tol)
+    n = spec.n
+    if model == MODEL_PAPER:
+        # H(s) = s * t_{-1}(1) - 1, so the root is 1 / t_{-1}(1)
+        s = 1.0 / (_paper_shot(n, 1.0)[1] + 1.0)
+        return _package(spec, model, _paper_shot(n, s)[0], 0, tol)
+    # v <= 1/n because the n payoffs of a symmetric profile sum to at most one
+    top = 1.0 / n
+    f_lo, f_hi = _exact_shot(n, 0.0)[1], _exact_shot(n, top)[1]
+    lo, _, steps = _find_root(lambda v: _exact_shot(n, v)[1], 0.0, top, f_lo, f_hi)
+    return _package(spec, model, _exact_shot(n, lo)[0], steps, tol)

@@ -4,7 +4,8 @@ The brute-force functions enumerate joint outcomes directly with their own
 winner rule, so they share no code with any of the package's computation
 paths. The generating-function oracle scores identical opponents in
 50-digit decimal arithmetic by an algorithm apart from the package's
-dynamic program. The scalar reference kernels at the end are the loops the
+dynamic program, and the Poisson-limit oracle gives the equilibrium that
+the exact game's approaches as n grows, in closed form. The scalar reference kernels at the end are the loops the
 numpy kernels once replaced; they import nothing from the package either.
 """
 
@@ -81,6 +82,48 @@ def egf_win_probs(probs):
             factor = exp_series(p[j])
             factor[1] = Decimal(0)
             below = [sum(below[i] * factor[k - i] for i in range(k + 1)) for k in range(m + 1)]
+    return win
+
+
+def poisson_equilibrium(N):
+    """Symmetric equilibrium of the game with a Poisson(N) number of players.
+
+    With a Poisson(N) population on strategy p, choice k wins with
+    probability e^(-N p_k) A_k, where A_k = prod_{j<k} (1 - N p_j e^(-N p_j))
+    (Myerson 1998; Ostling, Wang, Chou and Camerer 2011). Setting
+    x_k = A_k / v on the support gives p_k = ln(x_k) / N and
+    x_{k+1} = x_k - ln(x_k), which falls to 1, so the support is infinite.
+    The A_k telescope to A_inf = 1 - N v, and A_inf = v, so v = 1/(N+1) and
+    x_0 = N + 1: no root search. Run in 50-digit decimal arithmetic until
+    x_k is within 1e-40 of 1 (the weights left sum to (x_k - 1)/N), then
+    rounded to floats.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = Decimal(N + 1)
+        probs = []
+        while x - 1 > Decimal("1e-40"):
+            step = x.ln()
+            probs.append(float(step / N))
+            x -= step
+    return probs
+
+
+def poisson_win_probs(probs, N):
+    """Win probability e^(-N p_k) A_k of each choice against a Poisson(N) population on ``probs``.
+
+    A_k = prod_{j<k} (1 - N p_j e^(-N p_j)) is the chance that no integer
+    below k has exactly one player. Evaluated in 50-digit decimal arithmetic.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        none_below = Decimal(1)
+        win = []
+        for p in probs:
+            load = N * Decimal(p)
+            alone = (-load).exp()
+            win.append(float(alone * none_below))
+            none_below *= 1 - load * alone
     return win
 
 

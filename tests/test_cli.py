@@ -85,9 +85,10 @@ def test_solve_unknown_model_exits_1(capsys):
 
 
 def test_solve_nonconvergence_exit_code(capsys):
-    code, out, _ = run_cli(capsys, "solve", "--n", "4", "--max-iter", "1")
+    code, out, _ = run_cli(capsys, "solve", "--n", "4", "--model", "exact", "--tol", "1e-17")
     assert code == EXIT_NO_CONVERGENCE
     assert "converged: no" in out
+    assert "residual_norm: 1.3877787807814457e-16" in out
 
 
 @pytest.mark.parametrize("tol", ["nan", "0", "-1e-12", "inf"])

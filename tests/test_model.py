@@ -158,15 +158,23 @@ def test_geometric_payoff_rejects_small_n():
         geometric_payoff(GameSpec(2))
 
 
-@pytest.mark.parametrize("n", range(3, 11))
+@pytest.mark.parametrize("n", range(3, 41))
 def test_geometric_payoff_equals_expression_at_geometric_point(n):
-    # the double sum is the closed-form payoff evaluated with everyone on
-    # the geometric strategy
-    spec = GameSpec(n)
-    geo = geometric_strategy(spec)
-    assert geometric_payoff(spec) == pytest.approx(
-        closed_form_payoff(spec, geo, geo), abs=1e-15
-    )
+    # geometric_payoff is the closed-form payoff at the geometric point; the
+    # published double sum sum_k 2^-k sum_{j<=k} 2^-j(n-1) + 2^-(n-1) sum_j
+    # 2^-j(n-1), written out here, is the same number to the last bit
+    m = n - 1
+    total = 0.0
+    for k in range(1, n):
+        inner = 0.0
+        for j in range(1, k + 1):
+            inner += 2.0 ** -(j * m)
+        total += 2.0**-k * inner
+    tail = 0.0
+    for j in range(1, n):
+        tail += 2.0 ** -(j * m)
+    total += 2.0**-m * tail
+    assert geometric_payoff(GameSpec(n)) == total
 
 
 def test_two_choice_baseline_values():

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from _oracle import egf_win_probs
+from _oracle import egf_win_probs, poisson_equilibrium, poisson_win_probs
 from lupi import (
     MAX_SOLVER_N,
     GameSpec,
@@ -16,7 +16,7 @@ from lupi import (
     verify_profile,
     win_probabilities,
 )
-from lupi.solve import _paper_shot, _scalar_map
+from lupi.solve import _exact_shot, _paper_shot
 
 SQRT3 = math.sqrt(3.0)
 ROOT3 = (2 * SQRT3 - 3, 2 - SQRT3, 2 - SQRT3)
@@ -53,14 +53,16 @@ def test_paper_n4_matches_reported_solution():
     assert abs(result.payoff - 0.134) <= 0.0005
 
 
-@pytest.mark.parametrize("n", [*range(3, 13), 20, 30, 40])
+@pytest.mark.parametrize("n", range(3, MAX_SOLVER_N + 1))
 def test_paper_solution_has_equal_last_two_weights(n):
-    spec = GameSpec(n)
-    result = solve_symmetric(spec, model="paper")
-    assert result.converged
-    assert max(abs(g) for g in closed_form_gradient(spec, result.strategy)) <= 1e-12
+    # the map is linear (test_paper_map_is_linear_in_its_last_weight), so
+    # one division gives its root and no search runs
+    result = solve_symmetric(GameSpec(n), model="paper")
     probs = result.strategy.probs
-    assert abs(probs[-1] - probs[-2]) <= 1e-12
+    assert result.iterations == 0
+    assert result.converged
+    assert probs[n - 2] == probs[n - 1]
+    assert abs(_paper_shot(n, probs[n - 1])[1]) <= 1e-14
 
 
 @pytest.mark.parametrize("n", range(5, 9))
@@ -126,6 +128,33 @@ def test_exact_root_is_an_equilibrium_of_the_generating_function_oracle(n):
     assert max(oracle) - min(w for p, w in zip(probs, oracle) if p > 0.0) <= 1e-13
 
 
+@pytest.mark.parametrize("N", [2, 11, 39, 99, 1000])
+def test_poisson_limit_pays_one_over_n_plus_one(N):
+    # the closed-form Poisson equilibrium makes every choice on its support
+    # win with probability v = 1/(N+1), with no root search
+    wins = poisson_win_probs(poisson_equilibrium(N), N)
+    assert max(abs(w * (N + 1) - 1.0) for w in wins) <= 1e-15
+
+
+def test_exact_root_approaches_poisson_limit():
+    # the strategy closes in on the Poisson game's with N = n - 1, tail
+    # included: L1 distance 0.056, 0.043, 0.029. n * v, the chance that a
+    # round has a winner, stays just below N/(N+1), but the gap is not
+    # monotone at these n: 0.00419, 0.00428, 0.00233
+    gaps, distances = [], []
+    for n in (12, 20, 40):
+        result = solve_symmetric(GameSpec(n), model="exact")
+        limit = poisson_equilibrium(n - 1)
+        size = max(n, len(limit))
+        probs = list(result.strategy.probs) + [0.0] * (size - n)
+        limit += [0.0] * (size - len(limit))
+        gaps.append((n - 1) / n - n * result.payoff)
+        distances.append(sum(abs(p - q) for p, q in zip(probs, limit)))
+    assert all(0.0 < gap < 0.005 for gap in gaps)
+    assert gaps[2] < min(gaps[:2])
+    assert distances[2] < distances[1] < distances[0]
+
+
 @pytest.mark.parametrize("model", ["paper", "exact"])
 def test_residual_claim_is_recomputable(model):
     spec = GameSpec(4)
@@ -149,8 +178,7 @@ def test_solver_is_deterministic(model):
 def test_exact_map_changes_sign_once(n):
     # no theorem makes the exact root unique: this is the evidence that the
     # one root the solver's bracket closes on is the only one in [0, 1/n]
-    shot, top = _scalar_map(n, "exact")
-    values = [shot(n, top * i / 64)[1] for i in range(65)]
+    values = [_exact_shot(n, i / (64 * n))[1] for i in range(65)]
     assert sum((a > 0.0) != (b > 0.0) for a, b in zip(values, values[1:])) == 1
 
 
@@ -165,9 +193,11 @@ def test_paper_map_is_linear_in_its_last_weight(n):
 
 
 def test_failure_is_reported_not_fabricated():
-    result = solve_symmetric(GameSpec(4), model="paper", max_iterations=1)
+    # the search runs to full precision, so only a tolerance below what
+    # floating point reaches leaves the root unconverged
+    result = solve_symmetric(GameSpec(4), model="exact", tol=1e-17)
     assert not result.converged
-    assert result.residual_norm > 1e-12
+    assert result.residual_norm > 1e-17
 
 
 def test_argument_validation():
@@ -177,8 +207,6 @@ def test_argument_validation():
         solve_symmetric(GameSpec(MAX_SOLVER_N + 1))
     with pytest.raises(ValueError):
         solve_symmetric(GameSpec(4), model="bogus")
-    with pytest.raises(ValueError):
-        solve_symmetric(GameSpec(4), max_iterations=0)
     with pytest.raises(ValueError):
         solve_symmetric(GameSpec(4), tol=-1.0)
 
