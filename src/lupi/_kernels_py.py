@@ -7,9 +7,10 @@ players, 2**m weights for m rows, and one pass scores every player of a
 whole profile. ``tests/test_kernels.py`` checks them to rounding against
 the scalar loop over 3**n capped-count states kept in ``tests/_oracle.py``.
 
-``simulate_rounds`` is numpy-vectorised; it adds and multiplies the same
-floats in the same order as a scalar loop over rounds, also kept in
-``tests/_oracle.py``, and is checked against it bit for bit. numpy is
+``simulate_rounds`` is numpy-vectorised in exact integer arithmetic: the
+draws, the inverse-CDF choice and the winner rule involve no rounding, so
+its counts equal those of a scalar loop over rounds, also kept in
+``tests/_oracle.py``, and are checked against it for equality. numpy is
 imported inside it, so every command but ``simulate`` runs without it.
 
 Conventions shared by every kernel:
@@ -19,19 +20,21 @@ Conventions shared by every kernel:
     exactly one player, or -1 when every chosen integer is duplicated.
 """
 
+import math
+from itertools import accumulate
 from operator import mul
 
 BACKEND = "python"
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_INV_2_53 = 2.0 ** -53
+_TWO_53 = 1 << 53
 _MUL_1 = 0xBF58476D1CE4E5B9
 _MUL_2 = 0x94D049BB133111EB
 
-# rounds x players drawn per block of the sampler; larger blocks run no
-# faster and raise peak memory
-_BLOCK_CELLS = 8192
+# rounds per block of the sampler; larger blocks save little time and
+# raise peak memory
+_BLOCK_ROUNDS = 4096
 
 _DP_MAX_N = 16
 
@@ -210,52 +213,64 @@ def simulate_rounds(rows, rounds, seed):
     Player i samples from its own SplitMix64 substream (see stream_state).
     The generator is counter-based: before round r (0-based) is drawn,
     player i's state is its initial state plus (r + 1) * GOLDEN (mod 2**64).
-    Rounds are therefore drawn in blocks of whole rounds with wrapping
-    uint64 arithmetic, and the counts equal a round-by-round scan for a
-    given seed on every platform.
+    So a block of rounds is drawn one player at a time, as one uint64
+    array, and picked by the exact integer ``_thresholds``. Per round, the
+    lowest bit of a uint64 mask of the integers picked exactly once is the
+    lowest unique integer; a mask covers the 64 integers from ``base``, and
+    rounds with no unique integer below ``base + 64`` go on to the next 64.
+    The counts equal a round-by-round scan for a given seed on every platform.
     """
     import numpy as np
 
     # uint64 operands: a Python int above 2**63 would not mix with uint64
     # arrays (it raises under numpy 2, promotes to float under numpy 1)
-    golden, mul_1, mul_2 = np.uint64(_GOLDEN), np.uint64(_MUL_1), np.uint64(_MUL_2)
+    golden, mul_1, mul_2, one = np.uint64(_GOLDEN), np.uint64(_MUL_1), np.uint64(_MUL_2), np.uint64(1)
     shift_11, shift_27, shift_30, shift_31 = (np.uint64(k) for k in (11, 27, 30, 31))
     n = len(rows)
-    cums = []
-    tops = []
-    for row in rows:
-        acc = 0.0
-        cum = []
-        for q in row:
-            acc += q
-            cum.append(acc)
-        cums.append(np.array(cum))
-        tops.append(choose_index(cum, 1.0))
+    # each row's thresholds as a column: a draw picks the count at or below it
+    thresholds = [np.array(_thresholds(row), dtype=np.uint64)[:, None] for row in rows]
     bases = np.array([stream_state(seed, i) for i in range(n)], dtype=np.uint64)
-    block = max(1, _BLOCK_CELLS // n)
+    small = np.min_scalar_type(n - 1)
+    picks = np.empty((n, _BLOCK_ROUNDS), dtype=small)
     wins = np.zeros(n, dtype=np.int64)
     no_winner = 0
-    with np.errstate(over="ignore"):
-        for first in range(0, rounds, block):
-            count = min(block, rounds - first)
-            steps = np.arange(first + 1, first + count + 1, dtype=np.uint64)
-            z = bases + steps[:, None] * golden
+    for first in range(0, rounds, _BLOCK_ROUNDS):
+        count = min(_BLOCK_ROUNDS, rounds - first)
+        steps = np.arange(first + 1, first + count + 1, dtype=np.uint64) * golden
+        for i in range(n):
+            z = steps + bases[i]
             z ^= z >> shift_30
             z *= mul_1
             z ^= z >> shift_27
             z *= mul_2
             z ^= z >> shift_31
-            draws = (z >> shift_11).astype(np.float64) * _INV_2_53
-            picks = np.empty((count, n), dtype=np.intp)
-            for i in range(n):
-                col = np.searchsorted(cums[i], draws[:, i], side="right")
-                col[col == n] = tops[i]  # draw beyond a cumulative sum that ends below 1
-                picks[:, i] = col
-            counts = np.bincount((picks + np.arange(count)[:, None] * n).ravel(), minlength=count * n)
-            unique = counts.reshape(count, n) == 1
-            won = unique.any(axis=1)
-            lowest = unique.argmax(axis=1)
-            holders = (picks == lowest[:, None]).argmax(axis=1)
-            wins += np.bincount(holders[won], minlength=n)
-            no_winner += count - int(np.count_nonzero(won))
+            z >>= shift_11
+            (z >= thresholds[i]).view(np.uint8).sum(axis=0, dtype=small, out=picks[i, :count])
+        left = picks[:, :count]  # rounds with no unique integer below base
+        for base in range(0, n, 64):
+            # a pick outside the window shifts by 64 or more (below base by
+            # wrapping), which numpy defines as 0
+            once = np.zeros(left.shape[1], dtype=np.uint64)
+            many = np.zeros_like(once)
+            for col in left:
+                bit = np.left_shift(one, col - base, dtype=np.uint64)
+                many |= once & bit
+                once |= bit
+            once &= ~many
+            lowest = once & (~once + one)
+            for i, col in enumerate(left):
+                wins[i] += np.count_nonzero(np.left_shift(one, col - base, dtype=np.uint64) & lowest)
+            left = left[:, once == 0]
+        no_winner += left.shape[1]
+        del once, many, bit, lowest  # free before the next block's draws
     return wins.tolist(), no_winner
+
+
+def _thresholds(row):
+    """Integer sampler thresholds of a row: draw m picks the number of them at or below m.
+
+    Scaling by 2**53 is exact, so m * 2**-53 < cums[k] exactly when m < ceil(cums[k] * 2**53).
+    The list stops at the index ``choose_index`` takes for u = 1.0, which every higher draw picks.
+    """
+    cums = list(accumulate(row))
+    return [math.ceil(c * _TWO_53) for c in cums[: choose_index(cums, 1.0)]]

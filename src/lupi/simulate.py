@@ -6,11 +6,14 @@ dedicated substream whose initial state is
 ``mix64(seed + (i + 1) * 0x9E3779B97F4A7C15)`` (mod 2**64); every draw
 advances the state by the same golden-ratio constant and keeps the top 53
 output bits as a uniform in [0, 1). The generator is counter-based: the
-state before round r is a closed form in r, so the numpy kernel draws
-blocks of whole rounds at once and still returns the counts of a
-round-by-round scan. Choices are made by inverse CDF over the strategy's
-cumulative probabilities with half-open intervals; a draw landing exactly
-on a boundary selects the higher index.
+state before round r is a closed form in r, so the numpy kernel draws a
+block of rounds one player at a time, as one uint64 array. Choices are
+made by inverse CDF over the strategy's cumulative probabilities with
+half-open intervals; a draw landing exactly on a boundary selects the
+higher index. The kernel makes that choice on the integer draw, against
+each cumulative probability scaled by 2**53 and rounded up, which is
+exact, and finds each round's lowest unique integer in uint64 bitmasks,
+so it returns the counts of a round-by-round scan.
 
 Identical (profile, rounds, seed) inputs therefore reproduce identical
 statistics on every platform.

@@ -5,8 +5,9 @@ winner rule, so they share no code with any of the package's computation
 paths. The generating-function oracle scores identical opponents in
 50-digit decimal arithmetic by an algorithm apart from the package's
 dynamic program, and the Poisson-limit oracle gives the equilibrium that
-the exact game's approaches as n grows, in closed form. The scalar reference kernels at the end are the loops the
-numpy kernels once replaced; they import nothing from the package either.
+the exact game's approaches as n grows, in closed form. The scalar
+reference kernels at the end are plain loops that the package's kernels
+must agree with; they import nothing from the package either.
 """
 
 import itertools
@@ -142,14 +143,15 @@ def random_interior(rng, n, margin=0.05):
 
 
 # ---------------------------------------------------------------------------
-# pre-vectorisation reference kernels
+# scalar reference kernels
 #
-# The scalar loops that ``lupi._kernels_py.win_probs_distinct`` and
-# ``simulate_rounds`` once replaced with numpy code, kept here as written,
-# with their own copy of the SplitMix64 generator. The sampler must return
-# exactly the round loop's counts; the distinct-opponent kernels, now a
-# dynamic program over subsets of players, must agree with the 3**n state
-# loop to rounding (``tests/test_kernels.py``).
+# A loop over 3**n capped-count states for ``win_probs_distinct`` and a
+# loop that plays one round at a time, with float draws and its own copy
+# of the SplitMix64 generator, for ``lupi._kernels_py.simulate_rounds``.
+# The sampler, which picks by integer thresholds and finds winners in
+# bitmasks, must return exactly the round loop's counts; the
+# distinct-opponent kernels, a dynamic program over subsets of players,
+# must agree with the state loop to rounding (``tests/test_kernels.py``).
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -177,7 +179,7 @@ def _scalar_choose_index(cums, u):
 
 
 def scalar_win_probs_distinct(rows):
-    """Pre-vectorisation reference: the capped-count fold as a scalar loop over 3**n states."""
+    """Reference: the capped-count fold as a scalar loop over 3**n states."""
     m = len(rows)
     n = len(rows[0])
     pow3 = [3**j for j in range(n + 1)]
@@ -214,7 +216,7 @@ def scalar_win_probs_distinct(rows):
 
 
 def scalar_simulate_rounds(rows, rounds, seed):
-    """Pre-vectorisation reference: seeded rounds played one at a time."""
+    """Reference: seeded rounds played one at a time."""
     n = len(rows)
     cums = []
     for row in rows:

@@ -1,7 +1,8 @@
 """The kernels against independent reference loops.
 
-The sampler adds and multiplies the same floats in the same order as the
-scalar round loop in ``_oracle``, so its counts must be equal, not close.
+The sampler draws and picks in exact integer arithmetic, with thresholds
+that agree with the float comparison of the scalar round loop in
+``_oracle`` on every draw, so its counts must be equal, not close.
 The distinct-opponent kernels run a dynamic program over subsets of
 players, an algorithm apart from the oracle's scalar loop over 3**n
 capped-count states, so they are checked against that loop to 1e-14, and
@@ -10,6 +11,7 @@ identical-opponent kernel is checked against the generating-function
 oracle, which reads the same win probabilities off power series.
 """
 
+import itertools
 import random
 
 import pytest
@@ -31,26 +33,63 @@ def test_sampler_matches_scalar_loop(n):
     rng = random.Random(800 + n)
     rows = [list(random_strategy(rng, n, zeros=True)) for _ in range(n)]
     # two whole blocks of rounds and a partial third
-    rounds = 2 * (kernels._BLOCK_CELLS // n) + 7
+    rounds = 2 * kernels._BLOCK_ROUNDS + 7
     for seed in SEEDS:
         assert kernels.simulate_rounds(rows, rounds, seed) == scalar_simulate_rounds(rows, rounds, seed)
 
 
-@pytest.mark.parametrize(
-    "rows",
-    [
-        # cumulative sum ends at 0.9999999999999999
-        [[0.1] * 10] * 10,
-        # trailing zeros
-        [[0.5, 0.5, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.25, 0.25, 0.5, 0.0], [0.2, 0.3, 0.5, 0.0]],
-        # cumulative sums ending well below 1: draws above them fall back to
-        # the top index with positive mass
-        [[0.3, 0.3, 0.0], [0.0, 0.5, 0.0], [0.2, 0.2, 0.2]],
-    ],
-)
+EDGE_ROWS = [
+    # cumulative sum ends at 0.9999999999999999
+    [[0.1] * 10] * 10,
+    # trailing zeros
+    [[0.5, 0.5, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.25, 0.25, 0.5, 0.0], [0.2, 0.3, 0.5, 0.0]],
+    # cumulative sums ending well below 1: draws above them fall back to
+    # the top index with positive mass
+    [[0.3, 0.3, 0.0], [0.0, 0.5, 0.0], [0.2, 0.2, 0.2]],
+]
+
+
+@pytest.mark.parametrize("rows", EDGE_ROWS)
 def test_sampler_matches_scalar_loop_on_edge_rows(rows):
     for seed in SEEDS + (12345,):
         assert kernels.simulate_rounds(rows, 3001, seed) == scalar_simulate_rounds(rows, 3001, seed)
+
+
+def test_thresholds_match_float_choice_at_every_boundary():
+    # seeded draws never land exactly on a cumulative sum, so probe the
+    # draws m next to each threshold, and next to each sum scaled by 2**53
+    rng = random.Random(77)
+    rows = [row for rows in EDGE_ROWS for row in rows]
+    rows += [list(random_strategy(rng, n, zeros=True)) for n in range(1, 41) for _ in range(3)]
+    for row in rows:
+        cums = list(itertools.accumulate(row))
+        thresholds = kernels._thresholds(row)
+        assert thresholds == sorted(thresholds)
+        probes = {0, 2**53 - 1} | {int(c * 2.0**53) for c in cums} | set(thresholds)
+        for m in {t + d for t in probes for d in (-1, 0, 1)}:
+            if 0 <= m < 2**53:
+                pick = sum(t <= m for t in thresholds)
+                assert pick == kernels.choose_index(cums, m * 2.0**-53), (row, m)
+
+
+def test_sampler_second_window_of_64_integers():
+    # integers 1..32 are each held by two players, so the lowest unique
+    # integer is 65, past the first 64-integer mask
+    n = 66
+    rows = []
+    for k in range(32):
+        rows += [[1.0 if j == k else 0.0 for j in range(n)]] * 2
+    rows += [[1.0 if j == 64 else 0.0 for j in range(n)], [1.0 if j == 65 else 0.0 for j in range(n)]]
+    for seed in SEEDS:
+        got = kernels.simulate_rounds(rows, 500, seed)
+        assert got == scalar_simulate_rounds(rows, 500, seed)
+        assert got == ([0] * 64 + [500, 0], 0)
+
+
+def test_sampler_matches_scalar_loop_past_64_integers():
+    rng = random.Random(870)
+    rows = [list(random_strategy(rng, 70, zeros=True)) for _ in range(70)]
+    assert kernels.simulate_rounds(rows, 1000, 5) == scalar_simulate_rounds(rows, 1000, 5)
 
 
 def test_sampler_single_round():
