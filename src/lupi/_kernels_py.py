@@ -32,8 +32,8 @@ _TWO_53 = 1 << 53
 _MUL_1 = 0xBF58476D1CE4E5B9
 _MUL_2 = 0x94D049BB133111EB
 
-# rounds per block of the sampler; larger blocks save little time and
-# raise peak memory
+# rounds per block of the sampler; larger blocks make fewer numpy calls
+# but raise peak memory in proportion
 _BLOCK_ROUNDS = 4096
 
 _DP_MAX_N = 16
