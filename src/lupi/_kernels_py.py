@@ -10,8 +10,9 @@ the scalar loop over 3**n capped-count states kept in ``tests/_oracle.py``.
 ``simulate_rounds`` is numpy-vectorised in exact integer arithmetic: the
 draws, the inverse-CDF choice and the winner rule involve no rounding, so
 its counts equal those of a scalar loop over rounds, also kept in
-``tests/_oracle.py``, and are checked against it for equality. numpy is
-imported inside it, so every command but ``simulate`` runs without it.
+``tests/_oracle.py``, and are checked against it for equality; it compares
+raw 64-bit draws with thresholds shifted left by 11 bits. numpy is imported
+inside it, so every command but ``simulate`` runs without it.
 
 Conventions shared by every kernel:
   * integers chosen by players are stored 0-based (choice ``v`` means the
@@ -32,8 +33,8 @@ _TWO_53 = 1 << 53
 _MUL_1 = 0xBF58476D1CE4E5B9
 _MUL_2 = 0x94D049BB133111EB
 
-# rounds per block of the sampler; larger blocks make fewer numpy calls
-# but raise peak memory in proportion
+# rounds per block of the sampler; larger blocks make fewer numpy calls but
+# raise peak memory in proportion (a pick and a uint64 mask per player and round)
 _BLOCK_ROUNDS = 4096
 
 _DP_MAX_N = 16
@@ -214,55 +215,64 @@ def simulate_rounds(rows, rounds, seed):
     The generator is counter-based: before round r (0-based) is drawn,
     player i's state is its initial state plus (r + 1) * GOLDEN (mod 2**64).
     So a block of rounds is drawn one player at a time, as one uint64
-    array, and picked by the exact integer ``_thresholds``. Per round, the
-    lowest bit of a uint64 mask of the integers picked exactly once is the
-    lowest unique integer; a mask covers the 64 integers from ``base``, and
-    rounds with no unique integer below ``base + 64`` go on to the next 64.
+    array from steps built once, scrambled in place through one scratch
+    array, and picked by the exact integer ``_thresholds`` shifted left by
+    11 bits: z >> 11 >= t exactly when z >= t << 11. Per round, the lowest
+    bit of a uint64 mask of the integers picked exactly once is the lowest
+    unique integer, and the player whose bit it is wins; a mask covers the
+    64 integers from ``base``, and rounds with no unique integer below
+    ``base + 64`` go on to the next 64.
     The counts equal a round-by-round scan for a given seed on every platform.
     """
     import numpy as np
 
     # uint64 operands: a Python int above 2**63 would not mix with uint64
     # arrays (it raises under numpy 2, promotes to float under numpy 1)
-    golden, mul_1, mul_2, one = np.uint64(_GOLDEN), np.uint64(_MUL_1), np.uint64(_MUL_2), np.uint64(1)
-    shift_11, shift_27, shift_30, shift_31 = (np.uint64(k) for k in (11, 27, 30, 31))
+    mul_1, mul_2, one = np.uint64(_MUL_1), np.uint64(_MUL_2), np.uint64(1)
+    shift_27, shift_30, shift_31 = (np.uint64(k) for k in (27, 30, 31))
     n = len(rows)
-    # each row's thresholds as a column: a draw picks the count at or below it
-    thresholds = [np.array(_thresholds(row), dtype=np.uint64)[:, None] for row in rows]
-    bases = np.array([stream_state(seed, i) for i in range(n)], dtype=np.uint64)
+    # each row's shifted thresholds as a column; no draw reaches 2**53
+    thresholds = [np.array([t << 11 for t in _thresholds(r) if t < _TWO_53], dtype=np.uint64)[:, None] for r in rows]
+    bases = [stream_state(seed, i) for i in range(n)]
+    steps = np.arange(1, _BLOCK_ROUNDS + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    draws, scratch = np.empty_like(steps), np.empty_like(steps)
     small = np.min_scalar_type(n - 1)
     picks = np.empty((n, _BLOCK_ROUNDS), dtype=small)
+    masks = np.empty((n, _BLOCK_ROUNDS), dtype=np.uint64)
     wins = np.zeros(n, dtype=np.int64)
     no_winner = 0
     for first in range(0, rounds, _BLOCK_ROUNDS):
         count = min(_BLOCK_ROUNDS, rounds - first)
-        steps = np.arange(first + 1, first + count + 1, dtype=np.uint64) * golden
+        z, tmp = draws[:count], scratch[:count]
         for i in range(n):
-            z = steps + bases[i]
-            z ^= z >> shift_30
+            # the block's offset in Python ints: a uint64 scalar product that wraps warns
+            np.add(steps[:count], np.uint64((bases[i] + first * _GOLDEN) & _MASK64), out=z)
+            np.right_shift(z, shift_30, out=tmp)
+            z ^= tmp
             z *= mul_1
-            z ^= z >> shift_27
+            np.right_shift(z, shift_27, out=tmp)
+            z ^= tmp
             z *= mul_2
-            z ^= z >> shift_31
-            z >>= shift_11
+            np.right_shift(z, shift_31, out=tmp)
+            z ^= tmp
             (z >= thresholds[i]).view(np.uint8).sum(axis=0, dtype=small, out=picks[i, :count])
         left = picks[:, :count]  # rounds with no unique integer below base
         for base in range(0, n, 64):
             # a pick outside the window shifts by 64 or more (below base by
             # wrapping), which numpy defines as 0
+            bits = np.left_shift(one, left - base, dtype=np.uint64, out=masks[:, : left.shape[1]])
             once = np.zeros(left.shape[1], dtype=np.uint64)
             many = np.zeros_like(once)
-            for col in left:
-                bit = np.left_shift(one, col - base, dtype=np.uint64)
+            for bit in bits:
                 many |= once & bit
                 once |= bit
             once &= ~many
             lowest = once & (~once + one)
-            for i, col in enumerate(left):
-                wins[i] += np.count_nonzero(np.left_shift(one, col - base, dtype=np.uint64) & lowest)
+            bits &= lowest
+            wins += np.count_nonzero(bits, axis=1)
             left = left[:, once == 0]
         no_winner += left.shape[1]
-        del once, many, bit, lowest  # free before the next block's draws
+        del once, many, lowest  # free before the next block's draws
     return wins.tolist(), no_winner
 
 

@@ -26,6 +26,7 @@ constants come from ``lupi.game``, which every command needs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .game import (
@@ -399,6 +400,9 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    # lupi makes no BLAS call, and numpy's OpenBLAS otherwise starts a worker
+    # thread per extra core at import, which spins and takes CPU from this one
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())
 
 

@@ -10,10 +10,11 @@ state before round r is a closed form in r, so the numpy kernel draws a
 block of rounds one player at a time, as one uint64 array. Choices are
 made by inverse CDF over the strategy's cumulative probabilities with
 half-open intervals; a draw landing exactly on a boundary selects the
-higher index. The kernel makes that choice on the integer draw, against
-each cumulative probability scaled by 2**53 and rounded up, which is
-exact, and finds each round's lowest unique integer in uint64 bitmasks,
-so it returns the counts of a round-by-round scan.
+higher index. The kernel makes that choice on the raw 64-bit output,
+against each cumulative probability scaled by 2**53, rounded up and
+shifted left by the 11 bits the uniform drops, which is exact, and finds
+each round's lowest unique integer in uint64 bitmasks, so it returns the
+counts of a round-by-round scan.
 
 Identical (profile, rounds, seed) inputs therefore reproduce identical
 statistics on every platform.

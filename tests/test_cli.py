@@ -381,6 +381,41 @@ def test_each_command_loads_only_its_layers(tmp_path):
     assert not {"dataclasses", "inspect", "numpy"} & bare
 
 
+
+_BLAS_AFTER = """
+import contextlib, io, os
+from lupi.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        run()
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+with open("/proc/self/status") as status:
+    threads = next(line.split()[1] for line in status if line.startswith("Threads:"))
+print(os.environ.get("OPENBLAS_NUM_THREADS"), threads)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the thread count from /proc")
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_simulate_process_starts_no_blas_threads(tmp_path, preset, expected):
+    path = write_profile(tmp_path, ASYM4)
+    src = str(Path(lupi.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLAS_AFTER, "simulate", "--profile", path, "--rounds", "100"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    value, threads = proc.stdout.split()
+    assert value == expected
+    if preset is None:
+        assert threads == "1"
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

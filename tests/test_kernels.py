@@ -28,8 +28,10 @@ from lupi import _kernels_py as kernels
 SEEDS = (0, 2**64 - 1)
 
 
+@pytest.mark.parametrize("block", [1, 7, kernels._BLOCK_ROUNDS])
 @pytest.mark.parametrize("n", range(2, 13))
-def test_sampler_matches_scalar_loop(n):
+def test_sampler_matches_scalar_loop(n, block, monkeypatch):
+    monkeypatch.setattr(kernels, "_BLOCK_ROUNDS", block)
     rng = random.Random(800 + n)
     rows = [list(random_strategy(rng, n, zeros=True)) for _ in range(n)]
     # two whole blocks of rounds and a partial third
@@ -46,6 +48,9 @@ EDGE_ROWS = [
     # cumulative sums ending well below 1: draws above them fall back to
     # the top index with positive mass
     [[0.3, 0.3, 0.0], [0.0, 0.5, 0.0], [0.2, 0.2, 0.2]],
+    # a cumulative sum of exactly 1.0 below the top index: its threshold is
+    # 2**53, which no draw reaches
+    [[0.5, 0.5, 2.3e-16], [0.25, 0.25, 0.5], [0.0, 1.0, 0.0]],
 ]
 
 
