@@ -28,16 +28,25 @@ from lupi import _kernels_py as kernels
 SEEDS = (0, 2**64 - 1)
 
 
-@pytest.mark.parametrize("block", [1, 7, kernels._BLOCK_ROUNDS])
-@pytest.mark.parametrize("n", range(2, 13))
-def test_sampler_matches_scalar_loop(n, block, monkeypatch):
-    monkeypatch.setattr(kernels, "_BLOCK_ROUNDS", block)
+def check_sampler_matches_scalar_loop(n):
     rng = random.Random(800 + n)
     rows = [list(random_strategy(rng, n, zeros=True)) for _ in range(n)]
     # two whole blocks of rounds and a partial third
     rounds = 2 * kernels._BLOCK_ROUNDS + 7
     for seed in SEEDS:
         assert kernels.simulate_rounds(rows, rounds, seed) == scalar_simulate_rounds(rows, rounds, seed)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_sampler_matches_scalar_loop(n):
+    check_sampler_matches_scalar_loop(n)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("n", range(2, 13))
+def test_sampler_matches_scalar_loop_small_blocks(n, block, monkeypatch):
+    monkeypatch.setattr(kernels, "_BLOCK_ROUNDS", block)
+    check_sampler_matches_scalar_loop(n)
 
 
 EDGE_ROWS = [
