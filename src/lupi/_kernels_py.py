@@ -10,9 +10,10 @@ the scalar loop over 3**n capped-count states kept in ``tests/_oracle.py``.
 ``simulate_rounds`` is numpy-vectorised in exact integer arithmetic: the
 draws, the inverse-CDF choice and the winner rule involve no rounding, so
 its counts equal those of a scalar loop over rounds, also kept in
-``tests/_oracle.py``, and are checked against it for equality; it compares
-raw 64-bit draws with thresholds shifted left by 11 bits. numpy is imported
-inside it, so every command but ``simulate`` runs without it.
+``tests/_oracle.py``, and are checked against it for equality. Its one
+pick rule is ``_thresholds``, which turns a row into uint64 thresholds
+for the raw 64-bit draws. numpy is imported inside it, so every command
+but ``simulate`` runs without it.
 
 Conventions shared by every kernel:
   * integers chosen by players are stored 0-based (choice ``v`` means the
@@ -38,39 +39,6 @@ _MUL_2 = 0x94D049BB133111EB
 _BLOCK_ROUNDS = 4096
 
 _DP_MAX_N = 16
-
-
-def _mix64(z):
-    """SplitMix64 output scrambler (Steele, Lea and Flood's generator)."""
-    z &= _MASK64
-    z ^= z >> 30
-    z = (z * _MUL_1) & _MASK64
-    z ^= z >> 27
-    z = (z * _MUL_2) & _MASK64
-    z ^= z >> 31
-    return z
-
-
-def stream_state(seed, player):
-    """Initial SplitMix64 state of one player's substream."""
-    return _mix64((seed + (player + 1) * _GOLDEN) & _MASK64)
-
-
-def choose_index(cums, u):
-    """Inverse-CDF choice: smallest k with u < cums[k].
-
-    Boundaries are half-open, so a draw exactly equal to a cumulative value
-    selects the higher index. If rounding left cums[-1] marginally below 1
-    and the draw lands in the gap, the top index with positive mass is used.
-    """
-    n = len(cums)
-    for k in range(n):
-        if u < cums[k]:
-            return k
-    k = n - 1
-    while k > 0 and cums[k] == cums[k - 1]:
-        k -= 1
-    return k
 
 
 def win_probs_common(probs, opponents):
@@ -211,13 +179,13 @@ def _player_halves(rows):
 def simulate_rounds(rows, rounds, seed):
     """Play seeded independent rounds; returns (win counts, no-winner count).
 
-    Player i samples from its own SplitMix64 substream (see stream_state).
-    The generator is counter-based: before round r (0-based) is drawn,
-    player i's state is its initial state plus (r + 1) * GOLDEN (mod 2**64).
-    So a block of rounds is drawn one player at a time, as one uint64
-    array from steps built once, scrambled in place through one scratch
-    array, and picked by the exact integer ``_thresholds`` shifted left by
-    11 bits: z >> 11 >= t exactly when z >= t << 11. Per round, the lowest
+    Player i draws from its own SplitMix64 substream, which starts at
+    mix64(seed + (i + 1) * GOLDEN) (mod 2**64). The generator is
+    counter-based: round r's (0-based) draw is mix64 of that start plus
+    (r + 1) * GOLDEN. So the starts and each block of draws go through one
+    in-place uint64 mixer (``mix``): the starts as one array of n, a block of
+    rounds one player at a time, as one array from steps built once. The
+    raw 64-bit draws are picked by ``_thresholds``. Per round, the lowest
     bit of a uint64 mask of the integers picked exactly once is the lowest
     unique integer, and the player whose bit it is wins; a mask covers the
     64 integers from ``base``, and rounds with no unique integer below
@@ -230,10 +198,23 @@ def simulate_rounds(rows, rounds, seed):
     # arrays (it raises under numpy 2, promotes to float under numpy 1)
     mul_1, mul_2, one = np.uint64(_MUL_1), np.uint64(_MUL_2), np.uint64(1)
     shift_27, shift_30, shift_31 = (np.uint64(k) for k in (27, 30, 31))
+
+    def mix(z, tmp):
+        """SplitMix64's output scrambler on a uint64 array, in place, through a scratch array."""
+        np.right_shift(z, shift_30, out=tmp)
+        z ^= tmp
+        z *= mul_1
+        np.right_shift(z, shift_27, out=tmp)
+        z ^= tmp
+        z *= mul_2
+        np.right_shift(z, shift_31, out=tmp)
+        z ^= tmp
+
     n = len(rows)
-    # each row's shifted thresholds as a column; no draw reaches 2**53
-    thresholds = [np.array([t << 11 for t in _thresholds(r) if t < _TWO_53], dtype=np.uint64)[:, None] for r in rows]
-    bases = [stream_state(seed, i) for i in range(n)]
+    thresholds = [np.array(_thresholds(r), dtype=np.uint64)[:, None] for r in rows]
+    starts = np.array([(seed + (i + 1) * _GOLDEN) & _MASK64 for i in range(n)], dtype=np.uint64)
+    mix(starts, np.empty_like(starts))
+    starts = starts.tolist()
     steps = np.arange(1, _BLOCK_ROUNDS + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
     draws, scratch = np.empty_like(steps), np.empty_like(steps)
     small = np.min_scalar_type(n - 1)
@@ -246,15 +227,8 @@ def simulate_rounds(rows, rounds, seed):
         z, tmp = draws[:count], scratch[:count]
         for i in range(n):
             # the block's offset in Python ints: a uint64 scalar product that wraps warns
-            np.add(steps[:count], np.uint64((bases[i] + first * _GOLDEN) & _MASK64), out=z)
-            np.right_shift(z, shift_30, out=tmp)
-            z ^= tmp
-            z *= mul_1
-            np.right_shift(z, shift_27, out=tmp)
-            z ^= tmp
-            z *= mul_2
-            np.right_shift(z, shift_31, out=tmp)
-            z ^= tmp
+            np.add(steps[:count], np.uint64((starts[i] + first * _GOLDEN) & _MASK64), out=z)
+            mix(z, tmp)
             (z >= thresholds[i]).view(np.uint8).sum(axis=0, dtype=small, out=picks[i, :count])
         left = picks[:, :count]  # rounds with no unique integer below base
         for base in range(0, n, 64):
@@ -277,10 +251,19 @@ def simulate_rounds(rows, rounds, seed):
 
 
 def _thresholds(row):
-    """Integer sampler thresholds of a row: draw m picks the number of them at or below m.
+    """The sampler's pick rule: a raw 64-bit draw z picks the number of these thresholds at or below z.
 
-    Scaling by 2**53 is exact, so m * 2**-53 < cums[k] exactly when m < ceil(cums[k] * 2**53).
-    The list stops at the index ``choose_index`` takes for u = 1.0, which every higher draw picks.
+    The uniform of draw z is m * 2**-53 with m = z >> 11, and it picks the
+    smallest k with m * 2**-53 < cums[k], the half-open inverse CDF. Scaling
+    by 2**53 is exact, so that holds exactly when m < ceil(cums[k] * 2**53),
+    that is when z < ceil(cums[k] * 2**53) << 11. Sums of 1.0 or more are
+    left out, since no draw reaches them (and 2**53 << 11 does not fit a
+    uint64). The list stops below the last index whose entry moves the
+    running sum, so a draw past a sum that falls short of 1.0 takes the top
+    choice with mass.
     """
     cums = list(accumulate(row))
-    return [math.ceil(c * _TWO_53) for c in cums[: choose_index(cums, 1.0)]]
+    top = len(cums) - 1
+    while top and cums[top] == cums[top - 1]:
+        top -= 1
+    return [math.ceil(c * _TWO_53) << 11 for c in cums[:top] if c < 1.0]

@@ -20,7 +20,6 @@ from .game import (
     GameSpec,
     StrategyLike,
     StrategyProfile,
-    _mixed_value,
     _opponent_rows,
     _Record,
     _profile_choice_values,
@@ -132,10 +131,7 @@ def verify_profile(
         values_per_player = [pure_choice_values(spec, [common] * (spec.n - 1), model)] * spec.n
         payoffs = [closed_form_payoff(spec, common, common)] * spec.n
     else:
-        # the same values and dot products as exact_profile_payoffs, so both
-        # report bit-equal payoffs
-        values_per_player = _profile_choice_values(profile)
-        payoffs = [_mixed_value(own, v) for own, v in zip(strategies, values_per_player)]
+        values_per_player, payoffs = _profile_choice_values(profile)
     gains = []
     weak_flags = []
     for own, values, payoff in zip(strategies, values_per_player, payoffs):

@@ -225,26 +225,28 @@ def exact_profile_payoffs(profile: StrategyProfile) -> tuple:
 
     Each player's payoff is the win probability of their pure choices
     against the remaining players, weighted by their own probabilities. The
-    win probabilities come from ``_profile_choice_values``, which
-    ``verify_profile`` uses too, so both report bit-equal payoffs.
+    win probabilities and payoffs come from ``_profile_choice_values``,
+    which ``verify_profile`` uses too, so both report bit-equal payoffs.
     """
-    values = _profile_choice_values(profile)
-    return tuple(_mixed_value(own, v) for own, v in zip(profile.strategies, values))
+    return tuple(_profile_choice_values(profile)[1])
 
 
-def _profile_choice_values(profile: StrategyProfile) -> list:
-    """Win probability of every pure choice of every player against the others.
+def _profile_choice_values(profile: StrategyProfile) -> tuple:
+    """Every player's pure-choice win probabilities against the others, and payoffs.
 
-    When all strategies are equal, every player faces the same identical
-    opponents: one identical-opponent pass serves them all. Otherwise one
-    pass of the subset dynamic program over all the players scores every
-    player, since a subset's weight never involves a player outside it.
+    Returns ``(values, payoffs)``. When all strategies are equal, every
+    player faces the same identical opponents: one identical-opponent pass
+    serves them all. Otherwise one pass of the subset dynamic program over
+    all the players scores every player, since a subset's weight never
+    involves a player outside it.
     """
     rows = profile.rows()
     first = rows[0]
     if all(row == first for row in rows[1:]):
-        return [tuple(kernels.win_probs_common(first, len(rows) - 1))] * len(rows)
-    return [tuple(wins) for wins in kernels.win_probs_leave_one_out(rows)]
+        values = [tuple(kernels.win_probs_common(first, len(rows) - 1))] * len(rows)
+    else:
+        values = [tuple(wins) for wins in kernels.win_probs_leave_one_out(rows)]
+    return values, [_mixed_value(own, v) for own, v in zip(profile.strategies, values)]
 
 
 def _mixed_value(strategy: MixedStrategy, values: Sequence[float]) -> float:

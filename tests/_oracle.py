@@ -147,8 +147,9 @@ def random_interior(rng, n, margin=0.05):
 #
 # A loop over 3**n capped-count states for ``win_probs_distinct`` and a
 # loop that plays one round at a time, with float draws and its own copy
-# of the SplitMix64 generator, for ``lupi._kernels_py.simulate_rounds``.
-# The sampler, which picks by integer thresholds and finds winners in
+# of the SplitMix64 generator and the float inverse-CDF choice, for
+# ``lupi._kernels_py.simulate_rounds``. The sampler, whose one pick rule
+# is the uint64 thresholds of ``_thresholds`` and which finds winners in
 # bitmasks, must return exactly the round loop's counts; the
 # distinct-opponent kernels, a dynamic program over subsets of players,
 # must agree with the state loop to rounding (``tests/test_kernels.py``).

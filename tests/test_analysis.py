@@ -267,11 +267,13 @@ def test_spread_separates_models_at_n4():
 
 @pytest.mark.parametrize("n", range(3, MAX_SOLVER_N + 1))
 def test_paper_root_is_an_exact_equilibrium_only_at_n3(n):
-    # the paper's claim at every n: the closed-form root is exact at n = 3
-    # and leaves a best exact deviation gain above 0.1 from n = 4 on (the
-    # gain is not monotone in n)
-    root = solve_symmetric(GameSpec(n), model="paper").strategy
-    gain = max(verify_profile(StrategyProfile.symmetric(root)).deviation_gains)
+    # the paper's claim at every n, both ways: the closed-form root is an
+    # equilibrium of the closed-form model, and of the exact game only at
+    # n = 3; from n = 4 on it leaves a best exact deviation gain above 0.1
+    # (the gain is not monotone in n)
+    profile = StrategyProfile.symmetric(solve_symmetric(GameSpec(n), model="paper").strategy)
+    assert max(verify_profile(profile, model="paper").deviation_gains) <= 1e-12
+    gain = max(verify_profile(profile).deviation_gains)
     if n == 3:
         assert gain <= 1e-12
     else:

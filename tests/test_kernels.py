@@ -17,6 +17,7 @@ import random
 import pytest
 
 from _oracle import (
+    _scalar_choose_index,
     brute_payoffs,
     egf_win_probs,
     random_strategy,
@@ -60,6 +61,11 @@ EDGE_ROWS = [
     # a cumulative sum of exactly 1.0 below the top index: its threshold is
     # 2**53, which no draw reaches
     [[0.5, 0.5, 2.3e-16], [0.25, 0.25, 0.5], [0.0, 1.0, 0.0]],
+    # a last positive entry too small to move the sum below 1: a draw past
+    # 0.9999999999999999 takes the index before it
+    [[0.5, 0.4999999999999999, 1e-17], [0.25, 0.25, 0.5], [0.0, 1.0, 0.0]],
+    # a cumulative sum above 1.0 before the last entry that moves it
+    [[0.5, 0.5000000000000002, 2.3e-16], [0.25, 0.25, 0.5], [0.0, 0.0, 1.0]],
 ]
 
 
@@ -71,7 +77,7 @@ def test_sampler_matches_scalar_loop_on_edge_rows(rows):
 
 def test_thresholds_match_float_choice_at_every_boundary():
     # seeded draws never land exactly on a cumulative sum, so probe the
-    # draws m next to each threshold, and next to each sum scaled by 2**53
+    # 53-bit draws m next to each threshold, and next to each sum scaled by 2**53
     rng = random.Random(77)
     rows = [row for rows in EDGE_ROWS for row in rows]
     rows += [list(random_strategy(rng, n, zeros=True)) for n in range(1, 41) for _ in range(3)]
@@ -79,11 +85,11 @@ def test_thresholds_match_float_choice_at_every_boundary():
         cums = list(itertools.accumulate(row))
         thresholds = kernels._thresholds(row)
         assert thresholds == sorted(thresholds)
-        probes = {0, 2**53 - 1} | {int(c * 2.0**53) for c in cums} | set(thresholds)
+        probes = {0, 2**53 - 1} | {int(c * 2.0**53) for c in cums} | {t >> 11 for t in thresholds}
         for m in {t + d for t in probes for d in (-1, 0, 1)}:
             if 0 <= m < 2**53:
-                pick = sum(t <= m for t in thresholds)
-                assert pick == kernels.choose_index(cums, m * 2.0**-53), (row, m)
+                pick = sum(t <= m << 11 for t in thresholds)
+                assert pick == _scalar_choose_index(cums, m * 2.0**-53), (row, m)
 
 
 def test_sampler_second_window_of_64_integers():

@@ -119,19 +119,28 @@ def test_negative_seed_is_accepted():
 # sampling convention
 
 
+def _pick(row, m):
+    """Index that the 53-bit draw m (the uniform m * 2**-53) picks from ``row``."""
+    return sum(t <= m << 11 for t in kernels._thresholds(row))
+
+
 def test_boundary_draw_selects_higher_index():
-    assert kernels.choose_index([0.5, 1.0], 0.5) == 1
-    assert kernels.choose_index([0.25, 0.5, 1.0], 0.25) == 1
-    assert kernels.choose_index([0.25, 0.5, 1.0], 0.0) == 0
-    assert kernels.choose_index([0.25, 0.5, 1.0], 0.999999) == 2
+    assert _pick([0.5, 0.5], 2**52) == 1
+    assert _pick([0.5, 0.5], 2**52 - 1) == 0
+    assert _pick([0.25, 0.25, 0.5], 2**51) == 1
+    assert _pick([0.25, 0.25, 0.5], 0) == 0
+    assert _pick([0.25, 0.25, 0.5], 2**52) == 2
+    assert _pick([0.25, 0.25, 0.5], 2**53 - 1) == 2
 
 
 def test_shortfall_draw_lands_on_top_support():
     # cumulative sum can fall a few ulp short of 1; the draw then goes to the
     # last index carrying probability, never to a zero-probability choice
-    assert kernels.choose_index([0.4, 0.9999999999999999, 0.9999999999999999], 0.99999999999999995) == 1
+    assert _pick([0.4, 0.5999999999999999, 0.0], 2**53 - 1) == 1
 
 
 def test_substreams_depend_on_player_index():
-    assert kernels.stream_state(42, 0) != kernels.stream_state(42, 1)
-    assert kernels.stream_state(42, 0) == kernels.stream_state(42, 0)
+    # players on one row with identical substreams would tie in every round
+    wins, no_winner = kernels.simulate_rounds([[0.5, 0.5]] * 2, 64, 42)
+    assert min(wins) > 0
+    assert no_winner < 64
