@@ -34,9 +34,16 @@ _TWO_53 = 1 << 53
 _MUL_1 = 0xBF58476D1CE4E5B9
 _MUL_2 = 0x94D049BB133111EB
 
-# rounds per block of the sampler; larger blocks make fewer numpy calls but
-# raise peak memory in proportion (a pick and a uint64 mask per player and round)
+# rounds per block of the sampler: max(_BLOCK_ROUNDS, _BLOCK_DRAWS // n) for n
+# players (``_block_rounds``). Larger blocks make fewer numpy calls but raise
+# peak memory in proportion: 16 bytes of draws per round, plus per player and
+# round 1 byte of pick and width/8 bytes of mask, and the comparisons against
+# one player's thresholds, 1 byte per round and threshold. Small n gets about
+# 2**16 draws per block; large n keeps 4096 rounds, since fewer rounds per
+# block would cost more calls per block (2**16 draws with no floor doubled the
+# time at n = 40).
 _BLOCK_ROUNDS = 4096
+_BLOCK_DRAWS = 1 << 16
 
 _DP_MAX_N = 16
 
@@ -177,7 +184,7 @@ def _player_halves(rows):
 
 
 def simulate_rounds(rows, rounds, seed):
-    """Play seeded independent rounds; returns (win counts, no-winner count).
+    """Play seeded independent rounds; returns (win counts, no-winner count) as Python ints.
 
     Player i draws from its own SplitMix64 substream, which starts at
     mix64(seed + (i + 1) * GOLDEN) (mod 2**64). The generator is
@@ -186,17 +193,19 @@ def simulate_rounds(rows, rounds, seed):
     in-place uint64 mixer (``mix``): the starts as one array of n, a block of
     rounds one player at a time, as one array from steps built once. The
     raw 64-bit draws are picked by ``_thresholds``. Per round, the lowest
-    bit of a uint64 mask of the integers picked exactly once is the lowest
-    unique integer, and the player whose bit it is wins; a mask covers the
-    64 integers from ``base``, and rounds with no unique integer below
-    ``base + 64`` go on to the next 64.
+    bit of a mask of the integers picked exactly once is the lowest unique
+    integer, and the player whose bit it is wins. Masks are the narrowest of
+    uint8, uint16, uint32 and uint64 that holds min(n, 64) bits, and a mask
+    covers that many integers from ``base``. Rounds with no unique integer in
+    a window go on to the next one; in the last window they are counted as
+    having no winner, so n <= 64 takes one window and never compacts.
     The counts equal a round-by-round scan for a given seed on every platform.
     """
     import numpy as np
 
     # uint64 operands: a Python int above 2**63 would not mix with uint64
     # arrays (it raises under numpy 2, promotes to float under numpy 1)
-    mul_1, mul_2, one = np.uint64(_MUL_1), np.uint64(_MUL_2), np.uint64(1)
+    mul_1, mul_2 = np.uint64(_MUL_1), np.uint64(_MUL_2)
     shift_27, shift_30, shift_31 = (np.uint64(k) for k in (27, 30, 31))
 
     def mix(z, tmp):
@@ -211,19 +220,23 @@ def simulate_rounds(rows, rounds, seed):
         z ^= tmp
 
     n = len(rows)
+    block = _block_rounds(n)
     thresholds = [np.array(_thresholds(r), dtype=np.uint64)[:, None] for r in rows]
     starts = np.array([(seed + (i + 1) * _GOLDEN) & _MASK64 for i in range(n)], dtype=np.uint64)
     mix(starts, np.empty_like(starts))
     starts = starts.tolist()
-    steps = np.arange(1, _BLOCK_ROUNDS + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    steps = np.arange(1, block + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
     draws, scratch = np.empty_like(steps), np.empty_like(steps)
     small = np.min_scalar_type(n - 1)
-    picks = np.empty((n, _BLOCK_ROUNDS), dtype=small)
-    masks = np.empty((n, _BLOCK_ROUNDS), dtype=np.uint64)
+    # the mask dtype goes into every operand, so numpy 1 and 2 promote alike
+    mask = np.min_scalar_type((1 << min(n, 64)) - 1)
+    width, one = 8 * mask.itemsize, mask.type(1)
+    picks = np.empty((n, block), dtype=small)
+    masks = np.empty((n, block), dtype=mask)
     wins = np.zeros(n, dtype=np.int64)
     no_winner = 0
-    for first in range(0, rounds, _BLOCK_ROUNDS):
-        count = min(_BLOCK_ROUNDS, rounds - first)
+    for first in range(0, rounds, block):
+        count = min(block, rounds - first)
         z, tmp = draws[:count], scratch[:count]
         for i in range(n):
             # the block's offset in Python ints: a uint64 scalar product that wraps warns
@@ -231,11 +244,11 @@ def simulate_rounds(rows, rounds, seed):
             mix(z, tmp)
             (z >= thresholds[i]).view(np.uint8).sum(axis=0, dtype=small, out=picks[i, :count])
         left = picks[:, :count]  # rounds with no unique integer below base
-        for base in range(0, n, 64):
-            # a pick outside the window shifts by 64 or more (below base by
+        for base in range(0, n, width):
+            # a pick outside the window shifts by width or more (below base by
             # wrapping), which numpy defines as 0
-            bits = np.left_shift(one, left - base, dtype=np.uint64, out=masks[:, : left.shape[1]])
-            once = np.zeros(left.shape[1], dtype=np.uint64)
+            bits = np.left_shift(one, left - base, dtype=mask, out=masks[:, : left.shape[1]])
+            once = np.zeros(left.shape[1], dtype=mask)
             many = np.zeros_like(once)
             for bit in bits:
                 many |= once & bit
@@ -244,10 +257,17 @@ def simulate_rounds(rows, rounds, seed):
             lowest = once & (~once + one)
             bits &= lowest
             wins += np.count_nonzero(bits, axis=1)
-            left = left[:, once == 0]
-        no_winner += left.shape[1]
+            if base + width < n:
+                left = left[:, once == 0]
+            else:
+                no_winner += left.shape[1] - int(np.count_nonzero(once))
         del once, many, lowest  # free before the next block's draws
     return wins.tolist(), no_winner
+
+
+def _block_rounds(n):
+    """Rounds per block of ``simulate_rounds`` for n players."""
+    return max(_BLOCK_ROUNDS, _BLOCK_DRAWS // n)
 
 
 def _thresholds(row):

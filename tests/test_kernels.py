@@ -32,10 +32,16 @@ SEEDS = (0, 2**64 - 1)
 def check_sampler_matches_scalar_loop(n):
     rng = random.Random(800 + n)
     rows = [list(random_strategy(rng, n, zeros=True)) for _ in range(n)]
-    # two whole blocks of rounds and a partial third
-    rounds = 2 * kernels._BLOCK_ROUNDS + 7
+    # one whole block of the size that simulate_rounds uses at this n, and a partial second
+    rounds = kernels._block_rounds(n) + 3
     for seed in SEEDS:
         assert kernels.simulate_rounds(rows, rounds, seed) == scalar_simulate_rounds(rows, rounds, seed)
+
+
+def force_block(monkeypatch, block):
+    """Make ``simulate_rounds`` use ``block`` rounds per block at every n."""
+    monkeypatch.setattr(kernels, "_BLOCK_ROUNDS", block)
+    monkeypatch.setattr(kernels, "_BLOCK_DRAWS", 0)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -46,8 +52,40 @@ def test_sampler_matches_scalar_loop(n):
 @pytest.mark.parametrize("block", [1, 7])
 @pytest.mark.parametrize("n", range(2, 13))
 def test_sampler_matches_scalar_loop_small_blocks(n, block, monkeypatch):
-    monkeypatch.setattr(kernels, "_BLOCK_ROUNDS", block)
+    force_block(monkeypatch, block)
+    assert kernels._block_rounds(n) == block
     check_sampler_matches_scalar_loop(n)
+
+
+def _mask_width_profiles(n):
+    rng = random.Random(900 + n)
+    return [
+        [list(random_strategy(rng, n, zeros=True)) for _ in range(n)],
+        # all but the last player on integers 1 and 2, the last on 1 or n: most
+        # rounds are won at n, the top bit of an n-bit mask
+        [[0.5, 0.5] + [0.0] * (n - 2)] * (n - 1) + [[0.5] + [0.0] * (n - 2) + [0.5]],
+        # integers 1 and 2 only: most rounds have no winner
+        [[0.5, 0.5] + [0.0] * (n - 2)] * n,
+    ]
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33, 64, 65])
+def test_sampler_matches_scalar_loop_at_mask_widths(n, monkeypatch):
+    force_block(monkeypatch, 7)
+    for rows in _mask_width_profiles(n):
+        for seed in SEEDS:
+            got = kernels.simulate_rounds(rows, 60, seed)
+            assert got == scalar_simulate_rounds(rows, 60, seed)
+            assert sum(got[0]) + got[1] == 60
+
+
+@pytest.mark.parametrize("n", [4, 66])
+def test_sampler_returns_python_ints(n):
+    # an np.int64 in the counts makes `simulate --format json` fail
+    rows = [[0.5, 0.5] + [0.0] * (n - 2)] * n
+    wins, no_winner = kernels.simulate_rounds(rows, 100, 1)
+    assert all(type(w) is int for w in wins)
+    assert type(no_winner) is int
 
 
 EDGE_ROWS = [
