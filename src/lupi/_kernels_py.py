@@ -6,6 +6,7 @@ Python dynamic programs. The last two walk the integers over subsets of
 players, 2**m weights for m rows, and one pass scores every player of a
 whole profile. ``tests/test_kernels.py`` checks them to rounding against
 the scalar loop over 3**n capped-count states kept in ``tests/_oracle.py``.
+Before any work, all three check their multiply-adds against ``_WORK_BUDGET``.
 
 ``simulate_rounds`` is numpy-vectorised in exact integer arithmetic: the
 draws, the inverse-CDF choice and the winner rule involve no rounding, so
@@ -45,7 +46,15 @@ _MUL_2 = 0x94D049BB133111EB
 _BLOCK_ROUNDS = 4096
 _BLOCK_DRAWS = 1 << 16
 
-_DP_MAX_N = 16
+# multiply-adds one exact kernel call may take, about 1.5 s at 60-80 ns each on a 2-core Xeon: a dense
+# n = 16 subset pass (1.68e7) but not n = 17 (3.79e7), and identical opponents up to n = 342
+_WORK_BUDGET = 2 * 10**7
+
+
+def _check_work(route, estimate):
+    """Raise ValueError when a call of ``route`` would take more than the budget's multiply-adds."""
+    if estimate > _WORK_BUDGET:
+        raise ValueError(f"{route} needs about {estimate:.3g} multiply-adds, over the budget of {_WORK_BUDGET:.3g}")
 
 
 def win_probs_common(probs, opponents):
@@ -57,9 +66,10 @@ def win_probs_common(probs, opponents):
     left must then all pick above j for choice j to win (``common_win``).
     Moving past j places c = 0 or c >= 2 of the l opponents on it
     (``common_step``). That is n * (opponents + 1) cells and
-    O(n * opponents**2) work.
+    O(n * opponents**2) work, about n * opponents**2 / 2 multiply-adds.
     """
     n = len(probs)
+    _check_work("the identical-opponent program", n * opponents * opponents / 2)
     tail = [0.0] * (n + 1)
     for j in range(n - 1, -1, -1):
         tail[j] = tail[j + 1] + probs[j]
@@ -167,13 +177,10 @@ def _player_halves(rows):
     """Per player, slice pairs that match each subset index without the player to the one with it.
 
     Strided slices when there are fewer of them than contiguous blocks, so
-    every pair is as long as it can be.
+    every pair is as long as it can be. Both subset kernels start here, with the budget check.
     """
-    n, size = len(rows[0]), 1 << len(rows)
-    if max(n, len(rows)) > _DP_MAX_N:
-        # a bound on time, not memory, and the CLI's limit on heterogeneous profiles:
-        # a whole-process `verify` of a dense n = 16 profile takes 2.6 s on a 2-core Xeon
-        raise ValueError(f"the subset program supports n <= {_DP_MAX_N} players and integers, got {max(n, len(rows))}")
+    size = 1 << len(rows)
+    _check_work("the subset program", len(rows) * len(rows[0]) * size)
     halves = []
     for bit in (1 << i for i in range(len(rows))):
         if 2 * bit * bit < size:

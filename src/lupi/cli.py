@@ -137,10 +137,10 @@ def _player_rows(labels, *columns) -> list:
 # commands: each returns (exit status, record, csv rows or None, text lines or None)
 
 
-def _check_n(n: int, name: str, low: int = MIN_SOLVER_N) -> None:
-    """Reject n outside ``low``..``MAX_SOLVER_N``; heterogeneous profiles stop lower, in the subset program."""
-    if not low <= n <= MAX_SOLVER_N:
-        raise ValueError(f"{name} must be between {low} and {MAX_SOLVER_N}, got {n}")
+def _check_n(n: int, name: str) -> None:
+    """Reject n outside the solver's range; the exact kernels bound their own work."""
+    if not MIN_SOLVER_N <= n <= MAX_SOLVER_N:
+        raise ValueError(f"{name} must be between {MIN_SOLVER_N} and {MAX_SOLVER_N}, got {n}")
 
 
 def _save_symmetric(path, strategy) -> None:
@@ -199,7 +199,6 @@ def _cmd_verify(args):
     from .profiles import load_profile
 
     profile, labels = load_profile(args.profile)
-    _check_n(profile.n, "profile n", 2)
     report = verify_profile(profile, epsilon=args.eps)
     record = {
         "n": profile.n,
@@ -241,7 +240,6 @@ def _cmd_payoff(args):
     from .profiles import load_profile
 
     profile, labels = load_profile(args.profile)
-    _check_n(profile.n, "profile n", 2)
     payoffs = list(exact_profile_payoffs(profile))
     record = {"n": profile.n, "payoffs": payoffs, "payoff_sum": sum(payoffs), "labels": labels}
     rows = [["player", "label", "payoff"]] + _player_rows(labels, payoffs)
@@ -261,7 +259,6 @@ def _parse_vector(text: str):
 def _cmd_best_response(args):
     from .analysis import best_response
 
-    _check_n(args.n, "--n", 2)
     others = [_parse_vector(text) for text in args.others]
     values, picks = best_response(GameSpec(args.n), others)
     record = {"n": args.n, "values": list(values), "best_picks": list(picks)}
@@ -288,7 +285,6 @@ def _cmd_simulate(args):
     from .simulate import simulate
 
     profile, labels = load_profile(args.profile)
-    _check_n(profile.n, "profile n", 2)
     stats = simulate(profile, args.rounds, args.seed)
     record = {
         "n": profile.n,
@@ -361,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_payoff)
 
     p = sub.add_parser("best-response", help="pure-choice values against given opponents")
-    p.add_argument("--n", type=int, required=True, help=f"number of players (2..{MAX_SOLVER_N})")
+    p.add_argument("--n", type=int, required=True, help="number of players")
     p.add_argument(
         "--others",
         nargs="+",

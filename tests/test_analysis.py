@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from lupi import (
     pure_choice_values,
     solve_symmetric,
     verify_profile,
+    win_probabilities,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -278,3 +280,29 @@ def test_paper_root_is_an_exact_equilibrium_only_at_n3(n):
         assert gain <= 1e-12
     else:
         assert gain > 0.1
+
+
+# ---------------------------------------------------------------------------
+# the work budget
+
+
+EXACT_ENTRY_POINTS = {
+    "win_probabilities": lambda n, s: win_probabilities(GameSpec(n), [s] * (n - 1)),
+    "exact_profile_payoffs": lambda n, s: exact_profile_payoffs(StrategyProfile.symmetric(s)),
+    "verify_profile": lambda n, s: verify_profile(StrategyProfile.symmetric(s)),
+    "best_response": lambda n, s: best_response(GameSpec(n), [s] * (n - 1)),
+    "indifference_spread": lambda n, s: indifference_spread(GameSpec(n), s),
+}
+
+
+@pytest.mark.parametrize("name", EXACT_ENTRY_POINTS)
+def test_exact_entry_points_reject_work_above_the_budget(name):
+    # n = 343 is the smallest n whose identical-opponent pass, about
+    # n * (n - 1)**2 / 2 multiply-adds, is above the budget; it would run for
+    # seconds, so it must be refused before it starts
+    call = EXACT_ENTRY_POINTS[name]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="the identical-opponent program needs about .* over the budget"):
+        call(343, (1.0 / 343,) * 343)
+    assert time.perf_counter() - start < 0.1
+    assert call(4, (0.25,) * 4) is not None

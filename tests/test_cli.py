@@ -218,20 +218,36 @@ def _dense_profile(n):
     return {"n": n, "strategies": [list(random_strategy(rng, n)) for _ in range(n)]}
 
 
-def test_profile_above_the_solver_range_is_rejected(capsys, tmp_path):
+def test_profile_size_is_bounded_by_the_work_budget(capsys, tmp_path):
+    # the solver's cap does not bound profiles: above it, a symmetric profile
+    # takes the identical-opponent program, whose work budget admits n = 342
     n = MAX_SOLVER_N + 1
     path = write_profile(tmp_path, {"n": n, "strategies": [[1.0 / n] * n] * n})
-    for argv in (["verify"], ["payoff"], ["simulate", "--rounds", "10"]):
+    for argv, status in ((["verify"], EXIT_NOT_NASH), (["payoff"], EXIT_OK), (["simulate", "--rounds", "10"], EXIT_OK)):
+        code, out, err = run_cli(capsys, *argv, "--profile", path)
+        assert (code, err) == (status, "")
+        assert "player 41:" in out
+    # above the budget the exact commands refuse before any work, and
+    # simulate, whose work --rounds sets, still plays
+    n = 343
+    path = write_profile(tmp_path, {"n": n, "strategies": [[1.0 / n] * n] * n})
+    for argv in (["verify"], ["payoff"]):
         code, out, err = run_cli(capsys, *argv, "--profile", path)
         assert (code, out) == (EXIT_INPUT, "")
-        assert err == f"lupi: error: profile n must be between 2 and {MAX_SOLVER_N}, got {n}\n"
+        assert err == (
+            "lupi: error: the identical-opponent program needs about 2.01e+07 multiply-adds,"
+            " over the budget of 2e+07\n"
+        )
+    code, out, _ = run_cli(capsys, "simulate", "--rounds", "10", "--profile", path)
+    assert code == EXIT_OK
+    assert out.startswith("rounds: 10\n")
 
 
 def test_heterogeneous_profile_above_the_subset_limit_is_rejected(capsys, tmp_path):
     path = write_profile(tmp_path, _dense_profile(17))
     code, out, err = run_cli(capsys, "verify", "--profile", path)
     assert (code, out) == (EXIT_INPUT, "")
-    assert "the subset program supports n <= 16 players" in err
+    assert "the subset program needs about 3.79e+07 multiply-adds, over the budget of 2e+07" in err
 
 
 def test_heterogeneous_profile_above_twelve_is_accepted(capsys, tmp_path):

@@ -222,16 +222,32 @@ def test_common_matches_generating_function_oracle(n):
         assert kernels.win_probs_common(probs, n - 1) == pytest.approx(egf_win_probs(probs), rel=0.0, abs=1e-13)
 
 
-def test_fold_size_guard():
-    with pytest.raises(ValueError):
-        kernels.win_probs_distinct([[1.0 / 17] * 17] * 2)
-    with pytest.raises(ValueError):
-        kernels.win_probs_leave_one_out([[1.0 / 17] * 17] * 2)
+def test_fold_size_guard(monkeypatch):
+    # two rows of 17 integers are 136 multiply-adds
+    assert len(kernels.win_probs_distinct([[1.0 / 17] * 17] * 2)) == 17
+    # the boundary of the budget on each estimate, with the kernels' work
+    # stubbed out: within it the call must get past the check
+    monkeypatch.setattr(kernels, "_subset_steps", lambda rows, halves: iter(()))
+    monkeypatch.setattr(kernels, "common_step", lambda row, pj: row)
+    monkeypatch.setattr(kernels, "common_win", lambda row, above: 0.0)
+    assert 16 * 16 * 2**16 <= kernels._WORK_BUDGET < 17 * 17 * 2**17
+    kernels.win_probs_leave_one_out([[1.0 / 16] * 16] * 16)
+    with pytest.raises(ValueError, match="the subset program needs about 3.79e\\+07 multiply-adds"):
+        kernels.win_probs_leave_one_out([[1.0 / 17] * 17] * 17)
+    with pytest.raises(ValueError, match="the subset program"):
+        kernels.win_probs_distinct([[1.0 / 17] * 17] * 17)
+    # identical opponents: n players take about n * (n - 1)**2 / 2
+    n = next(n for n in itertools.count(2) if n * (n - 1) ** 2 / 2 > kernels._WORK_BUDGET)
+    assert n == 343
+    assert kernels.win_probs_common([1.0 / (n - 1)] * (n - 1), n - 2) == [0.0] * (n - 1)
+    with pytest.raises(ValueError, match="the identical-opponent program needs about 2.01e\\+07 multiply-adds"):
+        kernels.win_probs_common([1.0 / n] * n, n - 1)
 
 
 def test_subset_size_guard_counts_players():
-    # the subset table doubles with each row, whatever the row length
-    with pytest.raises(ValueError):
-        kernels.win_probs_distinct([[0.5, 0.5]] * 17)
-    with pytest.raises(ValueError):
-        kernels.win_probs_leave_one_out([[0.5, 0.5]] * 17)
+    # the subset table doubles with each row, whatever the row length:
+    # 22 rows of 2 integers are 22 * 2 * 2**22 = 1.8e8 multiply-adds
+    with pytest.raises(ValueError, match="the subset program"):
+        kernels.win_probs_distinct([[0.5, 0.5]] * 22)
+    with pytest.raises(ValueError, match="the subset program"):
+        kernels.win_probs_leave_one_out([[0.5, 0.5]] * 22)

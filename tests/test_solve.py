@@ -104,11 +104,13 @@ def test_exact_n4_differs_from_closed_form_root():
     assert abs(exact[-1] - exact[-2]) > 0.05
 
 
-@pytest.mark.parametrize("n", [*range(3, 13), 20, 30, 40])
+@pytest.mark.parametrize("n", range(3, MAX_SOLVER_N + 1))
 def test_exact_solver_larger_n(n):
     spec = GameSpec(n)
     result = solve_symmetric(spec, model="exact")
     assert result.converged
+    # the README's claim: the bracket closes in at most 23 steps (23 at n = 28)
+    assert result.iterations <= 23
     # every choice is used up to n = 10 (the last weight at n = 10 is about
     # 2.5e-12); from n = 11 on the root leaves the top choices unused
     assert result.full_support == (n <= 10)
