@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence, Union
 
-from ._backend import kernels
-
 SUM_TOLERANCE = 1e-9
 
 # model names, the solver's range of n and the verifier's default tolerance
@@ -213,6 +211,8 @@ def win_probabilities(spec: GameSpec, others: Sequence[StrategyLike]) -> tuple:
     identical-opponent dynamic program, distinct opponents through the
     dynamic program over subsets of opponents.
     """
+    from ._backend import kernels
+
     rows = _opponent_rows(spec, others)
     first = rows[0]
     if all(row == first for row in rows[1:]):
@@ -240,6 +240,8 @@ def _profile_choice_values(profile: StrategyProfile) -> tuple:
     all the players scores every player, since a subset's weight never
     involves a player outside it.
     """
+    from ._backend import kernels
+
     rows = profile.rows()
     first = rows[0]
     if all(row == first for row in rows[1:]):

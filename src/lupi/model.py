@@ -15,13 +15,6 @@ from __future__ import annotations
 from .game import MODEL_EXACT, MODEL_PAPER, MODELS, GameSpec, MixedStrategy, StrategyLike
 
 
-def _ipow(base: float, exp: int) -> float:
-    out = 1.0
-    for _ in range(exp):
-        out *= base
-    return out
-
-
 def _entries(strategy: StrategyLike, n: int, name: str):
     entries = list(strategy.probs) if isinstance(strategy, MixedStrategy) else [float(v) for v in strategy]
     if len(entries) != n:
@@ -39,14 +32,14 @@ def _closed_form_values(spec: GameSpec, common: StrategyLike) -> list:
     n = spec.n
     m = n - 1
     p = _entries(common, n, "opponents_common")
-    values = [_ipow(1.0 - p[0], m)]
+    values = [(1.0 - p[0]) ** m]
     prefix = p[0]
     below = 0.0
     for k in range(1, n - 1):
         prefix += p[k]
-        below += _ipow(p[k - 1], m)
-        values.append(_ipow(1.0 - prefix, m) + below)
-    values.append(below + _ipow(p[n - 2], m))
+        below += p[k - 1] ** m
+        values.append((1.0 - prefix) ** m + below)
+    values.append(below + p[n - 2] ** m)
     return values
 
 
@@ -92,7 +85,7 @@ def geometric_strategy(spec: GameSpec) -> MixedStrategy:
     Sums to one by construction and approximates the symmetric equilibria
     while favouring smaller integers.
     """
-    probs = [_ipow(0.5, i) for i in range(1, spec.n)]
+    probs = [0.5**i for i in range(1, spec.n)]
     probs.append(probs[-1])
     return MixedStrategy(tuple(probs))
 
@@ -118,4 +111,4 @@ def two_choice_baseline(spec: GameSpec) -> float:
     other of the two integers. The reference point the geometric strategy
     is compared against.
     """
-    return _ipow(0.5, spec.n - 1)
+    return 0.5 ** (spec.n - 1)

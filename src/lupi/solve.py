@@ -28,7 +28,6 @@ library.
 
 from __future__ import annotations
 
-from ._backend import kernels
 from .game import MAX_SOLVER_N, MIN_SOLVER_N, GameSpec, MixedStrategy, _mixed_value, _Record
 from .model import MODEL_EXACT, MODEL_PAPER, MODELS, closed_form_gradient, closed_form_payoff
 
@@ -119,6 +118,8 @@ def _exact_shot(n, v):
     opponents): early on, win_j is close to (1 - p_0 - ... - p_j)**m, and
     its m-th root is close to linear in p_j.
     """
+    from ._backend import kernels
+
     k = 1.0 / (n - 1)
     v_k = v**k
     probs = [0.0] * n
@@ -171,6 +172,8 @@ def _package(spec: GameSpec, model: str, probs, iterations: int, tol: float) -> 
         residual_norm = max(abs(g) for g in grad)
         payoff = closed_form_payoff(spec, strategy, strategy)
     else:
+        from ._backend import kernels
+
         wins = kernels.win_probs_common(list(strategy.probs), spec.n - 1)
         support = [w for p, w in zip(strategy.probs, wins) if p > 0.0]
         residual_norm = max(wins) - min(support)

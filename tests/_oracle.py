@@ -6,8 +6,9 @@ paths. The generating-function oracle scores identical opponents in
 50-digit decimal arithmetic by an algorithm apart from the package's
 dynamic program, and the Poisson-limit oracle gives the equilibrium that
 the exact game's approaches as n grows, in closed form. The scalar
-reference kernels at the end are plain loops that the package's kernels
-must agree with; they import nothing from the package either.
+reference kernels and the repeated-product closed form at the end are
+plain loops that the package's kernels and closed-form model must agree
+with; they import nothing from the package either.
 """
 
 import itertools
@@ -254,3 +255,33 @@ def scalar_simulate_rounds(rows, rounds, seed):
                     wins[i] += 1
                     break
     return wins, no_winner
+
+
+# ---------------------------------------------------------------------------
+# closed-form reference
+#
+# ``lupi.model._closed_form_values`` with each power written out as m
+# multiplications; the model takes each power with one ``**`` and must
+# agree with this to rounding (``tests/test_model.py``).
+
+
+def _product_power(base, m):
+    out = 1.0
+    for _ in range(m):
+        out *= base
+    return out
+
+
+def repeated_product_closed_form_values(p):
+    """Closed-form payoff of each pure choice against opponents who all play ``p``."""
+    n = len(p)
+    m = n - 1
+    values = [_product_power(1.0 - p[0], m)]
+    prefix = p[0]
+    below = 0.0
+    for k in range(1, n - 1):
+        prefix += p[k]
+        below += _product_power(p[k - 1], m)
+        values.append(_product_power(1.0 - prefix, m) + below)
+    values.append(below + _product_power(p[n - 2], m))
+    return values

@@ -389,6 +389,13 @@ def test_each_command_loads_only_its_layers(tmp_path):
     solve = _modules_after("solve", "--n", "5", "--model", "exact", "--save-profile", saved)
     assert {"lupi.game", "lupi.solve", "lupi.profiles"} <= solve
     assert not {"lupi.analysis", "lupi.simulate", "numpy", "dataclasses", "inspect"} & solve
+    assert {"lupi._backend", "lupi._kernels_py"} <= solve
+    # the closed-form commands never call a kernel, so they never load one
+    for argv in (("solve", "--n", "3", "--model", "paper"), ("approx", "--n", "5"),
+                 ("table", "--max-n", "6")):
+        closed_form = _modules_after(*argv)
+        assert "lupi.model" in closed_form, argv
+        assert not {"lupi._backend", "lupi._kernels_py", "numpy"} & closed_form, argv
     verify = _modules_after("verify", "--profile", saved)
     assert {"lupi.game", "lupi.analysis", "lupi.profiles"} <= verify
     assert not {"lupi.solve", "lupi.simulate", "numpy", "dataclasses", "inspect"} & verify

@@ -1,0 +1,88 @@
+"""The repository's committed documents: the README's examples run as
+written, and every committed bench record holds the shared keys."""
+
+import json
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from lupi.cli import EXIT_NOT_NASH, EXIT_OK, main
+
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
+
+
+def _block(heading, language):
+    """The first ``language`` code block after the line ``heading``."""
+    section = README.split(f"\n{heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def _usage_steps():
+    """(argv, expected output lines) for each ``lupi`` line of the usage block;
+    a ``# name: value`` comment is an output line of the command above it."""
+    steps = []
+    for line in _block("## Command-line usage", "bash").splitlines():
+        if line.startswith("lupi "):
+            steps.append((shlex.split(line)[1:], []))
+        elif re.fullmatch(r"# [\w-]+: \S.*", line):
+            steps[-1][1].append(line[2:])
+    return steps
+
+
+def test_readme_examples_run_as_written(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "profile.json").write_text(_block("### Profile documents", "json"))
+    steps = _usage_steps()
+    assert len(steps) == 8
+    assert sum(len(expected) for _, expected in steps) == 3
+    for argv, expected in steps:
+        code = main(argv)
+        out = capsys.readouterr().out.splitlines()
+        # the example profile is not an equilibrium: verify reports it with exit 2
+        assert code == (EXIT_NOT_NASH if argv[0] == "verify" else EXIT_OK), argv
+        for line in expected:
+            assert line in out, (argv, line)
+    assert (tmp_path / "geo.json").exists()
+    exec(compile(_block("## Library usage", "python"), "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == 2 and printed[1] == "True"
+
+
+# ---------------------------------------------------------------------------
+# bench records
+#
+# A committed ``BENCH_<revision>.json`` is a JSON object with
+#   command   the perfbench command line that produced the runs;
+#   parent    {"revision": full hash, "records": [run record, ...]};
+#   change    {"revision": full hash, "records": [run record, ...]};
+#   pairs     (optional) {"<workload>.<metric>": {
+#                 "parent_median": float, "parent_q1_q3": [q1, q3],
+#                 "change_median": float, "change_q1_q3": [q1, q3],
+#                 "change_better_pairs": int}, ...}
+# The records are the JSON lines ``perfbench/run.py`` prints; ``pairs``
+# summarises alternating parent/change runs, one entry per metric.
+
+PAIR_KEYS = {"parent_median", "parent_q1_q3", "change_median", "change_q1_q3", "change_better_pairs"}
+BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def test_bench_records_are_committed():
+    assert BENCH_FILES
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=[p.name for p in BENCH_FILES])
+def test_bench_record_holds_the_shared_keys(path):
+    doc = json.loads(path.read_text())
+    assert isinstance(doc["command"], str) and doc["command"].startswith("python3 perfbench/run.py")
+    for side in ("parent", "change"):
+        assert re.fullmatch(r"[0-9a-f]{40}", doc[side]["revision"]), side
+    assert doc["change"]["revision"].startswith(path.stem.split("_", 1)[1])
+    for metric, entry in doc.get("pairs", {}).items():
+        assert PAIR_KEYS <= set(entry), metric
+        for key in ("parent_q1_q3", "change_q1_q3"):
+            q1, q3 = entry[key]
+            assert q1 <= q3, (metric, key)
+        assert 0 <= entry["change_better_pairs"], metric

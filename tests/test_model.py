@@ -2,10 +2,11 @@
 
 import math
 import random
+import time
 
 import pytest
 
-from _oracle import random_interior, random_strategy
+from _oracle import random_interior, random_strategy, repeated_product_closed_form_values
 from lupi import (
     GameSpec,
     as_strategy,
@@ -14,9 +15,11 @@ from lupi import (
     geometric_payoff,
     geometric_strategy,
     pure_choice_values,
+    solve_symmetric,
     two_choice_baseline,
     win_probabilities,
 )
+from lupi.model import _closed_form_values
 
 SQRT3 = math.sqrt(3.0)
 ROOT3 = (2 * SQRT3 - 3, 2 - SQRT3, 2 - SQRT3)
@@ -128,6 +131,30 @@ def test_pure_choice_values_payoff_and_gradient_agree_bitwise():
             units = [tuple(float(i == k) for i in range(n)) for k in range(n)]
             assert values == tuple(closed_form_payoff(spec, u, common) for u in units)
             assert closed_form_gradient(spec, common) == tuple(v - values[-1] for v in values[:-1])
+
+
+@pytest.mark.parametrize("n", range(3, 41))
+def test_closed_form_values_match_repeated_products(n):
+    # one ``**`` per power against m repeated multiplications: the two round
+    # differently in the last bits, never by more than 1e-15 relative
+    spec = GameSpec(n)
+    for common in (geometric_strategy(spec), solve_symmetric(spec, model="paper").strategy):
+        values = _closed_form_values(spec, common)
+        reference = repeated_product_closed_form_values(list(common.probs))
+        assert len(values) == len(reference) == n
+        for value, ref in zip(values, reference):
+            assert abs(value - ref) <= 1e-15 * abs(ref)
+
+
+def test_closed_form_routes_are_linear_in_n():
+    # O(n) each: about 0.05 s at n = 10**5, where n - 1 multiplications per
+    # power would take minutes; the payoff itself underflows to 0 there
+    spec = GameSpec(10**5)
+    geo = geometric_strategy(spec)
+    for call in (lambda: geometric_payoff(spec), lambda: closed_form_payoff(spec, geo, geo)):
+        start = time.perf_counter()
+        assert 0.0 <= call() <= 1.0
+        assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
