@@ -8,6 +8,8 @@ From n = 4 on it omits mixed opponent configurations (for example two
 opponents on '1' and one above '2' while the deviator holds '2'), and the
 exact oracle in :mod:`lupi.game` quantifies the gap. The expression is kept
 verbatim here, gap included; nothing is corrected toward the exact game.
+Each power is one ``**``, so every route here is linear in n: at n = 10**5
+``geometric_payoff`` takes 0.05 s (2-core Xeon VM, Python 3.11.7, ``62cd239``).
 """
 
 from __future__ import annotations
