@@ -25,9 +25,9 @@ constants come from ``lupi.game``, which every command needs.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from .game import (
     DEFAULT_EPSILON,
@@ -44,14 +44,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NOT_NASH = 2
 EXIT_NO_CONVERGENCE = 3
-
-
-class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose usage errors exit with status 1, not 2."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def format_sig3(value: float) -> str:
@@ -310,84 +302,91 @@ def _cmd_simulate(args):
 # parser
 
 
-def _add_format(parser) -> None:
-    parser.add_argument(
-        "--format",
-        choices=("text", "csv", "json"),
-        default="text",
-        help="output format (default: text)",
-    )
+class _Option:
+    """A command's option; ``many`` takes one or more values, ``dest`` is the flag's name."""
+
+    def __init__(self, flag, help, type=str, default=None, required=False, choices=None, many=False):
+        self.flag, self.dest, self.help, self.type = flag, flag[2:].replace("-", "_"), help, type
+        self.default, self.required, self.choices, self.many = default, required, choices, many
+        value = "{" + ",".join(choices) + "}" if choices else self.dest.upper()
+        self.form = f"{flag} {value} [{value} ...]" if many else f"{flag} {value}"
+
+    def read(self, command, text):
+        if self.choices and text not in self.choices:
+            _exit(command, f"argument {self.form}: invalid choice: {text!r}")
+        try:
+            return self.type(text)
+        except ValueError:
+            _exit(command, f"argument {self.flag}: invalid {self.type.__name__} value: {text!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="lupi",
-        description="Analyze the lowest-unique-positive-integer game.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    solver_range = f"({MIN_SOLVER_N}..{MAX_SOLVER_N})"
+_N = _Option("--n", f"number of players ({MIN_SOLVER_N}..{MAX_SOLVER_N})", int, required=True)
+_PROFILE = _Option("--profile", "profile document (JSON)", required=True)
+_SAVE = _Option("--save-profile", "write the symmetric profile as JSON")
+_FORMAT = _Option("--format", "output format (default: text)", default="text", choices=("text", "csv", "json"))
+# command -> (handler, summary, options)
+_COMMANDS = {
+    "solve": (_cmd_solve, "find the symmetric equilibrium strategy", [
+        _N, _Option("--model", "payoff model: 'paper' (closed form) or 'exact' (exact win probabilities)",
+                    default=MODEL_PAPER, choices=MODELS),
+        _Option("--tol", "convergence threshold (default per model)", float), _SAVE, _FORMAT]),
+    "table": (_cmd_table, "payoff comparison table across player counts", [
+        _Option("--max-n", f"largest player count ({MIN_SOLVER_N}..{MAX_SOLVER_N})", int, default=8),
+        _FORMAT]),
+    "verify": (_cmd_verify, "check whether a profile is a Nash equilibrium", [
+        _PROFILE, _Option("--eps", "gain tolerance", float, default=DEFAULT_EPSILON), _FORMAT]),
+    "payoff": (_cmd_payoff, "exact expected payoffs of a profile", [_PROFILE, _FORMAT]),
+    "best-response": (_cmd_best_response, "pure-choice values against given opponents", [
+        _Option("--n", "number of players", int, required=True),
+        _Option("--others", "n-1 opponent strategies, each as comma-separated probabilities",
+                required=True, many=True), _FORMAT]),
+    "approx": (_cmd_approx, "geometric strategy and its payoff", [_N, _SAVE, _FORMAT]),
+    "simulate": (_cmd_simulate, "seeded Monte Carlo estimate of profile payoffs", [
+        _PROFILE, _Option("--rounds", "number of rounds to play", int, required=True),
+        _Option("--seed", "random seed (default: 0)", int, default=0), _FORMAT]),
+}
 
-    p = sub.add_parser("solve", help="find the symmetric equilibrium strategy")
-    p.add_argument("--n", type=int, required=True, help=f"number of players {solver_range}")
-    p.add_argument(
-        "--model",
-        choices=MODELS,
-        default=MODEL_PAPER,
-        help="payoff model: 'paper' (closed form) or 'exact' (exact win probabilities)",
-    )
-    p.add_argument("--tol", type=float, default=None, help="convergence threshold (default per model)")
-    p.add_argument("--save-profile", metavar="PATH", help="write the symmetric profile as JSON")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_solve)
 
-    p = sub.add_parser("table", help="payoff comparison table across player counts")
-    p.add_argument("--max-n", type=int, default=8, help=f"largest player count {solver_range}")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_table)
+def _exit(command, error=None):
+    """Exit 1 with the usage of ``command`` and ``error`` on stderr, or 0 with its help on stdout."""
+    table = _COMMANDS[command][2] if command else []
+    usage = ["usage: lupi", command or "{" + ",".join(_COMMANDS) + "}"]
+    usage = " ".join(usage + [o.form for o in table if o.required] + ["[options]"])
+    rows = [(o.form, o.help) for o in table] if command else [(c, e[1]) for c, e in _COMMANDS.items()]
+    rows.append(("-h, --help", "show this help message and exit"))
+    width = max(len(left) for left, _ in rows)
+    lines = [f"lupi: error: {error}"] if error else [""] + [f"  {l.ljust(width)}  {t}" for l, t in rows]
+    print("\n".join([usage] + lines), file=sys.stderr if error else sys.stdout)
+    raise SystemExit(EXIT_INPUT if error else EXIT_OK)
 
-    p = sub.add_parser("verify", help="check whether a profile is a Nash equilibrium")
-    p.add_argument("--profile", required=True, help="profile document (JSON)")
-    p.add_argument("--eps", type=float, default=DEFAULT_EPSILON, help="gain tolerance")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("payoff", help="exact expected payoffs of a profile")
-    p.add_argument("--profile", required=True, help="profile document (JSON)")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_payoff)
-
-    p = sub.add_parser("best-response", help="pure-choice values against given opponents")
-    p.add_argument("--n", type=int, required=True, help="number of players")
-    p.add_argument(
-        "--others",
-        nargs="+",
-        required=True,
-        metavar="PROBS",
-        help="n-1 opponent strategies, each as comma-separated probabilities",
-    )
-    _add_format(p)
-    p.set_defaults(handler=_cmd_best_response)
-
-    p = sub.add_parser("approx", help="geometric strategy and its payoff")
-    p.add_argument("--n", type=int, required=True, help=f"number of players {solver_range}")
-    p.add_argument("--save-profile", metavar="PATH", help="write the symmetric profile as JSON")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_approx)
-
-    p = sub.add_parser("simulate", help="seeded Monte Carlo estimate of profile payoffs")
-    p.add_argument("--profile", required=True, help="profile document (JSON)")
-    p.add_argument("--rounds", type=int, required=True, help="number of rounds to play")
-    p.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_simulate)
-
-    return parser
+def _parse(argv):
+    """(handler, options) of a command line; a flag starts with "--" or is -h, any other token is a value."""
+    if not argv or argv[0] not in _COMMANDS:
+        _exit(None, None if argv[:1] in (["-h"], ["--help"]) else "the first argument must be a command")
+    (handler, _, table), command, rest, values = _COMMANDS[argv[0]], argv[0], argv[1:], {}
+    options = {option.flag: option for option in table}
+    while rest:
+        token = rest.pop(0)
+        flag, inline, text = token.partition("=")
+        if flag not in options:
+            _exit(command, None if token in ("-h", "--help") else f"unrecognized argument: {token}")
+        option, texts = options[flag], [text] if inline else []
+        while rest and not (inline or texts and not option.many or rest[0][:2] == "--" or rest[0] == "-h"):
+            texts.append(rest.pop(0))
+        if not texts:
+            _exit(command, f"argument {flag}: expected {'at least ' if option.many else ''}one argument")
+        read = [option.read(command, text) for text in texts]
+        values[option.dest] = read if option.many else read[0]
+    if missing := [option.flag for option in table if option.required and option.dest not in values]:
+        _exit(command, "the following arguments are required: " + ", ".join(missing))
+    return handler, SimpleNamespace(**{o.dest: values.get(o.dest, o.default) for o in table})
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
-        status, *shown = args.handler(args)
+        status, *shown = handler(args)
         _show(args.format, *shown)
     except ValueError as exc:
         print(f"lupi: error: {exc}", file=sys.stderr)
@@ -396,9 +395,10 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    # lupi makes no BLAS call, and numpy's OpenBLAS otherwise starts a worker
-    # thread per extra core at import, which spins and takes CPU from this one
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # lupi makes no BLAS call, and numpy's OpenBLAS otherwise (also when the variable is
+    # empty) starts a worker thread per extra core at import, which spins and takes CPU
+    if not os.environ.get("OPENBLAS_NUM_THREADS"):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.exit(main())
 
 

@@ -15,6 +15,7 @@ import pytest
 from _oracle import random_strategy
 import lupi
 from lupi import MAX_SOLVER_N, GameSpec, StrategyProfile, solve_symmetric
+from lupi import cli
 from lupi.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_NOT_NASH, EXIT_OK, format_sig3, main
 from lupi.profiles import save_profile
 
@@ -310,6 +311,132 @@ def test_approx_range(capsys):
 
 
 # ---------------------------------------------------------------------------
+# parser
+
+# argv -> (handler, every destination with its value); the values and their
+# types are those an argparse parser with the same options gave
+PARSED = [
+    (["solve", "--n", "5"], "_cmd_solve",
+     {"n": 5, "model": "paper", "tol": None, "save_profile": None, "format": "text"}),
+    (["solve", "--n=7", "--model=exact", "--tol", "1e-10", "--save-profile", "a.json", "--format", "json"],
+     "_cmd_solve", {"n": 7, "model": "exact", "tol": 1e-10, "save_profile": "a.json", "format": "json"}),
+    (["solve", "--n", "3", "--n", "-4", "--model", "exact", "--model", "paper", "--tol=-1e-12"], "_cmd_solve",
+     {"n": -4, "model": "paper", "tol": -1e-12, "save_profile": None, "format": "text"}),
+    (["table"], "_cmd_table", {"max_n": 8, "format": "text"}),
+    (["table", "--max-n", "12", "--format=csv"], "_cmd_table", {"max_n": 12, "format": "csv"}),
+    (["verify", "--profile", "p.json"], "_cmd_verify", {"profile": "p.json", "eps": 1e-9, "format": "text"}),
+    (["verify", "--profile=-", "--eps", "-1", "--format", "csv"], "_cmd_verify",
+     {"profile": "-", "eps": -1.0, "format": "csv"}),
+    (["payoff", "--profile", "a b.json"], "_cmd_payoff", {"profile": "a b.json", "format": "text"}),
+    (["payoff", "--format", "json", "--profile", "p.json", "--profile", "q.json"], "_cmd_payoff",
+     {"profile": "q.json", "format": "json"}),
+    (["best-response", "--n", "3", "--others", "0.5,0.5,0", "0.5,0.5,0"], "_cmd_best_response",
+     {"n": 3, "others": ["0.5,0.5,0", "0.5,0.5,0"], "format": "text"}),
+    (["best-response", "--others", "a", "b", "c", "--n", "4", "--format", "json"], "_cmd_best_response",
+     {"n": 4, "others": ["a", "b", "c"], "format": "json"}),
+    (["best-response", "--n", "3", "--others", "x", "--others", "y", "-1"], "_cmd_best_response",
+     {"n": 3, "others": ["y", "-1"], "format": "text"}),
+    (["best-response", "--n", "2", "--others=1,0"], "_cmd_best_response",
+     {"n": 2, "others": ["1,0"], "format": "text"}),
+    (["approx", "--n", "6"], "_cmd_approx", {"n": 6, "save_profile": None, "format": "text"}),
+    (["approx", "--n", "+6", "--save-profile", "g.json", "--format", "csv"], "_cmd_approx",
+     {"n": 6, "save_profile": "g.json", "format": "csv"}),
+    (["simulate", "--profile", "p.json", "--rounds", "100"], "_cmd_simulate",
+     {"profile": "p.json", "rounds": 100, "seed": 0, "format": "text"}),
+    (["simulate", "--rounds=1_000", "--seed", "-7", "--profile", "p.json", "--format", "json"], "_cmd_simulate",
+     {"profile": "p.json", "rounds": 1000, "seed": -7, "format": "json"}),
+]
+
+
+@pytest.mark.parametrize("argv, handler, expected", PARSED, ids=[" ".join(argv) for argv, _, _ in PARSED])
+def test_parser_reads_every_option(argv, handler, expected):
+    parsed_handler, parsed = cli._parse(argv)
+    assert parsed_handler.__name__ == handler
+    assert vars(parsed) == expected
+    assert {name: type(value) for name, value in vars(parsed).items()} == {
+        name: type(value) for name, value in expected.items()}
+
+
+def test_parser_table_covers_every_command():
+    assert {argv[0] for argv, _, _ in PARSED} == set(cli._COMMANDS)
+    for name, (_, _, options) in cli._COMMANDS.items():
+        seen = {key for argv, _, expected in PARSED if argv[0] == name for key in expected}
+        assert seen == {option.dest for option in options}, name
+
+
+USAGE_ERRORS = [
+    ([], "the first argument must be a command"),
+    (["bogus"], "the first argument must be a command"),
+    (["--format", "json"], "the first argument must be a command"),
+    (["solve"], "the following arguments are required: --n"),
+    (["best-response"], "the following arguments are required: --n, --others"),
+    (["solve", "--n", "3", "--foo", "1"], "unrecognized argument: --foo"),
+    (["table", "--max", "5"], "unrecognized argument: --max"),
+    (["solve", "--n", "3", "extra"], "unrecognized argument: extra"),
+    (["solve", "--n"], "argument --n: expected one argument"),
+    (["solve", "--n", "--model", "paper"], "argument --n: expected one argument"),
+    (["best-response", "--n", "3", "--others"], "argument --others: expected at least one argument"),
+    (["solve", "--n", "x"], "argument --n: invalid int value: 'x'"),
+    (["solve", "--n="], "argument --n: invalid int value: ''"),
+    (["table", "--max-n", "1.5"], "argument --max-n: invalid int value: '1.5'"),
+    (["verify", "--profile", "p.json", "--eps", "tiny"], "argument --eps: invalid float value: 'tiny'"),
+    (["simulate", "--profile", "p.json", "--rounds", "1e3"], "argument --rounds: invalid int value: '1e3'"),
+    (["solve", "--n", "3", "--model", "bogus"], "argument --model {paper,exact}: invalid choice: 'bogus'"),
+    (["payoff", "--profile", "p.json", "--format=xml"],
+     "argument --format {text,csv,json}: invalid choice: 'xml'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS, ids=[" ".join(argv) or "(none)" for argv, _ in USAGE_ERRORS])
+def test_usage_errors_exit_1_with_usage_on_stderr(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert info.value.code == EXIT_INPUT
+    assert out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: lupi ")
+    assert error == f"lupi: error: {message}"
+
+
+HELP = [["--help"], ["-h"], *([name, "--help"] for name in cli._COMMANDS), ["solve", "--n", "3", "-h"]]
+
+
+@pytest.mark.parametrize("argv", HELP, ids=" ".join)
+def test_help_lists_every_option_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (info.value.code, err) == (EXIT_OK, "")
+    assert out.startswith("usage: lupi ")
+    if len(argv) == 1:
+        shown = [text for name, (_, summary, _) in cli._COMMANDS.items() for text in (name, summary)]
+    else:
+        shown = [text for option in cli._COMMANDS[argv[0]][2] for text in (option.form, option.help)]
+    assert all(text in out for text in shown), out
+
+
+def test_module_entry_point_runs_in_a_fresh_interpreter():
+    src = str(Path(lupi.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def lupi_process(*argv):
+        return subprocess.run([sys.executable, "-m", "lupi.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    proc = lupi_process("--help")
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert "best-response" in proc.stdout
+    proc = lupi_process()
+    assert (proc.returncode, proc.stdout) == (EXIT_INPUT, "")
+    assert "lupi: error:" in proc.stderr
+    argv = ["solve", "--n", "3", "--model", "paper", "--format", "json"]
+    (case,) = [case for case in GOLDEN if case["argv"] == argv]
+    proc = lupi_process(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (case["exit"], case["stdout"], "")
+
+
+# ---------------------------------------------------------------------------
 # import footprint
 
 _PROFILE_COMMANDS_THEN_SIMULATE = """
@@ -391,17 +518,24 @@ def test_each_command_loads_only_its_layers(tmp_path):
     assert not {"lupi.analysis", "lupi.simulate", "numpy", "dataclasses", "inspect"} & solve
     assert {"lupi._backend", "lupi._kernels_py"} <= solve
     # the closed-form commands never call a kernel, so they never load one
-    for argv in (("solve", "--n", "3", "--model", "paper"), ("approx", "--n", "5"),
-                 ("table", "--max-n", "6")):
-        closed_form = _modules_after(*argv)
-        assert "lupi.model" in closed_form, argv
-        assert not {"lupi._backend", "lupi._kernels_py", "numpy"} & closed_form, argv
+    closed_forms = [_modules_after(*argv) for argv in (("solve", "--n", "3", "--model", "paper"),
+                                                       ("approx", "--n", "5"), ("table", "--max-n", "6"))]
+    for closed_form in closed_forms:
+        assert "lupi.model" in closed_form
+        assert not {"lupi._backend", "lupi._kernels_py", "numpy"} & closed_form
     verify = _modules_after("verify", "--profile", saved)
     assert {"lupi.game", "lupi.analysis", "lupi.profiles"} <= verify
     assert not {"lupi.solve", "lupi.simulate", "numpy", "dataclasses", "inspect"} & verify
     bare = _modules_after()
     assert {name for name in bare if name.startswith("lupi")} == {"lupi"}
     assert not {"dataclasses", "inspect", "numpy"} & bare
+    # the parser is lupi's own: no command loads argparse, nor the gettext and
+    # locale modules that argparse's messages pull in
+    hetero = write_profile(tmp_path, ASYM4)
+    for modules in (solve, *closed_forms, verify, _modules_after("payoff", "--profile", hetero),
+                    _modules_after("best-response", "--n", "3", "--others", "0.5,0.5,0", "0.5,0.5,0"),
+                    _modules_after("simulate", "--profile", hetero, "--rounds", "100")):
+        assert not {"argparse", "gettext", "locale"} & modules
 
 
 
@@ -420,7 +554,7 @@ print(os.environ.get("OPENBLAS_NUM_THREADS"), threads)
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the thread count from /proc")
-@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("", "1"), ("3", "3")])
 def test_simulate_process_starts_no_blas_threads(tmp_path, preset, expected):
     path = write_profile(tmp_path, ASYM4)
     src = str(Path(lupi.__file__).resolve().parent.parent)
@@ -435,7 +569,7 @@ def test_simulate_process_starts_no_blas_threads(tmp_path, preset, expected):
     assert proc.returncode == 0, proc.stderr
     value, threads = proc.stdout.split()
     assert value == expected
-    if preset is None:
+    if expected == "1":
         assert threads == "1"
 
 
