@@ -355,7 +355,7 @@ def _exit(command, error=None):
     rows = [(o.form, o.help) for o in table] if command else [(c, e[1]) for c, e in _COMMANDS.items()]
     rows.append(("-h, --help", "show this help message and exit"))
     width = max(len(left) for left, _ in rows)
-    lines = [f"lupi: error: {error}"] if error else [""] + [f"  {l.ljust(width)}  {t}" for l, t in rows]
+    lines = [f"lupi: error: {error}"] if error else [""] + [f"  {left.ljust(width)}  {text}" for left, text in rows]
     print("\n".join([usage] + lines), file=sys.stderr if error else sys.stdout)
     raise SystemExit(EXIT_INPUT if error else EXIT_OK)
 
@@ -372,7 +372,7 @@ def _parse(argv):
         if flag not in options:
             _exit(command, None if token in ("-h", "--help") else f"unrecognized argument: {token}")
         option, texts = options[flag], [text] if inline else []
-        while rest and not (inline or texts and not option.many or rest[0][:2] == "--" or rest[0] == "-h"):
+        while not inline and rest and rest[0][:2] != "--" and rest[0] != "-h" and (option.many or not texts):
             texts.append(rest.pop(0))
         if not texts:
             _exit(command, f"argument {flag}: expected {'at least ' if option.many else ''}one argument")
