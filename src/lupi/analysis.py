@@ -16,17 +16,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from .game import (
-    DEFAULT_EPSILON,
-    GameSpec,
-    StrategyLike,
-    StrategyProfile,
-    _opponent_rows,
-    _Record,
-    _profile_choice_values,
-    as_strategy,
-    win_probabilities,
+    DEFAULT_EPSILON, MODEL_EXACT, MODEL_PAPER, MODELS, GameSpec, StrategyLike, StrategyProfile, _opponent_rows,
+    _profile_choice_values, _Record, as_strategy, win_probabilities,
 )
-from .model import MODEL_EXACT, MODEL_PAPER, MODELS, _closed_form_values, closed_form_payoff
+from .model import _closed_form_values, closed_form_payoff
 
 _TIE_TOLERANCE = 1e-12
 
@@ -113,10 +106,11 @@ def verify_profile(
     function: it recomputes payoffs, per-player best responses and gains,
     and labels the profile accordingly.
 
-    Under the exact model, every player's pure-choice values come from one
-    pass shared with ``exact_profile_payoffs``, so the two report bit-equal
-    payoffs: one identical-opponent pass when all strategies are equal,
-    otherwise one pass of the subset dynamic program over the whole profile.
+    Each model's scores come from the producer that ``exact_profile_payoffs``
+    and ``solve_symmetric`` use too, so the payoffs agree bit for bit: under
+    ``exact``, one identical-opponent pass when all strategies are equal,
+    else one pass of the subset dynamic program; under ``paper``, the closed
+    form's values against the common strategy and ``closed_form_payoff``.
     """
     if not 0.0 < epsilon < float("inf"):
         raise ValueError("epsilon must be positive and finite")
@@ -128,7 +122,7 @@ def verify_profile(
     if model == MODEL_PAPER:
         if any(s.probs != common.probs for s in strategies[1:]):
             raise ValueError("the closed-form model verifies symmetric profiles only")
-        values_per_player = [pure_choice_values(spec, [common] * (spec.n - 1), model)] * spec.n
+        values_per_player = [_closed_form_values(spec, common)] * spec.n
         payoffs = [closed_form_payoff(spec, common, common)] * spec.n
     else:
         values_per_player, payoffs = _profile_choice_values(profile)

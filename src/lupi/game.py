@@ -157,12 +157,10 @@ class StrategyProfile(_Record):
         return len(self.strategies)
 
     @classmethod
-    def symmetric(cls, strategy: StrategyLike, n: Optional[int] = None) -> "StrategyProfile":
-        """Profile in which all players adopt the same strategy."""
+    def symmetric(cls, strategy: StrategyLike) -> "StrategyProfile":
+        """Profile in which all players, one per choice of ``strategy``, adopt it."""
         s = as_strategy(strategy)
-        if n is None:
-            n = len(s)
-        return cls(tuple([s] * n))
+        return cls(tuple([s] * len(s)))
 
     def rows(self):
         """Probabilities as a list of per-player lists (kernel input form)."""
@@ -226,7 +224,8 @@ def exact_profile_payoffs(profile: StrategyProfile) -> tuple:
     Each player's payoff is the win probability of their pure choices
     against the remaining players, weighted by their own probabilities. The
     win probabilities and payoffs come from ``_profile_choice_values``,
-    which ``verify_profile`` uses too, so both report bit-equal payoffs.
+    which ``verify_profile`` and ``solve_symmetric`` share, so all three
+    report bit-equal payoffs.
     """
     return tuple(_profile_choice_values(profile)[1])
 
@@ -236,18 +235,19 @@ def _profile_choice_values(profile: StrategyProfile) -> tuple:
 
     Returns ``(values, payoffs)``. When all strategies are equal, every
     player faces the same identical opponents: one identical-opponent pass
-    serves them all. Otherwise one pass of the subset dynamic program over
-    all the players scores every player, since a subset's weight never
-    involves a player outside it.
+    and one payoff serve them all. Otherwise one pass of the subset dynamic
+    program over all the players scores every player, since a subset's
+    weight never involves a player outside it. ``exact_profile_payoffs``,
+    ``verify_profile`` and the ``exact`` solver all take their scores here.
     """
     from ._backend import kernels
 
     rows = profile.rows()
-    first = rows[0]
+    first, n = rows[0], len(rows)
     if all(row == first for row in rows[1:]):
-        values = [tuple(kernels.win_probs_common(first, len(rows) - 1))] * len(rows)
-    else:
-        values = [tuple(wins) for wins in kernels.win_probs_leave_one_out(rows)]
+        values = tuple(kernels.win_probs_common(first, n - 1))
+        return [values] * n, [_mixed_value(profile.strategies[0], values)] * n
+    values = [tuple(wins) for wins in kernels.win_probs_leave_one_out(rows)]
     return values, [_mixed_value(own, v) for own, v in zip(profile.strategies, values)]
 
 

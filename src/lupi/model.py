@@ -14,7 +14,7 @@ Each power is one ``**``, so every route here is linear in n: at n = 10**5
 
 from __future__ import annotations
 
-from .game import MODEL_EXACT, MODEL_PAPER, MODELS, GameSpec, MixedStrategy, StrategyLike
+from .game import GameSpec, MixedStrategy, StrategyLike
 
 
 def _entries(strategy: StrategyLike, n: int, name: str):

@@ -28,8 +28,11 @@ library.
 
 from __future__ import annotations
 
-from .game import MAX_SOLVER_N, MIN_SOLVER_N, GameSpec, MixedStrategy, _mixed_value, _Record
-from .model import MODEL_EXACT, MODEL_PAPER, MODELS, closed_form_gradient, closed_form_payoff
+from .game import (
+    MAX_SOLVER_N, MIN_SOLVER_N, MODEL_EXACT, MODEL_PAPER, MODELS, GameSpec, MixedStrategy, StrategyProfile,
+    _profile_choice_values, _Record,
+)
+from .model import closed_form_gradient, closed_form_payoff
 
 DEFAULT_TOLERANCES = {MODEL_PAPER: 1e-12, MODEL_EXACT: 1e-10}
 
@@ -47,9 +50,10 @@ class SolveResult(_Record):
     closed-form gradient entry for ``paper``, and for ``exact`` the largest
     win probability minus the smallest one on the support. ``payoff`` is the
     per-player payoff when everyone adopts the strategy, under the same
-    model that was solved. ``iterations`` counts the steps of the outer
-    ``exact`` search; it is 0 for ``paper``, whose root takes no search.
-    ``full_support`` is False when some choice has probability 0.
+    model that was solved, bit-equal to ``verify_profile``'s. ``iterations``
+    counts the steps of the outer ``exact`` search; it is 0 for ``paper``,
+    whose root takes no search. ``full_support`` is False when some choice
+    has probability 0.
     """
 
     model: str
@@ -172,12 +176,9 @@ def _package(spec: GameSpec, model: str, probs, iterations: int, tol: float) -> 
         residual_norm = max(abs(g) for g in grad)
         payoff = closed_form_payoff(spec, strategy, strategy)
     else:
-        from ._backend import kernels
-
-        wins = kernels.win_probs_common(list(strategy.probs), spec.n - 1)
-        support = [w for p, w in zip(strategy.probs, wins) if p > 0.0]
-        residual_norm = max(wins) - min(support)
-        payoff = _mixed_value(strategy, wins)
+        values, payoffs = _profile_choice_values(StrategyProfile.symmetric(strategy))
+        wins, payoff = values[0], payoffs[0]
+        residual_norm = max(wins) - min(w for p, w in zip(strategy.probs, wins) if p > 0.0)
     return SolveResult(
         model=model,
         n=spec.n,

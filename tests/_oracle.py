@@ -8,12 +8,16 @@ dynamic program, and the Poisson-limit oracle gives the equilibrium that
 the exact game's approaches as n grows, in closed form. The scalar
 reference kernels and the repeated-product closed form at the end are
 plain loops that the package's kernels and closed-form model must agree
-with; they import nothing from the package either.
+with; they import nothing from the package either. The random-input
+helpers only draw test inputs; ``random_profile`` wraps its rows in the
+package's ``StrategyProfile``.
 """
 
 import itertools
 import math
 from decimal import Decimal, localcontext
+
+from lupi import StrategyProfile
 
 
 def brute_winner(picks):
@@ -135,6 +139,10 @@ def random_strategy(rng, n, zeros=False):
         total = sum(raw)
         if total > 1e-9:
             return tuple(v / total for v in raw)
+
+
+def random_profile(rng, n, zeros=False):
+    return StrategyProfile(tuple(random_strategy(rng, n, zeros=zeros) for _ in range(n)))
 
 
 def random_interior(rng, n, margin=0.05):

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from _oracle import brute_payoffs, random_strategy
+from _oracle import brute_payoffs, random_profile, random_strategy
 from lupi import (
     MAX_SOLVER_N,
     GameSpec,
@@ -29,10 +29,6 @@ HALF4 = (0.5, 0.5, 0.0, 0.0)
 
 ASYM3 = StrategyProfile(((0, 0, 1), HALF, HALF))
 ASYM4 = StrategyProfile(((0, 0, 1, 0), HALF4, HALF4, HALF4))
-
-
-def random_profile(rng, n, zeros=False):
-    return StrategyProfile(tuple(random_strategy(rng, n, zeros=zeros) for _ in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +69,14 @@ def test_paper_model_requires_common_opponents():
         best_response(GameSpec(3), [(0, 0, 1), HALF], model="paper")
     with pytest.raises(ValueError, match=r"expected 2 opponent strategies for n=3, got 1"):
         pure_choice_values(GameSpec(3), [HALF], model="paper")
+
+
+def test_unknown_model_is_rejected():
+    message = r"unknown model 'closed', expected one of \('paper', 'exact'\)"
+    with pytest.raises(ValueError, match=message):
+        pure_choice_values(GameSpec(3), [HALF, HALF], model="closed")
+    with pytest.raises(ValueError, match=message):
+        verify_profile(StrategyProfile.symmetric(HALF), model="closed")
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +166,7 @@ def test_symmetric_profiles_report_identical_rows():
     rng = random.Random(504)
     for _ in range(10):
         n = rng.randint(3, 5)
-        profile = StrategyProfile.symmetric(random_strategy(rng, n), n)
+        profile = StrategyProfile.symmetric(random_strategy(rng, n))
         report = verify_profile(profile)
         # every player faces the same opponents, evaluated once
         for i in range(1, n):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from _oracle import brute_payoffs, brute_win_prob, brute_winner, random_strategy
+from _oracle import brute_payoffs, brute_win_prob, brute_winner, random_profile, random_strategy
 from lupi import (
     GameSpec,
     MixedStrategy,
@@ -19,10 +19,6 @@ from lupi._backend import kernels
 
 HALF = (0.5, 0.5, 0.0)
 HALF4 = (0.5, 0.5, 0.0, 0.0)
-
-
-def random_profile(rng, n, zeros=False):
-    return StrategyProfile(tuple(random_strategy(rng, n, zeros=zeros) for _ in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +213,7 @@ def test_asymmetric_profile_payoffs_n4():
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_everyone_on_one_scores_zero(n):
     pure_one = tuple([1.0] + [0.0] * (n - 1))
-    payoffs = exact_profile_payoffs(StrategyProfile.symmetric(pure_one, n))
+    payoffs = exact_profile_payoffs(StrategyProfile.symmetric(pure_one))
     assert payoffs == tuple([0.0] * n)
 
 

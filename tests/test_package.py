@@ -1,5 +1,6 @@
 """The package namespace: every public name resolves lazily to its module's object."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -87,3 +88,19 @@ def test_loading_a_submodule_keeps_the_public_name_of_the_same_name():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_modules_use_every_name_they_import():
+    # a module-level import that its module never reads is dead code (or a
+    # re-export that callers should take from the defining module)
+    unused = []
+    for path in sorted(Path(lupi.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []

@@ -7,9 +7,12 @@ import pytest
 from _oracle import egf_win_probs, poisson_equilibrium, poisson_win_probs
 from lupi import (
     MAX_SOLVER_N,
+    MIN_SOLVER_N,
+    MODELS,
     GameSpec,
     StrategyProfile,
     closed_form_gradient,
+    exact_profile_payoffs,
     geometric_payoff,
     solve_symmetric,
     two_choice_baseline,
@@ -117,6 +120,17 @@ def test_exact_solver_larger_n(n):
     assert _spread(spec, result.strategy) <= 1e-10
     assert sum(result.strategy.probs) == pytest.approx(1.0, abs=1e-12)
     assert verify_profile(StrategyProfile([result.strategy] * n), epsilon=1e-12).is_nash
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_solved_payoff_is_the_verifiers_bit_for_bit(model):
+    # the solver and the verifier score a symmetric strategy with one producer per model
+    for n in range(MIN_SOLVER_N, MAX_SOLVER_N + 1):
+        result = solve_symmetric(GameSpec(n), model=model)
+        profile = StrategyProfile.symmetric(result.strategy)
+        assert result.payoff == verify_profile(profile, model=model).payoffs[0]
+        if model == "exact":
+            assert result.payoff == exact_profile_payoffs(profile)[0]
 
 
 @pytest.mark.parametrize("n", [20, 30, 40])
