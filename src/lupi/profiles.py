@@ -76,6 +76,9 @@ def save_profile(path, profile: StrategyProfile, labels: Optional[Sequence[str]]
     }
     if labels is not None:
         document["labels"] = list(labels)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle, indent=2)
+            handle.write("\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write profile file {path}: {exc}") from None

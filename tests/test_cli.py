@@ -214,6 +214,23 @@ def test_verify_missing_file(capsys, tmp_path):
     assert "error" in err
 
 
+def test_verify_invalid_json(capsys, tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"n": 3, "strategies": [')
+    code, out, err = run_cli(capsys, "verify", "--profile", str(path))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith(f"lupi: error: profile file {path} is not valid JSON: ")
+
+
+@pytest.mark.parametrize("command", [["approx", "--n", "3"], ["solve", "--n", "3"]])
+@pytest.mark.parametrize("target", ["missing/profile.json", "."])
+def test_unwritable_save_profile_is_an_input_error(capsys, tmp_path, command, target):
+    # a path under a missing directory, and a path that is a directory
+    code, out, err = run_cli(capsys, *command, "--save-profile", str(tmp_path / target))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.count("\n") == 1 and err.startswith("lupi: error: cannot write profile file ")
+
+
 def _dense_profile(n):
     rng = random.Random(1300 + n)
     return {"n": n, "strategies": [list(random_strategy(rng, n)) for _ in range(n)]}
