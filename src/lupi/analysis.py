@@ -19,7 +19,6 @@ from .game import (
     DEFAULT_EPSILON, MODEL_EXACT, MODEL_PAPER, MODELS, GameSpec, StrategyLike, StrategyProfile, _opponent_rows,
     _profile_choice_values, _Record, as_strategy, win_probabilities,
 )
-from .model import _closed_form_values, closed_form_payoff
 
 _TIE_TOLERANCE = 1e-12
 
@@ -59,6 +58,8 @@ def pure_choice_values(spec: GameSpec, others: Sequence[StrategyLike], model: st
         raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
     if model == MODEL_EXACT:
         return win_probabilities(spec, others)
+    from .model import _closed_form_values
+
     rows = _opponent_rows(spec, others)
     common = rows[0]
     if any(row != common for row in rows[1:]):
@@ -109,8 +110,10 @@ def verify_profile(
     Each model's scores come from the producer that ``exact_profile_payoffs``
     and ``solve_symmetric`` use too, so the payoffs agree bit for bit: under
     ``exact``, one identical-opponent pass when all strategies are equal,
-    else one pass of the subset dynamic program; under ``paper``, the closed
-    form's values against the common strategy and ``closed_form_payoff``.
+    else one pass of the subset dynamic program; under ``paper``, one read of
+    the closed form's values against the common strategy, and the payoff
+    mixed from them with ``closed_form_payoff``'s operations. Only the
+    ``paper`` routes load :mod:`lupi.model`.
     """
     if not 0.0 < epsilon < float("inf"):
         raise ValueError("epsilon must be positive and finite")
@@ -122,8 +125,10 @@ def verify_profile(
     if model == MODEL_PAPER:
         if any(s.probs != common.probs for s in strategies[1:]):
             raise ValueError("the closed-form model verifies symmetric profiles only")
+        from .model import _closed_form_mix, _closed_form_values
+
         values_per_player = [_closed_form_values(spec, common)] * spec.n
-        payoffs = [closed_form_payoff(spec, common, common)] * spec.n
+        payoffs = [_closed_form_mix(common.probs, values_per_player[0])] * spec.n
     else:
         values_per_player, payoffs = _profile_choice_values(profile)
     gains = []

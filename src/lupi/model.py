@@ -55,9 +55,17 @@ def closed_form_payoff(spec: GameSpec, mine: StrategyLike, opponents_common: Str
     (finite-difference checks rely on this); ``pure_choice_values`` renormalizes,
     so the two can differ in the last bits on a tuple whose sum is not 1.
     """
-    n = spec.n
-    pi = _entries(mine, n, "mine")
-    values = _closed_form_values(spec, opponents_common)
+    return _closed_form_mix(_entries(mine, spec.n, "mine"), _closed_form_values(spec, opponents_common))
+
+
+def _closed_form_mix(pi, values) -> float:
+    """Closed-form payoff of weights ``pi`` against the choice values ``values``.
+
+    The last weight is 1 minus the others, whatever ``pi`` holds there, so
+    a solver or verifier that has read ``_closed_form_values`` once scores
+    the payoff from it with the operations ``closed_form_payoff`` runs.
+    """
+    n = len(values)
     head = 0.0
     for k in range(n - 1):
         head += pi[k]
@@ -76,8 +84,7 @@ def closed_form_gradient(spec: GameSpec, opponents_common: StrategyLike) -> tupl
     A symmetric equilibrium candidate is a common strategy at which all n - 1
     derivatives vanish.
     """
-    values = _closed_form_values(spec, opponents_common)
-    last = values.pop()
+    *values, last = _closed_form_values(spec, opponents_common)
     return tuple(v - last for v in values)
 
 

@@ -32,7 +32,6 @@ from .game import (
     MAX_SOLVER_N, MIN_SOLVER_N, MODEL_EXACT, MODEL_PAPER, MODELS, GameSpec, MixedStrategy, StrategyProfile,
     _profile_choice_values, _Record,
 )
-from .model import closed_form_gradient, closed_form_payoff
 
 DEFAULT_TOLERANCES = {MODEL_PAPER: 1e-12, MODEL_EXACT: 1e-10}
 
@@ -172,9 +171,12 @@ def _paper_shot(n, s):
 def _package(spec: GameSpec, model: str, probs, iterations: int, tol: float) -> SolveResult:
     strategy = MixedStrategy(tuple(probs))
     if model == MODEL_PAPER:
-        grad = closed_form_gradient(spec, strategy)
-        residual_norm = max(abs(g) for g in grad)
-        payoff = closed_form_payoff(spec, strategy, strategy)
+        from .model import _closed_form_mix, _closed_form_values
+
+        # one read of the closed form gives the gradient (each value minus the last) and the payoff
+        values = _closed_form_values(spec, strategy)
+        residual_norm = max(abs(v - values[-1]) for v in values[:-1])
+        payoff = _closed_form_mix(strategy.probs, values)
     else:
         values, payoffs = _profile_choice_values(StrategyProfile.symmetric(strategy))
         wins, payoff = values[0], payoffs[0]

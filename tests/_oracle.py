@@ -10,7 +10,8 @@ reference kernels and the repeated-product closed form at the end are
 plain loops that the package's kernels and closed-form model must agree
 with; they import nothing from the package either. The random-input
 helpers only draw test inputs; ``random_profile`` wraps its rows in the
-package's ``StrategyProfile``.
+package's ``StrategyProfile``. ``EXACT4_POINT`` and ``EXACT4_VALUE`` are data:
+the exact four-player equilibrium and its payoff to 40 digits.
 """
 
 import itertools
@@ -293,3 +294,26 @@ def repeated_product_closed_form_values(p):
         values.append(_product_power(1.0 - prefix, m) + below)
     values.append(below + _product_power(p[n - 2], m))
     return values
+
+
+# ---------------------------------------------------------------------------
+# the exact game's four-player symmetric equilibrium, to 40 digits
+#
+# Write the common strategy as (a, b, c, 1 - a - b - c) against 3 opponents:
+# win_1 = (1 - a)**3, win_2 = (1 - b)**3 - 3a(1 - a - b)**2,
+# win_4 = a**3 + b**3 + c**3, and win_3 by brute force over the 4**3
+# opponent picks. The lex Groebner basis of {win_1 - win_2, win_1 - win_3,
+# win_1 - win_4} in the order (c, b, a) is in shape position: c and b are
+# linear in themselves, and a is the one root in [0, 1] of an irreducible
+# factor of degree 27 (leading coefficient 2977189198336, constant
+# -1792430668). The point below is that root carried to 80 digits (sympy
+# 1.14) and cut to 40; v is the common win probability, also of degree 27.
+# The tests check it in 50-digit decimal through ``brute_winner`` alone.
+
+EXACT4_POINT = (
+    "0.4477365732473044808625203294375730730209",
+    "0.4248727049452075065134090340705862678716",
+    "0.1256548883498455244577461347243791930002",
+    "0.001735833457642488166324501767461466107263",
+)
+EXACT4_VALUE = "0.168437524489931234459568022623389976638159"

@@ -543,11 +543,15 @@ def test_each_command_loads_only_its_layers(tmp_path):
     bare = _modules_after()
     assert {name for name in bare if name.startswith("lupi")} == {"lupi"}
     assert not {"dataclasses", "inspect", "numpy"} & bare
+    hetero = write_profile(tmp_path, ASYM4)
+    payoff = _modules_after("payoff", "--profile", hetero)
+    best = _modules_after("best-response", "--n", "3", "--others", "0.5,0.5,0", "0.5,0.5,0")
+    # the closed form is loaded by the `paper` routes only
+    for exact in (solve, verify, payoff, best):
+        assert "lupi.model" not in exact
     # the parser is lupi's own: no command loads argparse, nor the gettext and
     # locale modules that argparse's messages pull in
-    hetero = write_profile(tmp_path, ASYM4)
-    for modules in (solve, *closed_forms, verify, _modules_after("payoff", "--profile", hetero),
-                    _modules_after("best-response", "--n", "3", "--others", "0.5,0.5,0", "0.5,0.5,0"),
+    for modules in (solve, *closed_forms, verify, payoff, best,
                     _modules_after("simulate", "--profile", hetero, "--rounds", "100")):
         assert not {"argparse", "gettext", "locale"} & modules
 

@@ -1,17 +1,24 @@
 """The repository's committed documents: the README's examples run as
-written, and every committed bench record holds the shared keys."""
+written, its numeric claims about the engine hold, and every committed
+bench record holds the shared keys."""
 
 import json
+import random
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import lupi._kernels_py as kernels
+from _oracle import random_profile
+from lupi import MAX_SOLVER_N, MIN_SOLVER_N, GameSpec, StrategyProfile, exact_profile_payoffs, win_probabilities
 from lupi.cli import EXIT_NOT_NASH, EXIT_OK, main
+from test_solve import SIGN_POINTS
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
+PROSE = " ".join(README.split())
 
 
 def _block(heading, language):
@@ -49,6 +56,67 @@ def test_readme_examples_run_as_written(tmp_path, monkeypatch, capsys):
     exec(compile(_block("## Library usage", "python"), "README.md", "exec"), {})
     printed = capsys.readouterr().out.splitlines()
     assert len(printed) == 2 and printed[1] == "True"
+
+
+def _claim(pattern):
+    """The integers that ``pattern``'s groups match in the README prose, line breaks read as spaces."""
+    match = re.search(pattern, PROSE)
+    assert match, pattern
+    return [int(group) for group in match.groups()]
+
+
+class _Estimated(Exception):
+    pass
+
+
+def _estimate(monkeypatch, call):
+    """The multiply-adds that ``call``'s kernel estimates, read at its budget check before any work."""
+    seen = []
+
+    def check(route, estimate):
+        seen.append(estimate)
+        raise _Estimated
+
+    monkeypatch.setattr(kernels, "_check_work", check)
+    with pytest.raises(_Estimated):
+        call()
+    return seen[0]
+
+
+def test_readme_work_budget_and_its_limits(monkeypatch):
+    # "above 2·10^7", and the largest n within it on each route: a symmetric
+    # profile (identical opponents), a dense heterogeneous profile (the subset
+    # program) and distinct opponents in best-response
+    mantissa, exponent = _claim(r"above (\d+)·10\^(\d+)")
+    assert kernels._WORK_BUDGET == mantissa * 10**exponent
+    (common,) = _claim(r"so it runs up to n = (\d+)\.")
+    profile, distinct = _claim(r"a heterogeneous profile goes up to n = (\d+), and distinct opponents in "
+                               r"`best-response` up to n = (\d+)\.")
+    rng = random.Random(8)
+
+    def symmetric(n):
+        return exact_profile_payoffs(StrategyProfile.symmetric([1.0 / n] * n))
+
+    def dense(n):
+        return exact_profile_payoffs(random_profile(rng, n))
+
+    def opponents(n):
+        return win_probabilities(GameSpec(n), random_profile(rng, n).strategies[1:])
+
+    for route, n in ((symmetric, common), (dense, profile), (opponents, distinct)):
+        assert _estimate(monkeypatch, lambda: route(n)) <= kernels._WORK_BUDGET < _estimate(
+            monkeypatch, lambda: route(n + 1)), route.__name__
+
+
+def test_readme_solver_claims(exact_root):
+    # "at most 23 steps for every n up to 40" is the largest step count of the
+    # exact roots, and "changes sign once on 65 evenly spaced points" is the
+    # count that test_solve.py::test_exact_map_changes_sign_once samples
+    steps, top = _claim(r"closes its bracket in at most (\d+) steps for every n up to (\d+),")
+    assert top == MAX_SOLVER_N
+    assert steps == max(exact_root(n).iterations for n in range(MIN_SOLVER_N, MAX_SOLVER_N + 1))
+    points, top = _claim(r"changes sign once on (\d+) evenly spaced points for every n up to (\d+)\.")
+    assert (points, top) == (SIGN_POINTS, MAX_SOLVER_N)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -104,3 +105,21 @@ def test_package_modules_use_every_name_they_import():
                     if name not in read:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def test_the_benchmark_trace_reaches_every_layer_and_kernel_route():
+    # perfbench's trace wraps the functions of each lupi.<layer> named in its
+    # LAYERS and the kernel routes in KERNEL_ROUTES on lupi._backend.kernels;
+    # a route it cannot reach drops that route's per-layer metrics from a
+    # traced run, and the run's metadata reads lupi.backend_name()
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "trace_shim.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_trace_shim", path)
+    shim = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(shim)
+    assert shim.LAYERS and shim.KERNEL_ROUTES
+    for layer in shim.LAYERS:
+        importlib.import_module(f"lupi.{layer}")
+    kernels = importlib.import_module("lupi._backend").kernels
+    for route, attr in shim.KERNEL_ROUTES.items():
+        assert callable(getattr(kernels, attr, None)), route
+    assert lupi.backend_name() == "python"

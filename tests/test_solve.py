@@ -1,10 +1,15 @@
 """Symmetric equilibrium solver: both models, determinism, uniqueness of the root."""
 
+import itertools
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 
-from _oracle import egf_win_probs, poisson_equilibrium, poisson_win_probs
+import lupi.model
+from _oracle import (
+    EXACT4_POINT, EXACT4_VALUE, brute_winner, egf_win_probs, poisson_equilibrium, poisson_win_probs,
+)
 from lupi import (
     MAX_SOLVER_N,
     MIN_SOLVER_N,
@@ -12,6 +17,7 @@ from lupi import (
     GameSpec,
     StrategyProfile,
     closed_form_gradient,
+    closed_form_payoff,
     exact_profile_payoffs,
     geometric_payoff,
     solve_symmetric,
@@ -25,11 +31,9 @@ SQRT3 = math.sqrt(3.0)
 ROOT3 = (2 * SQRT3 - 3, 2 - SQRT3, 2 - SQRT3)
 PAYOFF3 = 28 - 16 * SQRT3
 
-# frozen from an independent brute-force Newton run (4**3 outcome enumeration
-# per win probability); the exact-model root is nothing like the closed-form
-# one, and its last two weights differ
-EXACT4_ROOT = (0.44773657324723, 0.42487270494538, 0.12565488835007, 0.00173583345732)
-EXACT4_PAYOFF = 0.16843752448986
+# points on [0, 1/n] at which the exact map's sign changes are counted; the
+# README states this number (tests/test_docs.py)
+SIGN_POINTS = 65
 
 
 def _spread(spec, strategy):
@@ -88,14 +92,33 @@ def test_exact_n3_agrees_with_paper_root():
 
 
 def test_exact_n4_root_and_indifference():
+    # the float root lies within 1e-15 of the 40-digit algebraic point
+    # (measured 1.3e-16 in the weights and 7.8e-17 in payoff)
     spec = GameSpec(4)
     result = solve_symmetric(spec, model="exact")
     assert result.converged
     assert result.full_support
-    for got, want in zip(result.strategy.probs, EXACT4_ROOT):
-        assert abs(got - want) <= 1e-6
-    assert abs(result.payoff - EXACT4_PAYOFF) <= 1e-8
+    for got, want in zip(result.strategy.probs, EXACT4_POINT):
+        assert abs(Decimal(got) - Decimal(want)) <= Decimal("1e-15")
+    assert abs(Decimal(result.payoff) - Decimal(EXACT4_VALUE)) <= Decimal("1e-15")
     assert _spread(spec, result.strategy) <= 1e-10
+
+
+def test_exact_n4_point_equalises_the_brute_force_win_probabilities():
+    # every pure choice wins with probability v against three opponents on the
+    # point, summed over the 4**3 opponent picks in 50-digit decimal with the
+    # oracle's winner rule and no float (measured within 7.3e-41 of v, and the
+    # weights sum to 1 within 3.7e-41)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        point = [Decimal(p) for p in EXACT4_POINT]
+        assert abs(sum(point) - 1) <= Decimal("1e-39")
+        for mine in range(1, 5):
+            win = Decimal(0)
+            for picks in itertools.product(range(1, 5), repeat=3):
+                if brute_winner((mine, *picks)) == 0:
+                    win += point[picks[0] - 1] * point[picks[1] - 1] * point[picks[2] - 1]
+            assert abs(win - Decimal(EXACT4_VALUE)) <= Decimal("1e-39"), mine
 
 
 def test_exact_n4_differs_from_closed_form_root():
@@ -108,12 +131,12 @@ def test_exact_n4_differs_from_closed_form_root():
 
 
 @pytest.mark.parametrize("n", range(3, MAX_SOLVER_N + 1))
-def test_exact_solver_larger_n(n):
+def test_exact_solver_larger_n(n, exact_root):
     spec = GameSpec(n)
-    result = solve_symmetric(spec, model="exact")
+    result = exact_root(n)
     assert result.converged
-    # the README's claim: the bracket closes in at most 23 steps (23 at n = 28)
-    assert result.iterations <= 23
+    # the README's step bound is checked against the largest iterations over
+    # these roots in tests/test_docs.py
     # every choice is used up to n = 10 (the last weight at n = 10 is about
     # 2.5e-12); from n = 11 on the root leaves the top choices unused
     assert result.full_support == (n <= 10)
@@ -123,14 +146,35 @@ def test_exact_solver_larger_n(n):
 
 
 @pytest.mark.parametrize("model", MODELS)
-def test_solved_payoff_is_the_verifiers_bit_for_bit(model):
+def test_solved_payoff_is_the_verifiers_bit_for_bit(model, exact_root):
     # the solver and the verifier score a symmetric strategy with one producer per model
     for n in range(MIN_SOLVER_N, MAX_SOLVER_N + 1):
-        result = solve_symmetric(GameSpec(n), model=model)
+        result = exact_root(n) if model == "exact" else solve_symmetric(GameSpec(n), model=model)
         profile = StrategyProfile.symmetric(result.strategy)
         assert result.payoff == verify_profile(profile, model=model).payoffs[0]
         if model == "exact":
             assert result.payoff == exact_profile_payoffs(profile)[0]
+
+
+def test_paper_routes_read_the_closed_form_once(monkeypatch):
+    # the solver and the verifier take the gradient, the values and the payoff
+    # from one read, with the floats of the public closed-form functions
+    for n in range(MIN_SOLVER_N, MAX_SOLVER_N + 1):
+        spec = GameSpec(n)
+        result = solve_symmetric(spec, model="paper")
+        strategy = result.strategy
+        assert result.payoff == closed_form_payoff(spec, strategy, strategy)
+        assert result.residual_norm == max(abs(g) for g in closed_form_gradient(spec, strategy))
+        report = verify_profile(StrategyProfile.symmetric(strategy), model="paper")
+        assert report.payoffs == (result.payoff,) * n
+        assert report.best_response_values == (max(lupi.model._closed_form_values(spec, strategy)),) * n
+    reads = []
+    read = lupi.model._closed_form_values
+    monkeypatch.setattr(lupi.model, "_closed_form_values", lambda *args: reads.append(1) or read(*args))
+    result = solve_symmetric(GameSpec(12), model="paper")
+    assert len(reads) == 1
+    verify_profile(StrategyProfile.symmetric(result.strategy), model="paper")
+    assert len(reads) == 2
 
 
 @pytest.mark.parametrize("n", [20, 30, 40])
@@ -194,7 +238,7 @@ def test_solver_is_deterministic(model):
 def test_exact_map_changes_sign_once(n):
     # no theorem makes the exact root unique: this is the evidence that the
     # one root the solver's bracket closes on is the only one in [0, 1/n]
-    values = [_exact_shot(n, i / (64 * n))[1] for i in range(65)]
+    values = [_exact_shot(n, i / ((SIGN_POINTS - 1) * n))[1] for i in range(SIGN_POINTS)]
     assert sum((a > 0.0) != (b > 0.0) for a, b in zip(values, values[1:])) == 1
 
 
