@@ -25,6 +25,7 @@ constants come from ``lupi.game``, which every command needs.
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -399,7 +400,13 @@ def run() -> None:
     # empty) starts a worker thread per extra core at import, which spins and takes CPU
     if not os.environ.get("OPENBLAS_NUM_THREADS"):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    sys.exit(main())
+    # a command leaves no cyclic garbage that grows with its work, so the process skips
+    # the collector's passes: none while it runs, and none over the frozen objects at exit
+    gc.disable()
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

@@ -10,8 +10,10 @@ reference kernels and the repeated-product closed form at the end are
 plain loops that the package's kernels and closed-form model must agree
 with; they import nothing from the package either. The random-input
 helpers only draw test inputs; ``random_profile`` wraps its rows in the
-package's ``StrategyProfile``. ``EXACT4_POINT`` and ``EXACT4_VALUE`` are data:
-the exact four-player equilibrium and its payoff to 40 digits.
+package's ``StrategyProfile``. ``EXACT4_POINT``, ``EXACT4_VALUE`` and
+``EXACT4_P1_POLY`` are data: the exact four-player equilibrium and its payoff
+to 40 digits, and the integer polynomial whose one real root is its first
+weight.
 """
 
 import itertools
@@ -317,3 +319,19 @@ EXACT4_POINT = (
     "0.001735833457642488166324501767461466107263",
 )
 EXACT4_VALUE = "0.168437524489931234459568022623389976638159"
+
+# The 28 integer coefficients of p1's polynomial above, highest power first.
+# Recipe (sympy 1.14, about 20 s): with a, b, c symbols and win_3 built from
+# ``brute_winner`` over the 4**3 picks, take the element free of b and c in
+# groebner([win_1 - win_2, win_1 - win_3, win_1 - win_4], c, b, a, order="lex"),
+# then the one factor of ``factor_list`` of that element, leading coefficient
+# positive. Its only real root is p1; no coefficient exceeds 57 bits.
+EXACT4_P1_POLY = (
+    2977189198336, -33627720703104, 200491471505952, -827271056298960, 2628404659705248,
+    -6799636944181728, 14810679475392690, -27756937113891597, 45418695483106575,
+    -65546002903608471, 84006214369216056, -96052421376973458, 98240696214822648,
+    -89971302771281718, 73744498709551044, -53988410269119015, 35178029658795843,
+    -20293668070940007, 10290828165958209, -4543958432952540, 1725747831970101,
+    -554794786320309, 147809837350935, -31704219034713, 5251076049222, -629008801182,
+    48395628036, -1792430668,
+)

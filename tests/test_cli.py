@@ -1,6 +1,8 @@
 """Command-line surface: formats, exit codes, file handling, round trips."""
 
+import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from _oracle import random_strategy
+from _oracle import random_profile, random_strategy
 import lupi
 from lupi import MAX_SOLVER_N, GameSpec, StrategyProfile, solve_symmetric
 from lupi import cli
@@ -430,24 +432,113 @@ def test_help_lists_every_option_and_exits_0(capsys, argv):
     assert all(text in out for text in shown), out
 
 
-def test_module_entry_point_runs_in_a_fresh_interpreter():
+def test_module_entry_point_runs_in_a_fresh_interpreter(capsys, golden_profiles):
+    """One golden case per (command, exit status) pair, ``--help`` and a usage
+    error, each through ``python -m lupi.cli``: the same stdout, exit status
+    and stderr as ``main()`` in-process, and the golden bytes where recorded."""
     src = str(Path(lupi.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-
-    def lupi_process(*argv):
-        return subprocess.run([sys.executable, "-m", "lupi.cli", *argv],
+    firsts = {}
+    for case in GOLDEN:
+        firsts.setdefault((case["argv"][0], case["exit"]), case)
+    assert len(firsts) == 9
+    runs = [([arg.format(**golden_profiles) for arg in case["argv"]], case["exit"], case["stdout"])
+            for case in firsts.values()]
+    runs += [(["--help"], EXIT_OK, None), (["solve", "--n", "3", "--tol"], EXIT_INPUT, "")]
+    for argv, status, stdout in runs:
+        proc = subprocess.run([sys.executable, "-m", "lupi.cli", *argv],
                               capture_output=True, text=True, env=env, timeout=120)
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        out, err = capsys.readouterr()
+        expected = (status, out if stdout is None else stdout, err)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected, argv
+        assert ("lupi: error:" in err) == (status == EXIT_INPUT), argv
 
-    proc = lupi_process("--help")
-    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
-    assert "best-response" in proc.stdout
-    proc = lupi_process()
-    assert (proc.returncode, proc.stdout) == (EXIT_INPUT, "")
-    assert "lupi: error:" in proc.stderr
-    argv = ["solve", "--n", "3", "--model", "paper", "--format", "json"]
-    (case,) = [case for case in GOLDEN if case["argv"] == argv]
-    proc = lupi_process(*argv)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (case["exit"], case["stdout"], "")
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_leaves_the_collector_as_it_found_it(capsys, tmp_path, enabled):
+    # only the process entry, run(), switches the cyclic collector off and freezes
+    path = write_profile(tmp_path, ASYM3)
+    was, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for argv, status in ((["payoff", "--profile", path], EXIT_OK),
+                             (["payoff", "--profile", str(tmp_path / "missing.json")], EXIT_INPUT),
+                             (["verify", "--profile", path], EXIT_NOT_NASH)):
+            assert run_cli(capsys, *argv)[0] == status
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen), argv
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+_COLLECTOR_IN_RUN = """
+import contextlib, gc, io, json
+from lupi import cli
+handler, summary, options = cli._COMMANDS["payoff"]
+seen = []
+def payoff(args):
+    seen.append(gc.isenabled())
+    return handler(args)
+cli._COMMANDS["payoff"] = (payoff, summary, options)
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cli.run()
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, seen, gc.isenabled(), gc.get_freeze_count()]))
+"""
+
+
+@pytest.mark.parametrize("missing, status", [(False, EXIT_OK), (True, EXIT_INPUT)])
+def test_a_command_process_runs_without_the_collector_and_exits_frozen(tmp_path, missing, status):
+    path = str(tmp_path / "missing.json") if missing else write_profile(tmp_path, ASYM3)
+    src = str(Path(lupi.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _COLLECTOR_IN_RUN, "payoff", "--profile", path],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, seen, enabled, frozen = json.loads(proc.stdout)
+    assert (code, seen, enabled) == (status, [False], False)
+    assert frozen > 0
+
+
+def test_commands_leave_no_cyclic_garbage_that_grows_with_their_work(tmp_path):
+    # the premise of run()'s disabled collector: with it off, a command's cyclic
+    # garbage is the same for a small and a large input on every route, so
+    # reference counting frees all that grows with the work
+    rng = random.Random(30)
+    dense = {}
+    for n in (5, 12):
+        dense[n] = str(tmp_path / f"dense{n}.json")
+        save_profile(dense[n], random_profile(rng, n))
+    routes = {
+        "identical opponents": [["solve", "--n", str(n), "--model", "exact"] for n in (5, 40)],
+        "subset program": [["verify", "--profile", dense[n]] for n in (5, 12)],
+        "sampler": [["simulate", "--profile", dense[5], "--rounds", str(r)] for r in (100, 100_000)],
+        "closed form": [["solve", "--n", str(n), "--model", "paper"] for n in (3, 40)],
+    }
+
+    def quiet(argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(argv)
+
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        for route, (small, large) in routes.items():
+            quiet(small)  # loads the route's modules, whose import may leave cycles
+            gc.collect()
+            counts = []
+            for argv in (small, large):
+                quiet(argv)
+                counts.append(gc.collect())
+            assert counts[0] == counts[1], (route, counts)
+    finally:
+        if was:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

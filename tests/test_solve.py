@@ -3,12 +3,13 @@
 import itertools
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 
 import lupi.model
 from _oracle import (
-    EXACT4_POINT, EXACT4_VALUE, brute_winner, egf_win_probs, poisson_equilibrium, poisson_win_probs,
+    EXACT4_P1_POLY, EXACT4_POINT, EXACT4_VALUE, brute_winner, egf_win_probs, poisson_equilibrium, poisson_win_probs,
 )
 from lupi import (
     MAX_SOLVER_N,
@@ -119,6 +120,109 @@ def test_exact_n4_point_equalises_the_brute_force_win_probabilities():
                 if brute_winner((mine, *picks)) == 0:
                     win += point[picks[0] - 1] * point[picks[1] - 1] * point[picks[2] - 1]
             assert abs(win - Decimal(EXACT4_VALUE)) <= Decimal("1e-39"), mine
+
+
+def _taylor_shift(coeffs):
+    """Coefficients of P(x + 1), lowest power first, from those of P."""
+    coeffs = list(coeffs)
+    for i in range(len(coeffs) - 1):
+        for k in range(len(coeffs) - 2, i - 1, -1):
+            coeffs[k] += coeffs[k + 1]
+    return coeffs
+
+
+def _roots_in_unit_interval(coeffs):
+    """Real roots in (0, 1) of a square-free integer polynomial, lowest power first.
+
+    Descartes' rule of signs on (1 + t)**d P(1 / (1 + t)) bounds the count, and is
+    exact when it reads 0 or 1; otherwise the interval is halved, as in Collins and
+    Akritas (1976), with the midpoint itself counted when it is a root.
+    """
+    signs = [c > 0 for c in _taylor_shift(coeffs[::-1]) if c]
+    bound = sum(s != t for s, t in zip(signs, signs[1:]))
+    if bound <= 1:
+        return bound
+    degree = len(coeffs) - 1
+    left = [c << (degree - k) for k, c in enumerate(coeffs)]  # 2**d P(x / 2)
+    right = _taylor_shift(left)  # 2**d P((x + 1) / 2)
+    return _roots_in_unit_interval(left) + _roots_in_unit_interval(right) + (right[0] == 0)
+
+
+def _value(coeffs, x):
+    """P(x) by Horner's rule, highest power first."""
+    total = 0
+    for c in coeffs:
+        total = total * x + c
+    return total
+
+
+def test_exact_n4_first_weight_is_the_one_root_of_its_polynomial(exact_root):
+    # in integers and Fraction only: the committed polynomial has one root in
+    # [0, 1], and it lies within 4 ulp of the float root's p1 and within 1e-40
+    # of the committed 40-digit p1
+    assert (len(EXACT4_P1_POLY), EXACT4_P1_POLY[0], EXACT4_P1_POLY[-1]) == (28, 2977189198336, -1792430668)
+    lowest_first = EXACT4_P1_POLY[::-1]
+    assert _value(EXACT4_P1_POLY, 0) != 0 and _value(EXACT4_P1_POLY, 1) != 0
+    assert _roots_in_unit_interval(lowest_first) == 1
+    p1 = exact_root(4).strategy.probs[0]
+    for centre, step in ((Fraction(p1), Fraction(4 * math.ulp(p1))),
+                         (Fraction(EXACT4_POINT[0]), Fraction(1, 10**40))):
+        assert _value(EXACT4_P1_POLY, centre - step) * _value(EXACT4_P1_POLY, centre + step) < 0
+
+
+def _mulmod(u, v, monic, p):
+    """u * v modulo the monic ``monic`` over GF(p), all lowest power first."""
+    d = len(monic) - 1
+    product = [0] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            product[i + j] += x * y
+    for k in range(len(product) - 1, d - 1, -1):
+        top = product[k] % p
+        for j in range(d):
+            product[k - d + j] -= top * monic[j]
+    return [c % p for c in product[:d]]
+
+
+def _gcd_degree(u, v, p):
+    """Degree of gcd(u, v) over GF(p), lowest power first."""
+    def trim(w):
+        w = [c % p for c in w]
+        while w and not w[-1]:
+            w.pop()
+        return w
+
+    u, v = trim(u), trim(v)
+    while v:
+        inverse = pow(v[-1], -1, p)
+        while len(u) >= len(v):
+            top, shift = u[-1] * inverse, len(u) - len(v)
+            u = trim([c - top * v[j - shift] if j >= shift else c for j, c in enumerate(u)])
+        u, v = v, u
+    return len(u) - 1
+
+
+def test_exact_n4_polynomial_is_irreducible_so_p1_has_degree_27():
+    # Rabin's test over GF(17), where the leading coefficient does not vanish:
+    # f of degree 27 is irreducible iff x**(17**27) = x mod f and
+    # gcd(x**(17**9) - x, f) = 1 (3 is the one prime factor of 27). A factor
+    # over the integers would survive mod 17, so f is irreducible over Q
+    p, d = 17, len(EXACT4_P1_POLY) - 1
+    assert EXACT4_P1_POLY[0] % p
+    inverse = pow(EXACT4_P1_POLY[0], -1, p)
+    monic = [c * inverse % p for c in EXACT4_P1_POLY[::-1]]
+    x = [0, 1] + [0] * (d - 2)
+    power = x
+    for k in range(1, d + 1):
+        frobenius = [1] + [0] * (d - 1)
+        for bit in bin(p)[2:]:  # power**p by squaring
+            frobenius = _mulmod(frobenius, frobenius, monic, p)
+            if bit == "1":
+                frobenius = _mulmod(frobenius, power, monic, p)
+        power = frobenius  # x**(p**k) mod f
+        if k == d // 3:
+            assert _gcd_degree([a - b for a, b in zip(power, x)], monic, p) == 0
+    assert power == x
 
 
 def test_exact_n4_differs_from_closed_form_root():
