@@ -1,6 +1,6 @@
 """The repository's committed documents: the README's examples run as
-written, its numeric claims about the engine hold, and every committed
-bench record holds the shared keys."""
+written, its numeric claims about the engine hold, the tests it names
+exist, and every committed bench record holds the shared keys."""
 
 import json
 import random
@@ -117,6 +117,13 @@ def test_readme_solver_claims(exact_root):
     assert steps == max(exact_root(n).iterations for n in range(MIN_SOLVER_N, MAX_SOLVER_N + 1))
     points, top = _claim(r"changes sign once on (\d+) evenly spaced points for every n up to (\d+)\.")
     assert (points, top) == (SIGN_POINTS, MAX_SOLVER_N)
+
+
+def test_readme_names_only_tests_that_exist():
+    named = re.findall(r"tests/(test_\w+\.py)::(\w+)", README)
+    assert len(named) >= 5
+    for module, test in named:
+        assert re.search(rf"^def {test}\(", (ROOT / "tests" / module).read_text(), re.M), (module, test)
 
 
 # ---------------------------------------------------------------------------
