@@ -2,11 +2,15 @@
 
 ``win_probs_common`` (identical opponents) and the distinct-opponent
 kernels ``win_probs_distinct`` and ``win_probs_leave_one_out`` are plain
-Python dynamic programs. The last two walk the integers over subsets of
-players, 2**m weights for m rows, and one pass scores every player of a
-whole profile. ``tests/test_kernels.py`` checks them to rounding against
-the scalar loop over 3**n capped-count states kept in ``tests/_oracle.py``.
-Before any work, all three check their multiply-adds against ``_WORK_BUDGET``.
+Python dynamic programs. The last two make the one choice of program: they
+group equal rows, hand a single group to ``win_probs_common``, and walk any
+other rows through one grouped pass over the integers (``_grouped_steps``),
+whose states count how many rows of each group sit below an integer:
+prod(g_i + 1) weights for groups of g_i rows, 2**m when m rows all differ.
+One pass scores every player of a whole profile. ``tests/test_kernels.py``
+checks them to rounding against the scalar loop over 3**n capped-count
+states kept in ``tests/_oracle.py``. Before any work, all three check their
+multiply-adds against ``_WORK_BUDGET``.
 
 ``simulate_rounds`` is numpy-vectorised in exact integer arithmetic: the
 draws, the inverse-CDF choice and the winner rule involve no rounding, so
@@ -47,7 +51,8 @@ _BLOCK_ROUNDS = 4096
 _BLOCK_DRAWS = 1 << 16
 
 # multiply-adds one exact kernel call may take, about 1.5 s at 60-80 ns each on a 2-core Xeon: a dense
-# n = 16 subset pass (1.68e7) but not n = 17 (3.79e7), and identical opponents up to n = 342
+# n = 16 subset pass (1.68e7) but not n = 17 (3.79e7), identical opponents up to n = 342, and a
+# symmetric profile with one deviator, groups of n - 1 and 1, up to n = 215 (2 * n**3)
 _WORK_BUDGET = 2 * 10**7
 
 
@@ -108,86 +113,142 @@ def common_step(row, pj):
 
 
 def win_probs_distinct(rows):
-    """Win probability of every pure choice against distinct opponents.
+    """Win probability of every pure choice against the opponents ``rows``.
 
-    Dynamic program over subsets of the opponents (``_subset_steps``): a
-    choice j wins when the opponents who pick below j leave no integer
-    picked exactly once and all the others pick above j.
+    A choice j wins when the opponents who pick below j leave no integer
+    picked exactly once and all the others pick above j. Identical
+    opponents, one group of rows, go to ``win_probs_common``, any others to
+    the grouped program (``_grouped_steps``).
     """
-    return [sum(map(mul, dist, above)) for dist, above in _subset_steps(rows, _player_halves(rows))]
+    groups, _ = _groups(rows)
+    if len(groups) == 1:
+        return win_probs_common(rows[0], len(rows))
+    return [sum(map(mul, dist, above)) for dist, above in _grouped_steps(groups, _count_moves(groups))]
 
 
 def win_probs_leave_one_out(rows):
     """Win probabilities of every player's pure choices against all the other rows.
 
     Entry i is what ``win_probs_distinct`` returns for the rows without row
-    i, up to rounding. One pass of ``_subset_steps`` over all m rows serves
-    every player: the weight of a subset S never involves a player outside
-    S, so player i's win at j sums the subsets without i, each with every
-    player outside S and i above j.
+    i, up to rounding. One pass of ``_grouped_steps`` over all m rows serves
+    every group. Its g members are exchangeable: a given one is outside the
+    c counted below j with weight (g - c) / g, and then all the other
+    players pick above j with the mass ``above`` holds at the state that
+    counts c + 1. With g = 1 that is the subset rule: the weight of a set of
+    players never involves a player outside it.
     """
-    halves = _player_halves(rows)
-    wins = [[0.0] * len(rows[0]) for _ in rows]
-    for j, (dist, above) in enumerate(_subset_steps(rows, halves)):
-        for win, pairs in zip(wins, halves):
-            win[j] = sum(sum(map(mul, dist[lo], above[hi])) for lo, hi in pairs)
-    return wins
+    groups, group_of = _groups(rows)
+    if len(groups) == 1:
+        return [win_probs_common(rows[0], len(rows) - 1)] * len(rows)
+    moves = _count_moves(groups)
+    # per group, the pairs from each count c to c + 1, with the weight (g - c) / g
+    scores = [[((g - c) / g, lo, hi) for c in range(g) for lo, hi in group_moves[c + 1][c][2]]
+              for (_, g), (group_moves, _) in zip(groups, moves)]
+    wins = [[0.0] * len(rows[0]) for _ in groups]
+    for j, (dist, above) in enumerate(_grouped_steps(groups, moves)):
+        for win, terms in zip(wins, scores):
+            win[j] = sum(f * sum(map(mul, dist[lo], above[hi])) for f, lo, hi in terms)
+    return [wins[k] for k in group_of]
 
 
-def _subset_steps(rows, halves):
-    """Yield, for each integer j, the subset distribution and the mass above j.
+def _groups(rows):
+    """Rows grouped by equality in first-appearance order, as (row, copies) pairs, and each row's group."""
+    first = {}
+    group_of = [first.setdefault(tuple(row), len(first)) for row in rows]
+    return [(list(row), group_of.count(k)) for k, row in enumerate(first)], group_of
 
-    Players are the bits of a subset index. ``dist[S]`` is the probability
-    that exactly the players in S picked integers below j, each of those
-    integers 0 or >= 2 times; ``above[S]`` is the probability that every
-    player outside S picks above j. Moving past j places on it any set T of
-    players outside S with |T| != 1: players with ``row[j] != 0`` join T
-    one at a time, and ``one`` and ``many`` hold the sets that received
-    exactly one or at least two of them. That is about m * n * 2**m
-    multiply-adds for m rows of n integers.
+
+def _grouped_steps(groups, moves):
+    """Yield, for each integer j, the distribution of count states and the mass above j.
+
+    A state counts how many of each group's rows picked integers below j:
+    c_i of group i's g_i, at index sum(c_i * stride_i) in mixed radix
+    g_i + 1, so rows that all differ index subsets of players, one bit
+    each. ``dist[s]`` is the probability of those counts with every integer
+    below j picked 0 or >= 2 times; ``above[s]`` is the probability that
+    every row not counted picks above j. Moving past j puts d of a group's
+    g - c rows left on it, with weight C(g - c, d) * q**d for the group's
+    mass q on j. Group by group, ``one`` and ``many`` hold the states that
+    have received exactly one or at least two players on j, and the next
+    distribution is none + many; every number added or multiplied is
+    non-negative. That is about prod(g_i + 1) * n * m multiply-adds for m
+    rows of n integers, m * n * 2**m when all rows differ.
     """
-    n, size = len(rows[0]), 1 << len(rows)
-    tails = [[0.0] * (n + 1) for _ in rows]
-    for row, tail in zip(rows, tails):
+    n, size = len(groups[0][0]), math.prod(len(group_moves) for group_moves, _ in moves)
+    tails = [[0.0] * (n + 1) for _ in groups]
+    for (row, _), tail in zip(groups, tails):
         for j in range(n - 1, -1, -1):
             tail[j] = tail[j + 1] + row[j]
     dist = [0.0] * size
     dist[0] = 1.0
     for j in range(n):
         above = [1.0]
-        for tail in tails:
+        for (_, g), tail in zip(groups, tails):
             t = tail[j + 1]
-            above = [a * t for a in above] + above
+            above = [a * p for p in [t ** k for k in range(g, 0, -1)] for a in above] + above
         yield dist, above
         if j == n - 1:
             break
         one = [0.0] * size
         many = [0.0] * size
-        for row, pairs in zip(rows, halves):
+        for (row, g), (group_moves, axes) in zip(groups, moves):
             q = row[j]
             if q == 0.0:
                 continue
-            for lo, hi in pairs:
-                many[hi] = [w + (a + b) * q for w, a, b in zip(many[hi], one[lo], many[lo])]
-                one[hi] = [w + d * q for w, d in zip(one[hi], dist[lo])]
+            powers = [q ** d for d in range(g + 1)]
+            if axes:
+                # ws[t][c] weighs the move from count c to t. Along an axis, count t takes one
+                # from t - 1, and many from t - 1 and, two or more rows at once, from below
+                ws = [[binom * powers[t - c] for c, binom, _ in to] for t, to in enumerate(group_moves)]
+                for axis in axes:
+                    none, o, m = dist[axis], one[axis], many[axis]
+                    placed = [x + y + z for x, y, z in zip(none, o, m)]
+                    one[axis] = o[:1] + [y + x * w[-1] for y, x, w in zip(o[1:], none, ws[1:])]
+                    many[axis] = m[:1] + [y + (o[c] + m[c]) * w[-1] + sum(map(mul, placed, w[:-1]))
+                                          for c, (y, w) in enumerate(zip(m[1:], ws[1:]))]
+                continue
+            # counts from the top down, so that each move reads states not yet written
+            for t in range(g, 0, -1):
+                for c, binom, pairs in group_moves[t]:
+                    w = binom * powers[t - c]
+                    for lo, hi in pairs:
+                        if c + 1 < t:
+                            many[hi] = [x + (d + a + b) * w for x, d, a, b in zip(many[hi], dist[lo], one[lo], many[lo])]
+                        else:
+                            many[hi] = [x + (a + b) * w for x, a, b in zip(many[hi], one[lo], many[lo])]
+                            one[hi] = [x + d * w for x, d in zip(one[hi], dist[lo])]
         dist = [d + w for d, w in zip(dist, many)]
 
 
-def _player_halves(rows):
-    """Per player, slice pairs that match each subset index without the player to the one with it.
+def _count_moves(groups):
+    """Per group, its moves onto each count t, (c, C(g - c, t - c), slice pairs) for c < t, and its axes.
 
-    Strided slices when there are fewer of them than contiguous blocks, so
-    every pair is as long as it can be. Both subset kernels start here, with the budget check.
+    The pairs match every state that counts c of the group's rows to the one
+    that counts t, with the other counts equal: strided slices when there
+    are fewer of them than contiguous runs, so every pair is as long as it
+    can be. A large group moves along its axes instead, one slice through
+    counts 0..g from each state that counts none of its rows, and keeps only
+    the pairs from c to c + 1, which score it. Both grouped kernels start
+    here, with the budget check.
     """
-    size = 1 << len(rows)
-    _check_work("the subset program", len(rows) * len(rows[0]) * size)
-    halves = []
-    for bit in (1 << i for i in range(len(rows))):
-        if 2 * bit * bit < size:
-            halves.append([(slice(r, size, 2 * bit), slice(r + bit, size, 2 * bit)) for r in range(bit)])
+    size = math.prod(g + 1 for _, g in groups)
+    _check_work("the subset program", size * len(groups[0][0]) * sum(g for _, g in groups))
+    moves, stride = [], 1
+    for _, g in groups:
+        block = stride * (g + 1)
+        blocks = size // block
+        if stride < blocks:
+            runs = [(r, size, block) for r in range(stride)]
         else:
-            halves.append([(slice(k, k + bit), slice(k + bit, k + 2 * bit)) for k in range(0, size, 2 * bit)])
-    return halves
+            runs = [(k, k + stride, 1) for k in range(0, size, block)]
+        # about g * g / 2 moves of min(stride, blocks) pairs, against three list passes per axis
+        axes = g * g > 6 * max(stride, blocks) and [
+            slice(k + r, k + block, stride) for k in range(0, size, block) for r in range(stride)]
+        moves.append(([[(c, float(math.comb(g - c, t - c)), [] if axes and c + 1 < t else [
+            (slice(a + c * stride, b + c * stride, step), slice(a + t * stride, b + t * stride, step))
+            for a, b, step in runs]) for c in range(t)] for t in range(g + 1)], axes))
+        stride = block
+    return moves
 
 
 def simulate_rounds(rows, rounds, seed):

@@ -6,14 +6,14 @@ one, and if no integer is picked exactly once nobody wins.
 
 The payoff computations here are exact (no sampling, no model
 approximations) and serve as the ground truth the closed-form model and the
-solvers are checked against. Two exact routes are used depending on the
-opponents: when all opponents share one strategy, a dynamic program over
-(integer, opponents not yet placed) with n * n cells; when they differ, a
-dynamic program over (integer, subset of players placed below it) with
-2**m weights per integer for m players. A whole profile's payoffs take the
-first route once when every player has the same strategy, and otherwise one
-pass of the second over all n players, which scores every player against
-the others.
+solvers are checked against. This module hands the kernels the rows and
+leaves the choice of program to them (``lupi._kernels_py``): they group
+equal rows, send one group of identical opponents to a dynamic program over
+(integer, opponents not yet placed) with n * n cells, and any other rows to
+one dynamic program over (integer, how many rows of each group are placed
+below it), prod(g_i + 1) weights per integer for groups of g_i rows. A
+whole profile's payoffs take one pass over all n players, which scores
+every player against the others.
 
 Players are 0-indexed everywhere in this package; command-line output is
 1-indexed.
@@ -205,17 +205,11 @@ def win_probabilities(spec: GameSpec, others: Sequence[StrategyLike]) -> tuple:
 
     Entry i is the probability that a player picking i + 1 wins: no opponent
     picks i + 1 and every integer below it is picked by a count different
-    from one. Identical opponents go through the polynomial
-    identical-opponent dynamic program, distinct opponents through the
-    dynamic program over subsets of opponents.
+    from one. The kernel chooses the program from the opponents' rows.
     """
     from ._backend import kernels
 
-    rows = _opponent_rows(spec, others)
-    first = rows[0]
-    if all(row == first for row in rows[1:]):
-        return tuple(kernels.win_probs_common(first, len(rows)))
-    return tuple(kernels.win_probs_distinct(rows))
+    return tuple(kernels.win_probs_distinct(_opponent_rows(spec, others)))
 
 
 def exact_profile_payoffs(profile: StrategyProfile) -> tuple:
@@ -233,21 +227,13 @@ def exact_profile_payoffs(profile: StrategyProfile) -> tuple:
 def _profile_choice_values(profile: StrategyProfile) -> tuple:
     """Every player's pure-choice win probabilities against the others, and payoffs.
 
-    Returns ``(values, payoffs)``. When all strategies are equal, every
-    player faces the same identical opponents: one identical-opponent pass
-    and one payoff serve them all. Otherwise one pass of the subset dynamic
-    program over all the players scores every player, since a subset's
-    weight never involves a player outside it. ``exact_profile_payoffs``,
+    Returns ``(values, payoffs)``, from one kernel pass over all the
+    players that scores every one of them. ``exact_profile_payoffs``,
     ``verify_profile`` and the ``exact`` solver all take their scores here.
     """
     from ._backend import kernels
 
-    rows = profile.rows()
-    first, n = rows[0], len(rows)
-    if all(row == first for row in rows[1:]):
-        values = tuple(kernels.win_probs_common(first, n - 1))
-        return [values] * n, [_mixed_value(profile.strategies[0], values)] * n
-    values = [tuple(wins) for wins in kernels.win_probs_leave_one_out(rows)]
+    values = [tuple(wins) for wins in kernels.win_probs_leave_one_out(profile.rows())]
     return values, [_mixed_value(own, v) for own, v in zip(profile.strategies, values)]
 
 

@@ -270,6 +270,30 @@ def test_heterogeneous_profile_above_the_subset_limit_is_rejected(capsys, tmp_pa
     assert "the subset program needs about 3.79e+07 multiply-adds, over the budget of 2e+07" in err
 
 
+def test_exact_root_with_one_deviator_at_n40(capsys, tmp_path, exact_root):
+    # the paper's claim is about one player leaving the common strategy: the
+    # n = 40 root with one player on 1 is scored whole, and that player's best
+    # response is the one the symmetric root offers
+    n = 40
+    root = list(exact_root(n).strategy.probs)
+    symmetric = write_profile(tmp_path, {"n": n, "strategies": [root] * n}, "root.json")
+    deviator = write_profile(tmp_path, {"n": n, "strategies": [root] * (n - 1) + [[1.0] + [0.0] * (n - 1)]},
+                             "deviator.json")
+    code, out, _ = run_cli(capsys, "payoff", "--profile", deviator, "--format", "json")
+    assert code == EXIT_OK
+    payoffs = json.loads(out)["payoffs"]
+    assert len(payoffs) == n and all(math.isfinite(v) for v in payoffs)
+    assert sum(payoffs) <= 1.0
+    code, out, _ = run_cli(capsys, "verify", "--profile", deviator, "--format", "json")
+    assert code == EXIT_NOT_NASH
+    report = json.loads(out)
+    assert report["payoffs"] == payoffs
+    code, out, _ = run_cli(capsys, "verify", "--profile", symmetric, "--format", "json")
+    assert code == EXIT_OK
+    assert report["best_response_values"][-1] == pytest.approx(
+        json.loads(out)["best_response_values"][0], rel=0.0, abs=1e-15)
+
+
 def test_heterogeneous_profile_above_twelve_is_accepted(capsys, tmp_path):
     path = write_profile(tmp_path, _dense_profile(13))
     code, out, _ = run_cli(capsys, "verify", "--profile", path)

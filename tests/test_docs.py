@@ -86,12 +86,14 @@ def _estimate(monkeypatch, call):
 def test_readme_work_budget_and_its_limits(monkeypatch):
     # "above 2·10^7", and the largest n within it on each route: a symmetric
     # profile (identical opponents), a dense heterogeneous profile (the subset
-    # program) and distinct opponents in best-response
+    # program), distinct opponents in best-response, and a symmetric profile
+    # with one deviator (the subset program on two groups)
     mantissa, exponent = _claim(r"above (\d+)·10\^(\d+)")
     assert kernels._WORK_BUDGET == mantissa * 10**exponent
-    (common,) = _claim(r"so it runs up to n = (\d+)\.")
+    (common,) = _claim(r"n·\(n − 1\)²/2 multiply-adds for n players, so it runs up to n = (\d+)\.")
     profile, distinct = _claim(r"a heterogeneous profile goes up to n = (\d+), and distinct opponents in "
                                r"`best-response` up to n = (\d+)\.")
+    (one_off,) = _claim(r"A symmetric profile with one deviator takes 2·n·n·n, so it runs up to n = (\d+)\.")
     rng = random.Random(8)
 
     def symmetric(n):
@@ -103,7 +105,11 @@ def test_readme_work_budget_and_its_limits(monkeypatch):
     def opponents(n):
         return win_probabilities(GameSpec(n), random_profile(rng, n).strategies[1:])
 
-    for route, n in ((symmetric, common), (dense, profile), (opponents, distinct)):
+    def deviator(n):
+        return exact_profile_payoffs(StrategyProfile(([1.0 / n] * n,) * (n - 1) + ([1.0] + [0.0] * (n - 1),)))
+
+    assert _estimate(monkeypatch, lambda: deviator(one_off)) == 2 * one_off**3
+    for route, n in ((symmetric, common), (dense, profile), (opponents, distinct), (deviator, one_off)):
         assert _estimate(monkeypatch, lambda: route(n)) <= kernels._WORK_BUDGET < _estimate(
             monkeypatch, lambda: route(n + 1)), route.__name__
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from operator import mul
 
 import pytest
 
@@ -137,13 +138,17 @@ def test_rejects_wrong_opponent_count_and_length():
 
 
 def test_identical_and_distinct_routes_agree_on_identical_opponents():
+    # win_probs_distinct hands one group of rows to win_probs_common, so the
+    # grouped program is called on that one group directly, with m = 1, 2
+    # moving by slice pairs and m >= 3 along its axis
     rng = random.Random(103)
     for _ in range(60):
         n = rng.randint(2, 6)
         m = n - 1
         p = list(random_strategy(rng, n, zeros=True))
         common = kernels.win_probs_common(p, m)
-        dp = kernels.win_probs_distinct([p] * m)
+        groups = [(p, m)]
+        dp = [sum(map(mul, dist, above)) for dist, above in kernels._grouped_steps(groups, kernels._count_moves(groups))]
         assert common == pytest.approx(dp, abs=1e-12)
     # the identical-opponent route against independent brute force, also
     # with fewer opponents than the integer range

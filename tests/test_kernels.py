@@ -3,8 +3,9 @@
 The sampler draws and picks in exact integer arithmetic, with thresholds
 that agree with the float comparison of the scalar round loop in
 ``_oracle`` on every draw, so its counts must be equal, not close.
-The distinct-opponent kernels run a dynamic program over subsets of
-players, an algorithm apart from the oracle's scalar loop over 3**n
+The distinct-opponent kernels run a dynamic program over how many rows of
+each group of equal rows sit below an integer (subsets of players when all
+rows differ), an algorithm apart from the oracle's scalar loop over 3**n
 capped-count states, so they are checked against that loop to 1e-14, and
 whole-profile payoffs against brute-force enumeration. The
 identical-opponent kernel is checked against the generating-function
@@ -189,6 +190,47 @@ def test_leave_one_out_matches_scalar_loop(n):
     _check_leave_one_out(rows)
 
 
+def _grouped_rows(rng, n, shape):
+    """n rows with zero entries, in groups of equal rows of the sizes in ``shape``, in a seeded order."""
+    rows = [row for g in shape for row in [list(random_strategy(rng, n, zeros=True))] * g]
+    rng.shuffle(rows)
+    return rows
+
+
+def _shapes(n):
+    """Group sizes of n rows: one deviator, two, pairs, and two blocks."""
+    return [[n - 1, 1], [n - 2, 1, 1], [2] * (n // 2) + [1] * (n % 2), [n // 2, n - n // 2]]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_grouped_rows_match_scalar_loop(n):
+    rng = random.Random(1050 + n)
+    for shape in _shapes(n):
+        rows = _grouped_rows(rng, n, [g for g in shape if g])
+        _check_leave_one_out(rows)
+        _check_distinct(rows)
+        _check_distinct(rows[1:])
+
+
+def test_grouped_shapes_take_both_kinds_of_move():
+    # a group of 7 beside one other row moves along its axes, groups of 2 by slice pairs
+    half, pure = [0.5, 0.5], [1.0, 0.0]
+    for rows, along in (([half] * 7 + [pure], [True, False]), ([half] * 2 + [pure] * 2, [False, False])):
+        groups, _ = kernels._groups(rows)
+        assert [bool(axes) for _, axes in kernels._count_moves(groups)] == along
+
+
+@pytest.mark.parametrize("n", [16, 40])
+def test_one_deviator_faces_the_identical_opponent_program(n, exact_root):
+    # the exact root for all but one player, who picks 1: that player's row is
+    # the root's win probabilities against n - 1 identical opponents
+    root = list(exact_root(n).strategy.probs)
+    rows = [root] * (n - 1) + [[1.0] + [0.0] * (n - 1)]
+    deviator = kernels.win_probs_leave_one_out(rows)[-1]
+    assert deviator == pytest.approx(kernels.win_probs_common(root, n - 1), rel=0.0, abs=1e-15)
+    assert deviator == pytest.approx(egf_win_probs(root), rel=0.0, abs=1e-14)
+
+
 def test_leave_one_out_matches_scalar_loop_dense_n10():
     rng = random.Random(1010)
     _check_leave_one_out([list(random_strategy(rng, 10)) for _ in range(10)])
@@ -222,32 +264,40 @@ def test_common_matches_generating_function_oracle(n):
         assert kernels.win_probs_common(probs, n - 1) == pytest.approx(egf_win_probs(probs), rel=0.0, abs=1e-13)
 
 
+def _distinct_rows(m, n):
+    """m rows of n integers that all differ."""
+    return [[(1.0 + i * (j == 0)) / (n + i) for j in range(n)] for i in range(m)]
+
+
 def test_fold_size_guard(monkeypatch):
     # two rows of 17 integers are 136 multiply-adds
-    assert len(kernels.win_probs_distinct([[1.0 / 17] * 17] * 2)) == 17
+    assert len(kernels.win_probs_distinct(_distinct_rows(2, 17))) == 17
     # the boundary of the budget on each estimate, with the kernels' work
     # stubbed out: within it the call must get past the check
-    monkeypatch.setattr(kernels, "_subset_steps", lambda rows, halves: iter(()))
+    monkeypatch.setattr(kernels, "_grouped_steps", lambda groups, moves: iter(()))
     monkeypatch.setattr(kernels, "common_step", lambda row, pj: row)
     monkeypatch.setattr(kernels, "common_win", lambda row, above: 0.0)
     assert 16 * 16 * 2**16 <= kernels._WORK_BUDGET < 17 * 17 * 2**17
-    kernels.win_probs_leave_one_out([[1.0 / 16] * 16] * 16)
+    kernels.win_probs_leave_one_out(_distinct_rows(16, 16))
     with pytest.raises(ValueError, match="the subset program needs about 3.79e\\+07 multiply-adds"):
-        kernels.win_probs_leave_one_out([[1.0 / 17] * 17] * 17)
+        kernels.win_probs_leave_one_out(_distinct_rows(17, 17))
     with pytest.raises(ValueError, match="the subset program"):
-        kernels.win_probs_distinct([[1.0 / 17] * 17] * 17)
+        kernels.win_probs_distinct(_distinct_rows(17, 17))
     # identical opponents: n players take about n * (n - 1)**2 / 2
     n = next(n for n in itertools.count(2) if n * (n - 1) ** 2 / 2 > kernels._WORK_BUDGET)
     assert n == 343
     assert kernels.win_probs_common([1.0 / (n - 1)] * (n - 1), n - 2) == [0.0] * (n - 1)
     with pytest.raises(ValueError, match="the identical-opponent program needs about 2.01e\\+07 multiply-adds"):
         kernels.win_probs_common([1.0 / n] * n, n - 1)
+    # equal rows are one group: 17 of them take the identical-opponent program
+    kernels.win_probs_leave_one_out([[1.0 / 17] * 17] * 17)
 
 
 def test_subset_size_guard_counts_players():
-    # the subset table doubles with each row, whatever the row length:
-    # 22 rows of 2 integers are 22 * 2 * 2**22 = 1.8e8 multiply-adds
+    # the subset table doubles with each distinct row, whatever the row length:
+    # 22 distinct rows of 2 integers are 22 * 2 * 2**22 = 1.8e8 multiply-adds
+    rows = _distinct_rows(22, 2)
     with pytest.raises(ValueError, match="the subset program"):
-        kernels.win_probs_distinct([[0.5, 0.5]] * 22)
+        kernels.win_probs_distinct(rows)
     with pytest.raises(ValueError, match="the subset program"):
-        kernels.win_probs_leave_one_out([[0.5, 0.5]] * 22)
+        kernels.win_probs_leave_one_out(rows)
