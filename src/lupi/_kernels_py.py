@@ -197,8 +197,9 @@ def _grouped_steps(groups, moves):
                 continue
             powers = [q ** d for d in range(g + 1)]
             if axes:
-                # ws[t][c] weighs the move from count c to t. Along an axis, count t takes one
-                # from t - 1, and many from t - 1 and, two or more rows at once, from below
+                # ws[t][c] weighs the move from count c to t. Along an axis, one[t] gains none
+                # at t - 1, and many[t] gains one + many at t - 1 and, with two or more rows
+                # on j at once, none + one + many at every count below t - 1
                 ws = [[binom * powers[t - c] for c, binom, _ in to] for t, to in enumerate(group_moves)]
                 for axis in axes:
                     none, o, m = dist[axis], one[axis], many[axis]
