@@ -50,9 +50,11 @@ _MUL_2 = 0x94D049BB133111EB
 _BLOCK_ROUNDS = 4096
 _BLOCK_DRAWS = 1 << 16
 
-# multiply-adds one exact kernel call may take, about 1.5 s at 60-80 ns each on a 2-core Xeon: a dense
-# n = 16 subset pass (1.68e7) but not n = 17 (3.79e7), identical opponents up to n = 342, and a
-# symmetric profile with one deviator, groups of n - 1 and 1, up to n = 215 (2 * n**3)
+# multiply-adds one exact kernel call may take: a dense n = 16 subset pass (1.68e7) but not n = 17
+# (3.79e7), identical opponents up to n = 342, and a symmetric profile with one deviator, groups of
+# n - 1 and 1, up to n = 215 (2 * n**3). The time per estimated multiply-add depends on the route:
+# on a 2-core Xeon VM (Python 3.11.7), in-process, about 250 ns on the dense n = 16 pass (4.0-4.5 s),
+# 180 ns on the uniform n = 342 one (3.5-3.8 s) and 100-140 ns with one deviator at n = 200 (1.6-2.3 s)
 _WORK_BUDGET = 2 * 10**7
 
 
@@ -135,20 +137,22 @@ def win_probs_leave_one_out(rows):
     c counted below j with weight (g - c) / g, and then all the other
     players pick above j with the mass ``above`` holds at the state that
     counts c + 1. With g = 1 that is the subset rule: the weight of a set of
-    players never involves a player outside it.
+    players never involves a player outside it. Every entry is a list of its
+    own, also for players with equal rows.
     """
     groups, group_of = _groups(rows)
     if len(groups) == 1:
-        return [win_probs_common(rows[0], len(rows) - 1)] * len(rows)
+        win = win_probs_common(rows[0], len(rows) - 1)
+        return [win[:] for _ in rows]
     moves = _count_moves(groups)
     # per group, the pairs from each count c to c + 1, with the weight (g - c) / g
     scores = [[((g - c) / g, lo, hi) for c in range(g) for lo, hi in group_moves[c + 1][c][2]]
-              for (_, g), (group_moves, _) in zip(groups, moves)]
+              for (_, g), group_moves in zip(groups, moves)]
     wins = [[0.0] * len(rows[0]) for _ in groups]
     for j, (dist, above) in enumerate(_grouped_steps(groups, moves)):
         for win, terms in zip(wins, scores):
             win[j] = sum(f * sum(map(mul, dist[lo], above[hi])) for f, lo, hi in terms)
-    return [wins[k] for k in group_of]
+    return [wins[k][:] for k in group_of]
 
 
 def _groups(rows):
@@ -174,7 +178,7 @@ def _grouped_steps(groups, moves):
     non-negative. That is about prod(g_i + 1) * n * m multiply-adds for m
     rows of n integers, m * n * 2**m when all rows differ.
     """
-    n, size = len(groups[0][0]), math.prod(len(group_moves) for group_moves, _ in moves)
+    n, size = len(groups[0][0]), math.prod(len(group_moves) for group_moves in moves)
     tails = [[0.0] * (n + 1) for _ in groups]
     for (row, _), tail in zip(groups, tails):
         for j in range(n - 1, -1, -1):
@@ -191,30 +195,20 @@ def _grouped_steps(groups, moves):
             break
         one = [0.0] * size
         many = [0.0] * size
-        for (row, g), (group_moves, axes) in zip(groups, moves):
+        for (row, g), group_moves in zip(groups, moves):
             q = row[j]
             if q == 0.0:
                 continue
             powers = [q ** d for d in range(g + 1)]
-            if axes:
-                # ws[t][c] weighs the move from count c to t. Along an axis, one[t] gains none
-                # at t - 1, and many[t] gains one + many at t - 1 and, with two or more rows
-                # on j at once, none + one + many at every count below t - 1
-                ws = [[binom * powers[t - c] for c, binom, _ in to] for t, to in enumerate(group_moves)]
-                for axis in axes:
-                    none, o, m = dist[axis], one[axis], many[axis]
-                    placed = [x + y + z for x, y, z in zip(none, o, m)]
-                    one[axis] = o[:1] + [y + x * w[-1] for y, x, w in zip(o[1:], none, ws[1:])]
-                    many[axis] = m[:1] + [y + (o[c] + m[c]) * w[-1] + sum(map(mul, placed, w[:-1]))
-                                          for c, (y, w) in enumerate(zip(m[1:], ws[1:]))]
-                continue
-            # counts from the top down, so that each move reads states not yet written
+            # counts from the top down, so that each move reads states not yet written: a
+            # move of two or more rows reads none + one + many, summed once per group
+            placed = [d + a + b for d, a, b in zip(dist, one, many)] if g > 1 else None
             for t in range(g, 0, -1):
                 for c, binom, pairs in group_moves[t]:
                     w = binom * powers[t - c]
                     for lo, hi in pairs:
                         if c + 1 < t:
-                            many[hi] = [x + (d + a + b) * w for x, d, a, b in zip(many[hi], dist[lo], one[lo], many[lo])]
+                            many[hi] = [x + p * w for x, p in zip(many[hi], placed[lo])]
                         else:
                             many[hi] = [x + (a + b) * w for x, a, b in zip(many[hi], one[lo], many[lo])]
                             one[hi] = [x + d * w for x, d in zip(one[hi], dist[lo])]
@@ -222,32 +216,25 @@ def _grouped_steps(groups, moves):
 
 
 def _count_moves(groups):
-    """Per group, its moves onto each count t, (c, C(g - c, t - c), slice pairs) for c < t, and its axes.
+    """Per group, its moves onto each count t: (c, C(g - c, t - c), slice pairs) for c < t.
 
     The pairs match every state that counts c of the group's rows to the one
     that counts t, with the other counts equal: strided slices when there
     are fewer of them than contiguous runs, so every pair is as long as it
-    can be. A large group moves along its axes instead, one slice through
-    counts 0..g from each state that counts none of its rows, and keeps only
-    the pairs from c to c + 1, which score it. Both grouped kernels start
-    here, with the budget check.
+    can be. Both grouped kernels start here, with the budget check.
     """
     size = math.prod(g + 1 for _, g in groups)
     _check_work("the subset program", size * len(groups[0][0]) * sum(g for _, g in groups))
     moves, stride = [], 1
     for _, g in groups:
         block = stride * (g + 1)
-        blocks = size // block
-        if stride < blocks:
+        if stride < size // block:
             runs = [(r, size, block) for r in range(stride)]
         else:
             runs = [(k, k + stride, 1) for k in range(0, size, block)]
-        # about g * g / 2 moves of min(stride, blocks) pairs, against three list passes per axis
-        axes = g * g > 6 * max(stride, blocks) and [
-            slice(k + r, k + block, stride) for k in range(0, size, block) for r in range(stride)]
-        moves.append(([[(c, float(math.comb(g - c, t - c)), [] if axes and c + 1 < t else [
+        moves.append([[(c, float(math.comb(g - c, t - c)), [
             (slice(a + c * stride, b + c * stride, step), slice(a + t * stride, b + t * stride, step))
-            for a, b, step in runs]) for c in range(t)] for t in range(g + 1)], axes))
+            for a, b, step in runs]) for c in range(t)] for t in range(g + 1)])
         stride = block
     return moves
 

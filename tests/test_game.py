@@ -139,8 +139,7 @@ def test_rejects_wrong_opponent_count_and_length():
 
 def test_identical_and_distinct_routes_agree_on_identical_opponents():
     # win_probs_distinct hands one group of rows to win_probs_common, so the
-    # grouped program is called on that one group directly, with m = 1, 2
-    # moving by slice pairs and m >= 3 along its axis
+    # grouped program is called on that one group directly
     rng = random.Random(103)
     for _ in range(60):
         n = rng.randint(2, 6)

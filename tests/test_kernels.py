@@ -212,12 +212,11 @@ def test_grouped_rows_match_scalar_loop(n):
         _check_distinct(rows[1:])
 
 
-def test_grouped_shapes_take_both_kinds_of_move():
-    # a group of 7 beside one other row moves along its axes, groups of 2 by slice pairs
-    half, pure = [0.5, 0.5], [1.0, 0.0]
-    for rows, along in (([half] * 7 + [pure], [True, False]), ([half] * 2 + [pure] * 2, [False, False])):
-        groups, _ = kernels._groups(rows)
-        assert [bool(axes) for _, axes in kernels._count_moves(groups)] == along
+def test_leave_one_out_gives_every_player_a_list_of_its_own():
+    # equal rows share a group, in the identical-opponent program and in the grouped one
+    for rows in ([[0.5, 0.5]] * 3, [[0.5, 0.5]] * 2 + [[1.0, 0.0]]):
+        wins = kernels.win_probs_leave_one_out(rows)
+        assert len({id(win) for win in wins}) == len(rows)
 
 
 @pytest.mark.parametrize("n", [16, 40])
