@@ -1,8 +1,10 @@
-"""The kernel module used by the computation layers.
+"""The kernel module and its name, for the benchmark only.
 
-The kernels of ``_kernels_py`` (plain Python, numpy in the round sampler
-only) are the only implementation; every layer reaches them through
-``kernels`` here.
+No layer of the package imports this module: they import ``_kernels_py``
+directly. It stays because ``perfbench/run.py`` calls ``backend_name()``
+(through ``lupi.backend_name``) and ``perfbench/trace_shim.py`` wraps the
+kernel routes on ``kernels``. It is deleted together with the benchmark
+change that stops reading it.
 """
 
 from . import _kernels_py as kernels

@@ -31,6 +31,8 @@ import math
 from itertools import accumulate
 from operator import mul
 
+from .game import _total
+
 BACKEND = "python"
 
 _MASK64 = (1 << 64) - 1
@@ -92,7 +94,7 @@ def win_probs_common(probs, opponents):
 
 def common_win(row, above):
     """Win probability of an integer from its state row and the mass above it."""
-    return sum(w * above**left for left, w in enumerate(row) if w != 0.0)
+    return _total(w * above**left for left, w in enumerate(row) if w != 0.0)
 
 
 def common_step(row, pj):
@@ -125,7 +127,7 @@ def win_probs_distinct(rows):
     groups, _ = _groups(rows)
     if len(groups) == 1:
         return win_probs_common(rows[0], len(rows))
-    return [sum(map(mul, dist, above)) for dist, above in _grouped_steps(groups, _count_moves(groups))]
+    return [_total(map(mul, dist, above)) for dist, above in _grouped_steps(groups, _count_moves(groups))]
 
 
 def win_probs_leave_one_out(rows):
@@ -151,7 +153,7 @@ def win_probs_leave_one_out(rows):
     wins = [[0.0] * len(rows[0]) for _ in groups]
     for j, (dist, above) in enumerate(_grouped_steps(groups, moves)):
         for win, terms in zip(wins, scores):
-            win[j] = sum(f * sum(map(mul, dist[lo], above[hi])) for f, lo, hi in terms)
+            win[j] = _total(f * _total(map(mul, dist[lo], above[hi])) for f, lo, hi in terms)
     return [wins[k][:] for k in group_of]
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .game import (
     DEFAULT_EPSILON, MODEL_EXACT, MODEL_PAPER, MODELS, GameSpec, StrategyLike, StrategyProfile, _opponent_rows,
-    _profile_choice_values, _Record, as_strategy, win_probabilities,
+    _profile_choice_values, _Record, _total, as_strategy, win_probabilities,
 )
 
 _TIE_TOLERANCE = 1e-12
@@ -131,20 +131,13 @@ def verify_profile(
         payoffs = [_closed_form_mix(common.probs, values_per_player[0])] * spec.n
     else:
         values_per_player, payoffs = _profile_choice_values(profile)
-    gains = []
-    weak_flags = []
-    for own, values, payoff in zip(strategies, values_per_player, payoffs):
-        gain = max(values) - payoff
-        indifferent = False
-        if gain <= epsilon:
-            for choice, value in enumerate(values):
-                unused = own.probs[choice] <= epsilon
-                if unused and abs(value - payoff) <= epsilon:
-                    indifferent = True
-                    break
-        gains.append(gain)
-        weak_flags.append(indifferent)
-    payoff_sum = sum(payoffs)
+    gains = [max(values) - payoff for values, payoff in zip(values_per_player, payoffs)]
+    # a player who cannot gain, but has an unused choice that pays as much
+    weak_flags = [
+        gain <= epsilon and any(p <= epsilon and abs(v - payoff) <= epsilon for p, v in zip(own.probs, values))
+        for own, values, payoff, gain in zip(strategies, values_per_player, payoffs, gains)
+    ]
+    payoff_sum = _total(payoffs)
     return VerificationReport(
         profile=profile,
         model=model,

@@ -38,6 +38,7 @@ from .game import (
     MODELS,
     GameSpec,
     StrategyProfile,
+    _total,
     exact_profile_payoffs,
 )
 
@@ -234,7 +235,7 @@ def _cmd_payoff(args):
 
     profile, labels = load_profile(args.profile)
     payoffs = list(exact_profile_payoffs(profile))
-    record = {"n": profile.n, "payoffs": payoffs, "payoff_sum": sum(payoffs), "labels": labels}
+    record = {"n": profile.n, "payoffs": payoffs, "payoff_sum": _total(payoffs), "labels": labels}
     rows = [["player", "label", "payoff"]] + _player_rows(labels, payoffs)
     names = _player_names(profile.n, labels)
     text = [f"player {name}: {_num(value)}" for name, value in zip(names, payoffs)]
@@ -357,7 +358,7 @@ def _exit(command, error=None):
     rows.append(("-h, --help", "show this help message and exit"))
     width = max(len(left) for left, _ in rows)
     lines = [f"lupi: error: {error}"] if error else [""] + [f"  {left.ljust(width)}  {text}" for left, text in rows]
-    print("\n".join([usage] + lines), file=sys.stderr if error else sys.stdout)
+    print("\n".join([usage] + lines), file=sys.stderr if error else sys.stdout, flush=True)
     raise SystemExit(EXIT_INPUT if error else EXIT_OK)
 
 
@@ -404,9 +405,15 @@ def run() -> None:
     # the collector's passes: none while it runs, and none over the frozen objects at exit
     gc.disable()
     try:
-        sys.exit(main())
+        status = main()
+        sys.stdout.flush()  # a reader that closed stdout shows here, not at exit
+    except BrokenPipeError:
+        # as Python's signal docs advise: stdout to devnull, so that the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = EXIT_INPUT
     finally:
         gc.freeze()
+    sys.exit(status)
 
 
 if __name__ == "__main__":

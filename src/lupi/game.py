@@ -22,6 +22,8 @@ Players are 0-indexed everywhere in this package; command-line output is
 from __future__ import annotations
 
 import math
+import sys
+from operator import mul
 from typing import Optional, Sequence, Union
 
 SUM_TOLERANCE = 1e-9
@@ -35,6 +37,19 @@ MAX_SOLVER_N = 40
 DEFAULT_EPSILON = 1e-9
 
 StrategyLike = Union["MixedStrategy", Sequence[float]]
+
+# The one summation rule: every float total in lupi is _total(terms), its terms (at
+# least one) added left to right in doubles. That is the order every recorded output
+# was computed in, and the one a rounding-error bound counts on. Builtin sum adds so
+# up to CPython 3.11; from 3.12 it compensates float sums, and a plain loop stands in
+if sys.version_info < (3, 12):
+    _total = sum
+else:
+    def _total(terms):
+        total = 0.0
+        for term in terms:
+            total += term
+        return total
 
 
 class _Record:
@@ -113,7 +128,7 @@ class MixedStrategy(_Record):
         for i, p in enumerate(probs):
             if not math.isfinite(p) or p < 0.0 or p > 1.0:
                 raise ValueError(f"probability {p!r} at index {i} is outside [0, 1]")
-        total = sum(probs)
+        total = _total(probs)
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise ValueError(f"probabilities sum to {total!r}, not 1 within {SUM_TOLERANCE}")
         if total != 1.0:
@@ -207,9 +222,9 @@ def win_probabilities(spec: GameSpec, others: Sequence[StrategyLike]) -> tuple:
     picks i + 1 and every integer below it is picked by a count different
     from one. The kernel chooses the program from the opponents' rows.
     """
-    from ._backend import kernels
+    from . import _kernels_py
 
-    return tuple(kernels.win_probs_distinct(_opponent_rows(spec, others)))
+    return tuple(_kernels_py.win_probs_distinct(_opponent_rows(spec, others)))
 
 
 def exact_profile_payoffs(profile: StrategyProfile) -> tuple:
@@ -228,18 +243,11 @@ def _profile_choice_values(profile: StrategyProfile) -> tuple:
     """Every player's pure-choice win probabilities against the others, and payoffs.
 
     Returns ``(values, payoffs)``, from one kernel pass over all the
-    players that scores every one of them. ``exact_profile_payoffs``,
+    players that scores every one of them; a payoff is the player's
+    probabilities dotted, in order, with their values. ``exact_profile_payoffs``,
     ``verify_profile`` and the ``exact`` solver all take their scores here.
     """
-    from ._backend import kernels
+    from . import _kernels_py
 
-    values = [tuple(wins) for wins in kernels.win_probs_leave_one_out(profile.rows())]
-    return values, [_mixed_value(own, v) for own, v in zip(profile.strategies, values)]
-
-
-def _mixed_value(strategy: MixedStrategy, values: Sequence[float]) -> float:
-    """Payoff of a mixed strategy: its probabilities dotted, in order, with pure-choice values."""
-    total = 0.0
-    for p, v in zip(strategy.probs, values):
-        total += p * v
-    return total
+    values = [tuple(wins) for wins in _kernels_py.win_probs_leave_one_out(profile.rows())]
+    return values, [_total(map(mul, own.probs, v)) for own, v in zip(profile.strategies, values)]

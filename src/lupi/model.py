@@ -14,7 +14,9 @@ Each power is one ``**``, so every route here is linear in n: at n = 10**5
 
 from __future__ import annotations
 
-from .game import GameSpec, MixedStrategy, StrategyLike
+from operator import mul
+
+from .game import GameSpec, MixedStrategy, StrategyLike, _total
 
 
 def _entries(strategy: StrategyLike, n: int, name: str):
@@ -66,14 +68,8 @@ def _closed_form_mix(pi, values) -> float:
     the payoff from it with the operations ``closed_form_payoff`` runs.
     """
     n = len(values)
-    head = 0.0
-    for k in range(n - 1):
-        head += pi[k]
-    total = pi[0] * values[0]
-    total += (1.0 - head) * values[n - 1]
-    for k in range(1, n - 1):
-        total += pi[k] * values[k]
-    return total
+    last = (1.0 - _total(pi[: n - 1])) * values[n - 1]
+    return _total([pi[0] * values[0], last, *map(mul, pi[1 : n - 1], values[1 : n - 1])])
 
 
 def closed_form_gradient(spec: GameSpec, opponents_common: StrategyLike) -> tuple:

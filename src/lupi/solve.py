@@ -121,7 +121,7 @@ def _exact_shot(n, v):
     opponents): early on, win_j is close to (1 - p_0 - ... - p_j)**m, and
     its m-th root is close to linear in p_j.
     """
-    from ._backend import kernels
+    from ._kernels_py import common_step, common_win
 
     k = 1.0 / (n - 1)
     v_k = v**k
@@ -130,7 +130,7 @@ def _exact_shot(n, v):
     rem = 1.0
     last, w_last = 0, row[0]
     for j in range(n):
-        w_none = kernels.common_win(row, rem)
+        w_none = common_win(row, rem)
         if w_none <= v:
             continue
         w_all = row[0]  # win probability with all the remaining mass on j
@@ -139,12 +139,12 @@ def _exact_shot(n, v):
             break
 
         def excess(p):
-            return kernels.common_win(row, rem - p) ** k - v_k
+            return common_win(row, rem - p) ** k - v_k
 
         pj = _find_root(excess, 0.0, rem, w_none**k - v_k, w_all**k - v_k)[0]
         probs[j] = pj
         rem -= pj
-        row = kernels.common_step(row, pj)
+        row = common_step(row, pj)
     probs[last] += rem
     return probs, w_last - v
 

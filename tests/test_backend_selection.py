@@ -1,7 +1,8 @@
-"""The kernel module that the computation layers and the benchmark trace reach.
+"""The kernel module that the benchmark trace reaches through ``lupi._backend``.
 
-One kernel module is left, so ``lupi._backend`` and ``backend_name()`` no
-longer choose anything. They stay because the benchmark reads them: the
+One kernel module is left, and the layers import it directly, so
+``lupi._backend`` and ``backend_name()`` no longer choose anything. They
+stay because the benchmark reads them: the
 metadata probe in ``perfbench/run.py`` calls ``lupi.backend_name()``, and
 ``perfbench/trace_shim.py`` wraps the kernel routes on
 ``lupi._backend.kernels``.

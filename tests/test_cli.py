@@ -456,6 +456,27 @@ def test_help_lists_every_option_and_exits_0(capsys, argv):
     assert all(text in out for text in shown), out
 
 
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", ["verify", "help"])
+def test_closed_stdout_ends_the_command_quietly(tmp_path, command, unbuffered):
+    # the reader's end of the pipe is closed before the command writes: with stdout
+    # unbuffered the first print fails, buffered the flush after main() does
+    path = str(tmp_path / "dense9.json")
+    save_profile(path, random_profile(random.Random(9), 9))
+    argv = ["verify", "--profile", path] if command == "verify" else ["--help"]
+    src = str(Path(lupi.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               PYTHONUNBUFFERED=unbuffered)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "lupi.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (EXIT_INPUT, "")
+
+
 def test_module_entry_point_runs_in_a_fresh_interpreter(capsys, golden_profiles):
     """One golden case per (command, exit status) pair, ``--help`` and a usage
     error, each through ``python -m lupi.cli``: the same stdout, exit status
@@ -645,7 +666,6 @@ def test_each_command_loads_only_its_layers(tmp_path):
     solve = _modules_after("solve", "--n", "5", "--model", "exact", "--save-profile", saved)
     assert {"lupi.game", "lupi.solve", "lupi.profiles"} <= solve
     assert not {"lupi.analysis", "lupi.simulate", "numpy", "dataclasses", "inspect"} & solve
-    assert {"lupi._backend", "lupi._kernels_py"} <= solve
     # the closed-form commands never call a kernel, so they never load one
     closed_forms = [_modules_after(*argv) for argv in (("solve", "--n", "3", "--model", "paper"),
                                                        ("approx", "--n", "5"), ("table", "--max-n", "6"))]
@@ -661,13 +681,16 @@ def test_each_command_loads_only_its_layers(tmp_path):
     hetero = write_profile(tmp_path, ASYM4)
     payoff = _modules_after("payoff", "--profile", hetero)
     best = _modules_after("best-response", "--n", "3", "--others", "0.5,0.5,0", "0.5,0.5,0")
+    simulate = _modules_after("simulate", "--profile", hetero, "--rounds", "100")
     # the closed form is loaded by the `paper` routes only
     for exact in (solve, verify, payoff, best):
         assert "lupi.model" not in exact
+    # the layers import the kernel module itself; lupi._backend is left to the benchmark
+    for kernel in (solve, verify, payoff, best, simulate):
+        assert "lupi._kernels_py" in kernel and "lupi._backend" not in kernel
     # the parser is lupi's own: no command loads argparse, nor the gettext and
     # locale modules that argparse's messages pull in
-    for modules in (solve, *closed_forms, verify, payoff, best,
-                    _modules_after("simulate", "--profile", hetero, "--rounds", "100")):
+    for modules in (solve, *closed_forms, verify, payoff, best, simulate):
         assert not {"argparse", "gettext", "locale"} & modules
 
 

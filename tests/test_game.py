@@ -2,7 +2,8 @@
 
 import math
 import random
-from operator import mul
+from functools import reduce
+from operator import add, mul
 
 import pytest
 
@@ -16,7 +17,8 @@ from lupi import (
     geometric_strategy,
     win_probabilities,
 )
-from lupi._backend import kernels
+from lupi import _kernels_py as kernels
+from lupi.game import _total
 
 HALF = (0.5, 0.5, 0.0)
 HALF4 = (0.5, 0.5, 0.0, 0.0)
@@ -263,3 +265,35 @@ def test_permutation_equity():
         permuted = StrategyProfile(tuple(profile.strategies[i] for i in order))
         expected = tuple(payoffs[i] for i in order)
         assert exact_profile_payoffs(permuted) == pytest.approx(expected, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the summation rule
+
+
+def _left_to_right(terms):
+    return reduce(add, terms, 0.0)
+
+
+def test_every_float_total_adds_left_to_right():
+    # 1 + 2**-53 rounds to 1 (a tie, to even) and so does adding 2**-53 again, but
+    # the correctly rounded sum is 1 + 2**-52: builtin sum returns that from CPython 3.12
+    terms = [1.0, 2**-53, 2**-53]
+    assert _left_to_right(terms) == 1.0 != math.fsum(terms)
+    assert _total(terms) == _total(iter(terms)) == 1.0
+    # the unit total leaves the weights as given
+    assert MixedStrategy(tuple(terms)).probs == tuple(terms)
+    low = (0.5 - 2**-40, 0.5, 2**-54, 2**-54)
+    total = _left_to_right(low)
+    assert total != math.fsum(low)
+    assert MixedStrategy(low).probs == tuple(p / total for p in low)
+    # an identical-opponent state row whose terms, with a mass of 1/2 above, are the same three
+    assert kernels.common_win([1.0, 2**-52, 2**-51], 0.5) == 1.0
+    # distinct rows: at the second integer, the products of the count states'
+    # weights and masses above sum differently in the two orders
+    rows = [[0.1, 0.9, 0.0], [0.1, 0.0, 0.9], [0.1, 0.45, 0.45]]
+    groups, _ = kernels._groups(rows)
+    steps = kernels._grouped_steps(groups, kernels._count_moves(groups))
+    terms = [list(map(mul, dist, above)) for dist, above in steps]
+    assert _left_to_right(terms[1]) != math.fsum(terms[1])
+    assert kernels.win_probs_distinct(rows) == [_left_to_right(t) for t in terms]

@@ -7,7 +7,7 @@ import pytest
 
 from _oracle import random_strategy
 from lupi import GameSpec, StrategyProfile, exact_profile_payoffs, geometric_strategy, simulate, solve_symmetric
-from lupi._backend import kernels
+from lupi import _kernels_py as kernels
 
 HALF = (0.5, 0.5, 0.0)
 ASYM3 = StrategyProfile(((0, 0, 1), HALF, HALF))
