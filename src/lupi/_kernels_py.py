@@ -79,9 +79,8 @@ def win_probs_common(probs, opponents):
     """
     n = len(probs)
     _check_work("the identical-opponent program", n * opponents * opponents / 2)
-    tail = [0.0] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        tail[j] = tail[j + 1] + probs[j]
+    # tail[j] is the mass on j and above, added from the top down
+    tail = list(accumulate(reversed(probs), initial=0.0))[::-1]
     row = [0.0] * opponents + [1.0]
     win = [0.0] * n
     for j in range(n):
@@ -181,10 +180,7 @@ def _grouped_steps(groups, moves):
     rows of n integers, m * n * 2**m when all rows differ.
     """
     n, size = len(groups[0][0]), math.prod(len(group_moves) for group_moves in moves)
-    tails = [[0.0] * (n + 1) for _ in groups]
-    for (row, _), tail in zip(groups, tails):
-        for j in range(n - 1, -1, -1):
-            tail[j] = tail[j + 1] + row[j]
+    tails = [list(accumulate(reversed(row), initial=0.0))[::-1] for row, _ in groups]
     dist = [0.0] * size
     dist[0] = 1.0
     for j in range(n):

@@ -148,7 +148,7 @@ def _save_symmetric(path, strategy) -> None:
 def _cmd_solve(args):
     from .solve import solve_symmetric
 
-    result = solve_symmetric(GameSpec(args.n), model=args.model, tol=args.tol)
+    result = solve_symmetric(GameSpec(args.n), model=args.model)
     _save_symmetric(args.save_profile, result.strategy)
     record = {
         "model": result.model,
@@ -330,8 +330,7 @@ _FORMAT = _Option("--format", "output format (default: text)", default="text", c
 _COMMANDS = {
     "solve": (_cmd_solve, "find the symmetric equilibrium strategy", [
         _N, _Option("--model", "payoff model: 'paper' (closed form) or 'exact' (exact win probabilities)",
-                    default=MODEL_PAPER, choices=MODELS),
-        _Option("--tol", "convergence threshold (default per model)", float), _SAVE, _FORMAT]),
+                    default=MODEL_PAPER, choices=MODELS), _SAVE, _FORMAT]),
     "table": (_cmd_table, "payoff comparison table across player counts", [
         _Option("--max-n", f"largest player count ({MIN_SOLVER_N}..{MAX_SOLVER_N})", int, default=8),
         _FORMAT]),

@@ -20,10 +20,12 @@ reduce to one scalar equation.
 
 Every ``exact`` search, outer and inner, is Illinois false position on a
 bracket with a bisection fallback, run to full floating-point precision; it
-needs no derivatives and stops on its own. The tolerance only decides
-whether the residual, recomputed from the returned strategy, counts as
-converged. Everything is plain Python lists: the solver needs no array
-library.
+needs no derivatives and stops on its own. A root counts as converged when
+the residual, recomputed from the returned strategy, is within the model's
+fixed ``_TOLERANCES`` entry, which every root up to ``MAX_SOLVER_N`` meets
+with orders of magnitude to spare, so a result that is not converged means
+that a search stopped at its step cap. Everything is plain Python lists: the
+solver needs no array library.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from .game import (
     _profile_choice_values, _Record,
 )
 
-DEFAULT_TOLERANCES = {MODEL_PAPER: 1e-12, MODEL_EXACT: 1e-10}
+# largest recomputed residual that counts as converged, per model
+_TOLERANCES = {MODEL_PAPER: 1e-12, MODEL_EXACT: 1e-10}
 
 _EPS = 2.0**-52
 # cap on the steps of one search; three steps at least halve its bracket, so
@@ -51,8 +54,9 @@ class SolveResult(_Record):
     per-player payoff when everyone adopts the strategy, under the same
     model that was solved, bit-equal to ``verify_profile``'s. ``iterations``
     counts the steps of the outer ``exact`` search; it is 0 for ``paper``,
-    whose root takes no search. ``full_support`` is False when some choice
-    has probability 0.
+    whose root takes no search. ``converged`` says whether the residual is
+    within the model's fixed tolerance (1e-12 ``paper``, 1e-10 ``exact``).
+    ``full_support`` is False when some choice has probability 0.
     """
 
     model: str
@@ -76,12 +80,12 @@ def _find_root(f, lo, hi, f_lo, f_hi):
     bisects). Steps stay two units in the last place inside the bracket, so
     it closes around a root it has come that close to. Stops when the
     bracket has closed, f is exactly 0, or after ``_MAX_STEPS`` evaluations.
-    Returns the final (lo, hi, steps); f has the sign of ``f_lo`` at lo.
+    Returns the final (lo, steps); f has the sign of ``f_lo`` at lo, or is
+    0 there.
     """
     steps = 0
     if f_lo == 0.0 or f_hi == 0.0:
-        x = lo if f_lo == 0.0 else hi
-        return x, x, steps
+        return (lo if f_lo == 0.0 else hi), steps
     kept = 0  # end kept by the last step: -1 lo, +1 hi
     older = prev = hi - lo
     while steps < _MAX_STEPS:
@@ -97,7 +101,7 @@ def _find_root(f, lo, hi, f_lo, f_hi):
         fx = f(x)
         steps += 1
         if fx == 0.0:
-            return x, x, steps
+            return x, steps
         if (fx > 0.0) == (f_lo > 0.0):
             lo, f_lo = x, fx
             if kept == 1:
@@ -109,7 +113,7 @@ def _find_root(f, lo, hi, f_lo, f_hi):
                 f_lo *= 0.5
             kept = -1
         older, prev = prev, width
-    return lo, hi, steps
+    return lo, steps
 
 
 def _exact_shot(n, v):
@@ -132,7 +136,7 @@ def _exact_shot(n, v):
     for j in range(n):
         w_none = common_win(row, rem)
         if w_none <= v:
-            continue
+            break  # the row and rem stay as they are, so no later choice takes mass either
         w_all = row[0]  # win probability with all the remaining mass on j
         last, w_last = j, w_all
         if w_all > v:
@@ -168,7 +172,7 @@ def _paper_shot(n, s):
     return probs, tails[n - 1] - 1.0
 
 
-def _package(spec: GameSpec, model: str, probs, iterations: int, tol: float) -> SolveResult:
+def _package(spec: GameSpec, model: str, probs, iterations: int) -> SolveResult:
     strategy = MixedStrategy(tuple(probs))
     if model == MODEL_PAPER:
         from .model import _closed_form_mix, _closed_form_values
@@ -188,35 +192,33 @@ def _package(spec: GameSpec, model: str, probs, iterations: int, tol: float) -> 
         payoff=payoff,
         residual_norm=residual_norm,
         iterations=iterations,
-        converged=residual_norm <= tol,
+        converged=residual_norm <= _TOLERANCES[model],
         full_support=min(strategy.probs) > 0.0,
     )
 
 
-def solve_symmetric(spec: GameSpec, model: str = MODEL_PAPER, tol: float | None = None) -> SolveResult:
+def solve_symmetric(spec: GameSpec, model: str = MODEL_PAPER) -> SolveResult:
     """Find a common strategy that is its own best response under ``model``.
 
     ``paper`` shoots once from the root of its linear map. ``exact``
     searches the whole domain of its scalar map, whose ends bracket its
     sign change, and returns the strategy shot from the low end of the
     final bracket. The result is never fabricated: ``converged`` is False
-    whenever the recomputed residual exceeds the tolerance, and the point
+    whenever the recomputed residual exceeds the model's fixed tolerance,
+    which only a search stopped at its step cap leaves, and the point
     reached is reported as-is.
     """
     if not MIN_SOLVER_N <= spec.n <= MAX_SOLVER_N:
         raise ValueError(f"solver supports {MIN_SOLVER_N} <= n <= {MAX_SOLVER_N}, got {spec.n}")
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
-    tol = DEFAULT_TOLERANCES[model] if tol is None else float(tol)
-    if not 0.0 < tol < float("inf"):
-        raise ValueError("tolerance must be positive and finite")
     n = spec.n
     if model == MODEL_PAPER:
         # H(s) = s * t_{-1}(1) - 1, so the root is 1 / t_{-1}(1)
         s = 1.0 / (_paper_shot(n, 1.0)[1] + 1.0)
-        return _package(spec, model, _paper_shot(n, s)[0], 0, tol)
+        return _package(spec, model, _paper_shot(n, s)[0], 0)
     # v <= 1/n because the n payoffs of a symmetric profile sum to at most one
     top = 1.0 / n
     f_lo, f_hi = _exact_shot(n, 0.0)[1], _exact_shot(n, top)[1]
-    lo, _, steps = _find_root(lambda v: _exact_shot(n, v)[1], 0.0, top, f_lo, f_hi)
-    return _package(spec, model, _exact_shot(n, lo)[0], steps, tol)
+    lo, steps = _find_root(lambda v: _exact_shot(n, v)[1], 0.0, top, f_lo, f_hi)
+    return _package(spec, model, _exact_shot(n, lo)[0], steps)

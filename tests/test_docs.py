@@ -12,7 +12,10 @@ import pytest
 
 import lupi._kernels_py as kernels
 from _oracle import random_profile
-from lupi import MAX_SOLVER_N, MIN_SOLVER_N, GameSpec, StrategyProfile, exact_profile_payoffs, win_probabilities
+from lupi import (
+    MAX_SOLVER_N, MIN_SOLVER_N, GameSpec, StrategyProfile, exact_profile_payoffs, solve_symmetric, win_probabilities,
+)
+from lupi.solve import _TOLERANCES
 from lupi.cli import EXIT_NOT_NASH, EXIT_OK, main
 from test_solve import SIGN_POINTS
 
@@ -123,6 +126,13 @@ def test_readme_solver_claims(exact_root):
     assert steps == max(exact_root(n).iterations for n in range(MIN_SOLVER_N, MAX_SOLVER_N + 1))
     points, top = _claim(r"changes sign once on (\d+) evenly spaced points for every n up to (\d+)\.")
     assert (points, top) == (SIGN_POINTS, MAX_SOLVER_N)
+    # each model's fixed tolerance is over 10**4 times its largest residual,
+    # so only a search stopped at its step cap reports no convergence
+    (top,) = _claim(r"every root up to n = (\d+) is within it by more than four orders of magnitude")
+    assert top == MAX_SOLVER_N
+    ns = range(MIN_SOLVER_N, MAX_SOLVER_N + 1)
+    for model, roots in (("exact", map(exact_root, ns)), ("paper", (solve_symmetric(GameSpec(n)) for n in ns))):
+        assert max(root.residual_norm for root in roots) * 1e4 < _TOLERANCES[model], model
 
 
 def test_readme_names_only_tests_that_exist():

@@ -120,6 +120,7 @@ def test_the_benchmark_trace_reaches_every_layer_and_kernel_route():
     for layer in shim.LAYERS:
         importlib.import_module(f"lupi.{layer}")
     kernels = importlib.import_module("lupi._backend").kernels
+    assert kernels is importlib.import_module("lupi._kernels_py")
     for route, attr in shim.KERNEL_ROUTES.items():
         assert callable(getattr(kernels, attr, None)), route
-    assert lupi.backend_name() == "python"
+    assert kernels.BACKEND == lupi.backend_name() == "python"

@@ -26,6 +26,7 @@ from lupi import (
     verify_profile,
     win_probabilities,
 )
+import lupi.solve
 from lupi.solve import _exact_shot, _paper_shot
 
 SQRT3 = math.sqrt(3.0)
@@ -356,12 +357,14 @@ def test_paper_map_is_linear_in_its_last_weight(n):
         assert _paper_shot(n, s)[1] == s * slope - 1.0, k
 
 
-def test_failure_is_reported_not_fabricated():
-    # the search runs to full precision, so only a tolerance below what
-    # floating point reaches leaves the root unconverged
-    result = solve_symmetric(GameSpec(4), model="exact", tol=1e-17)
-    assert not result.converged
-    assert result.residual_norm > 1e-17
+def test_failure_is_reported_not_fabricated(monkeypatch):
+    # the search runs to full precision, so only a search cut at its step
+    # cap leaves the root unconverged; the point reached is still reported
+    monkeypatch.setattr(lupi.solve, "_MAX_STEPS", 1)
+    result = solve_symmetric(GameSpec(6), model="exact")
+    assert (result.converged, result.iterations) == (False, 1)
+    assert result.residual_norm > 1e-10
+    assert len(result.strategy.probs) == 6
 
 
 def test_argument_validation():
@@ -371,12 +374,5 @@ def test_argument_validation():
         solve_symmetric(GameSpec(MAX_SOLVER_N + 1))
     with pytest.raises(ValueError):
         solve_symmetric(GameSpec(4), model="bogus")
-    with pytest.raises(ValueError):
-        solve_symmetric(GameSpec(4), tol=-1.0)
-
-
-@pytest.mark.parametrize("tol", [0.0, -0.0, float("nan"), float("-inf"), float("inf")])
-def test_tolerance_must_be_a_positive_number(tol):
-    for model in ("paper", "exact"):
-        with pytest.raises(ValueError, match="tolerance must be positive"):
-            solve_symmetric(GameSpec(5), model=model, tol=tol)
+    with pytest.raises(TypeError):
+        solve_symmetric(GameSpec(4), tol=1e-17)  # the tolerance is fixed per model
