@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .game import (
-    DEFAULT_EPSILON, MODEL_EXACT, MODEL_PAPER, MODELS, GameSpec, StrategyLike, StrategyProfile, _opponent_rows,
+    DEFAULT_EPSILON, MODEL_EXACT, MODELS, SUM_TOLERANCE, GameSpec, StrategyLike, StrategyProfile, _opponent_rows,
     _profile_choice_values, _Record, _total, as_strategy, win_probabilities,
 )
 
@@ -107,35 +107,22 @@ def verify_profile(
     function: it recomputes payoffs, per-player best responses and gains,
     and labels the profile accordingly.
 
-    Each model's scores come from the producer that ``exact_profile_payoffs``
-    and ``solve_symmetric`` use too, so the payoffs agree bit for bit: under
-    ``exact``, one identical-opponent pass when all strategies are equal,
-    else one pass of the subset dynamic program; under ``paper``, one read of
-    the closed form's values against the common strategy, and the payoff
-    mixed from them with ``closed_form_payoff``'s operations. Only the
-    ``paper`` routes load :mod:`lupi.model`.
+    Every player's values and payoff come from ``_profile_choice_values``
+    under ``model``, the producer that ``exact_profile_payoffs`` and
+    ``solve_symmetric`` read too, so the payoffs agree bit for bit; it
+    rejects an unknown model, and an asymmetric profile under ``paper``. A
+    player's indifferent deviations are choices they leave unused (weight
+    at most the strategy sum's tolerance, whatever ``epsilon`` is) that
+    pay within ``epsilon`` of their payoff.
     """
     if not 0.0 < epsilon < float("inf"):
         raise ValueError("epsilon must be positive and finite")
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
-    spec = GameSpec(profile.n)
-    strategies = profile.strategies
-    common = strategies[0]
-    if model == MODEL_PAPER:
-        if any(s.probs != common.probs for s in strategies[1:]):
-            raise ValueError("the closed-form model verifies symmetric profiles only")
-        from .model import _closed_form_mix, _closed_form_values
-
-        values_per_player = [_closed_form_values(spec, common)] * spec.n
-        payoffs = [_closed_form_mix(common.probs, values_per_player[0])] * spec.n
-    else:
-        values_per_player, payoffs = _profile_choice_values(profile)
+    values_per_player, payoffs = _profile_choice_values(profile, model)
     gains = [max(values) - payoff for values, payoff in zip(values_per_player, payoffs)]
     # a player who cannot gain, but has an unused choice that pays as much
     weak_flags = [
-        gain <= epsilon and any(p <= epsilon and abs(v - payoff) <= epsilon for p, v in zip(own.probs, values))
-        for own, values, payoff, gain in zip(strategies, values_per_player, payoffs, gains)
+        gain <= epsilon and any(p <= SUM_TOLERANCE and abs(v - payoff) <= epsilon for p, v in zip(own.probs, values))
+        for own, values, payoff, gain in zip(profile.strategies, values_per_player, payoffs, gains)
     ]
     payoff_sum = _total(payoffs)
     return VerificationReport(

@@ -13,7 +13,10 @@ equal rows, send one group of identical opponents to a dynamic program over
 one dynamic program over (integer, how many rows of each group are placed
 below it), prod(g_i + 1) weights per integer for groups of g_i rows. A
 whole profile's payoffs take one pass over all n players, which scores
-every player against the others.
+every player against the others. That pass is one branch of the one
+profile scorer, ``_profile_choice_values``; its other branch reads the
+closed-form model's values from :mod:`lupi.model`, for the solver and the
+verifier under ``paper``.
 
 Players are 0-indexed everywhere in this package; command-line output is
 1-indexed.
@@ -232,22 +235,38 @@ def exact_profile_payoffs(profile: StrategyProfile) -> tuple:
 
     Each player's payoff is the win probability of their pure choices
     against the remaining players, weighted by their own probabilities. The
-    win probabilities and payoffs come from ``_profile_choice_values``,
-    which ``verify_profile`` and ``solve_symmetric`` share, so all three
-    report bit-equal payoffs.
+    payoffs are ``_profile_choice_values``'s under ``exact``, the scores
+    ``verify_profile`` and ``solve_symmetric`` read too, so all three report
+    bit-equal payoffs.
     """
     return tuple(_profile_choice_values(profile)[1])
 
 
-def _profile_choice_values(profile: StrategyProfile) -> tuple:
-    """Every player's pure-choice win probabilities against the others, and payoffs.
+def _profile_choice_values(profile: StrategyProfile, model: str = MODEL_EXACT) -> tuple:
+    """Every player's pure-choice values against the others under ``model``, and payoffs.
 
-    Returns ``(values, payoffs)``, from one kernel pass over all the
-    players that scores every one of them; a payoff is the player's
-    probabilities dotted, in order, with their values. ``exact_profile_payoffs``,
-    ``verify_profile`` and the ``exact`` solver all take their scores here.
+    Returns ``(values, payoffs)``, one tuple of values and one payoff per
+    player. Under ``exact`` the values are win probabilities from one kernel
+    pass over all the players that scores every one of them, and a payoff is
+    the player's probabilities dotted, in order, with their values. Under
+    ``paper`` the profile must be symmetric: the closed form's values are
+    read once against the common strategy and mixed into the payoff with
+    ``closed_form_payoff``'s operations; only this branch loads
+    :mod:`lupi.model`. ``exact_profile_payoffs``, ``verify_profile`` and
+    ``solve_symmetric`` take their scores here, and this is the one place a
+    profile's scores depend on the model.
     """
-    from . import _kernels_py
+    if model == MODEL_EXACT:
+        from . import _kernels_py
 
-    values = [tuple(wins) for wins in _kernels_py.win_probs_leave_one_out(profile.rows())]
-    return values, [_total(map(mul, own.probs, v)) for own, v in zip(profile.strategies, values)]
+        values = [tuple(wins) for wins in _kernels_py.win_probs_leave_one_out(profile.rows())]
+        return values, [_total(map(mul, own.probs, v)) for own, v in zip(profile.strategies, values)]
+    if model != MODEL_PAPER:
+        raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
+    common, *others = profile.strategies
+    if any(s.probs != common.probs for s in others):
+        raise ValueError("the closed-form model verifies symmetric profiles only")
+    from .model import _closed_form_mix, _closed_form_values
+
+    values = tuple(_closed_form_values(GameSpec(profile.n), common))
+    return [values] * profile.n, [_closed_form_mix(common.probs, values)] * profile.n

@@ -64,8 +64,9 @@ def _closed_form_mix(pi, values) -> float:
     """Closed-form payoff of weights ``pi`` against the choice values ``values``.
 
     The last weight is 1 minus the others, whatever ``pi`` holds there, so
-    a solver or verifier that has read ``_closed_form_values`` once scores
-    the payoff from it with the operations ``closed_form_payoff`` runs.
+    the profile scorer, ``game._profile_choice_values``, having read
+    ``_closed_form_values`` once, scores the payoff from it with the
+    operations ``closed_form_payoff`` runs.
     """
     n = len(values)
     last = (1.0 - _total(pi[: n - 1])) * values[n - 1]

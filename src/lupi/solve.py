@@ -174,17 +174,13 @@ def _paper_shot(n, s):
 
 def _package(spec: GameSpec, model: str, probs, iterations: int) -> SolveResult:
     strategy = MixedStrategy(tuple(probs))
+    values, payoffs = _profile_choice_values(StrategyProfile.symmetric(strategy), model)
+    values, payoff = values[0], payoffs[0]
     if model == MODEL_PAPER:
-        from .model import _closed_form_mix, _closed_form_values
-
-        # one read of the closed form gives the gradient (each value minus the last) and the payoff
-        values = _closed_form_values(spec, strategy)
+        # the closed-form gradient: each value minus the last
         residual_norm = max(abs(v - values[-1]) for v in values[:-1])
-        payoff = _closed_form_mix(strategy.probs, values)
     else:
-        values, payoffs = _profile_choice_values(StrategyProfile.symmetric(strategy))
-        wins, payoff = values[0], payoffs[0]
-        residual_norm = max(wins) - min(w for p, w in zip(strategy.probs, wins) if p > 0.0)
+        residual_norm = max(values) - min(w for p, w in zip(strategy.probs, values) if p > 0.0)
     return SolveResult(
         model=model,
         n=spec.n,

@@ -103,6 +103,15 @@ def test_asymmetric_n4_profile_is_weak_nash_and_sum_maximal():
     assert report.indifferent_deviations[1:] == (False, False, False)
 
 
+def test_indifferent_deviations_need_an_unused_choice_at_any_epsilon():
+    # epsilon bounds a gain, not a weight: a loose epsilon flags nobody in
+    # a dense profile, and still flags every player with an unused choice
+    rng = random.Random(508)
+    for profile in (StrategyProfile.symmetric(ROOT3), random_profile(rng, 9)):
+        assert verify_profile(profile, epsilon=1.0).indifferent_deviations == (False,) * profile.n
+    assert verify_profile(ASYM4, epsilon=1.0).indifferent_deviations == (True,) * 4
+
+
 def test_asymmetric_n3_profile_report():
     # payoffs are (1/2, 1/4, 1/4) with maximal sum, but the oracle finds the
     # mixing players can deviate to pure '1' for 1/2, so this is not an
