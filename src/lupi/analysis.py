@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .game import (
-    DEFAULT_EPSILON, MODEL_EXACT, MODELS, SUM_TOLERANCE, GameSpec, StrategyLike, StrategyProfile, _opponent_rows,
+    DEFAULT_EPSILON, MODEL_EXACT, SUM_TOLERANCE, GameSpec, StrategyLike, StrategyProfile, _opponent_rows,
     _profile_choice_values, _Record, _total, as_strategy, win_probabilities,
 )
 
@@ -31,6 +31,8 @@ class VerificationReport(_Record):
     most epsilon. ``indifferent_deviations[i]`` flags players who cannot
     gain but could switch to an unused pure choice without losing either
     (the profile is then an equilibrium only in the weak sense).
+    ``is_payoff_sum_maximal`` holds when the payoffs sum to 1 within
+    ``SUM_TOLERANCE`` (1e-9); epsilon bounds gains only.
     """
 
     profile: StrategyProfile
@@ -49,22 +51,19 @@ class VerificationReport(_Record):
 def pure_choice_values(spec: GameSpec, others: Sequence[StrategyLike], model: str = MODEL_EXACT) -> tuple:
     """Deviator's payoff for each pure choice 1..n under the chosen model.
 
-    The closed-form model only describes a deviator facing identical
-    opponents, so ``model="paper"`` requires all opponent strategies equal.
+    Exact values come from ``win_probabilities`` over the n - 1 opponents.
+    Under any other model the opponents are checked as there and scored as
+    the symmetric profile (deviator on the first opponent's strategy, then
+    the opponents) by ``_profile_choice_values``, which rejects an unknown
+    model and, under ``paper``, opponents on different strategies.
     Opponents are renormalized first, unlike in ``closed_form_payoff``, so
     the two can differ in the last bits on a tuple whose sum is not 1.
     """
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
     if model == MODEL_EXACT:
         return win_probabilities(spec, others)
-    from .model import _closed_form_values
-
-    rows = _opponent_rows(spec, others)
-    common = rows[0]
-    if any(row != common for row in rows[1:]):
-        raise ValueError("the closed-form model needs all opponents on one common strategy")
-    return tuple(_closed_form_values(spec, common))
+    strategies = [as_strategy(s) for s in others]
+    _opponent_rows(spec, strategies)
+    return _profile_choice_values(StrategyProfile((strategies[0], *strategies)), model)[0][0]
 
 
 def best_response(spec: GameSpec, others: Sequence[StrategyLike], model: str = MODEL_EXACT):
@@ -110,10 +109,11 @@ def verify_profile(
     Every player's values and payoff come from ``_profile_choice_values``
     under ``model``, the producer that ``exact_profile_payoffs`` and
     ``solve_symmetric`` read too, so the payoffs agree bit for bit; it
-    rejects an unknown model, and an asymmetric profile under ``paper``. A
-    player's indifferent deviations are choices they leave unused (weight
-    at most the strategy sum's tolerance, whatever ``epsilon`` is) that
-    pay within ``epsilon`` of their payoff.
+    rejects an unknown model, and an asymmetric profile under ``paper``.
+    ``epsilon`` bounds gains only: a player's indifferent deviations are
+    choices they leave unused (weight at most ``SUM_TOLERANCE``) that pay
+    within ``epsilon`` of their payoff, and the payoff sum is maximal when
+    it is 1 within ``SUM_TOLERANCE``, whatever ``epsilon`` is.
     """
     if not 0.0 < epsilon < float("inf"):
         raise ValueError("epsilon must be positive and finite")
@@ -136,5 +136,5 @@ def verify_profile(
         indifferent_deviations=tuple(weak_flags),
         is_nash=max(gains) <= epsilon,
         payoff_sum=payoff_sum,
-        is_payoff_sum_maximal=abs(payoff_sum - 1.0) <= epsilon,
+        is_payoff_sum_maximal=abs(payoff_sum - 1.0) <= SUM_TOLERANCE,
     )

@@ -15,8 +15,8 @@ below it), prod(g_i + 1) weights per integer for groups of g_i rows. A
 whole profile's payoffs take one pass over all n players, which scores
 every player against the others. That pass is one branch of the one
 profile scorer, ``_profile_choice_values``; its other branch reads the
-closed-form model's values from :mod:`lupi.model`, for the solver and the
-verifier under ``paper``.
+closed-form model's values from :mod:`lupi.model`, for the solver, the
+verifier and ``pure_choice_values`` under ``paper``.
 
 Players are 0-indexed everywhere in this package; command-line output is
 1-indexed.
@@ -253,8 +253,9 @@ def _profile_choice_values(profile: StrategyProfile, model: str = MODEL_EXACT) -
     read once against the common strategy and mixed into the payoff with
     ``closed_form_payoff``'s operations; only this branch loads
     :mod:`lupi.model`. ``exact_profile_payoffs``, ``verify_profile`` and
-    ``solve_symmetric`` take their scores here, and this is the one place a
-    profile's scores depend on the model.
+    ``solve_symmetric`` take their scores here, and ``pure_choice_values``
+    its ``paper`` scores, so this is the one scorer that rejects an unknown
+    model.
     """
     if model == MODEL_EXACT:
         from . import _kernels_py
@@ -265,7 +266,7 @@ def _profile_choice_values(profile: StrategyProfile, model: str = MODEL_EXACT) -
         raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
     common, *others = profile.strategies
     if any(s.probs != common.probs for s in others):
-        raise ValueError("the closed-form model verifies symmetric profiles only")
+        raise ValueError("the closed-form model scores symmetric profiles only")
     from .model import _closed_form_mix, _closed_form_values
 
     values = tuple(_closed_form_values(GameSpec(profile.n), common))

@@ -54,8 +54,9 @@ def closed_form_payoff(spec: GameSpec, mine: StrategyLike, opponents_common: Str
     strategy shared by all n - 1 opponents. The final entry of each vector
     is recovered from normalization, exactly as the expression is written.
     Raw sequences are read as given, neither validated nor renormalized
-    (finite-difference checks rely on this); ``pure_choice_values`` renormalizes,
-    so the two can differ in the last bits on a tuple whose sum is not 1.
+    (finite-difference checks rely on this); ``pure_choice_values`` scores
+    validated, renormalized opponents, so the two can differ in the last
+    bits on a tuple whose sum is not 1.
     """
     return _closed_form_mix(_entries(mine, spec.n, "mine"), _closed_form_values(spec, opponents_common))
 

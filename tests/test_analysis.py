@@ -79,6 +79,18 @@ def test_unknown_model_is_rejected():
         verify_profile(StrategyProfile.symmetric(HALF), model="closed")
 
 
+def test_pure_choice_values_checks_the_opponents_then_the_model():
+    # the opponents' count comes first whatever the model; then an unknown
+    # model is named as such even against differing opponents, and only
+    # then does the closed form ask for one common strategy
+    with pytest.raises(ValueError, match=r"expected 2 opponent strategies for n=3, got 1"):
+        pure_choice_values(GameSpec(3), [HALF], model="closed")
+    with pytest.raises(ValueError, match=r"unknown model 'closed'"):
+        pure_choice_values(GameSpec(3), [HALF, (0, 0, 1)], model="closed")
+    with pytest.raises(ValueError, match="the closed-form model scores symmetric profiles only"):
+        pure_choice_values(GameSpec(3), [HALF, (0, 0, 1)], model="paper")
+
+
 # ---------------------------------------------------------------------------
 # verification
 
@@ -104,12 +116,14 @@ def test_asymmetric_n4_profile_is_weak_nash_and_sum_maximal():
 
 
 def test_indifferent_deviations_need_an_unused_choice_at_any_epsilon():
-    # epsilon bounds a gain, not a weight: a loose epsilon flags nobody in
-    # a dense profile, and still flags every player with an unused choice
+    # epsilon bounds a gain, not a weight or the payoff sum: a loose epsilon
+    # flags nobody in a dense profile, still flags every player with an
+    # unused choice, and leaves a payoff sum of about 0.85 short of maximal
     rng = random.Random(508)
     for profile in (StrategyProfile.symmetric(ROOT3), random_profile(rng, 9)):
         assert verify_profile(profile, epsilon=1.0).indifferent_deviations == (False,) * profile.n
     assert verify_profile(ASYM4, epsilon=1.0).indifferent_deviations == (True,) * 4
+    assert not verify_profile(StrategyProfile.symmetric(ROOT3), epsilon=1.0).is_payoff_sum_maximal
 
 
 def test_asymmetric_n3_profile_report():

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -105,6 +106,39 @@ def test_package_modules_use_every_name_they_import():
                     if name not in read:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def _owned_nodes(tree):
+    """(innermost enclosing function name or "<module>", node) for every node in ``tree``."""
+    stack = [("<module>", tree)]
+    while stack:
+        owner, node = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            yield owner, child
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+            stack.append((inner, child))
+
+
+def test_one_scorer_checks_the_model_and_loads_the_closed_form():
+    # which model a score comes from is decided in game._profile_choice_values:
+    # "unknown model" is raised there and in solve_symmetric's argument check
+    # only, lupi.model is imported there only (cli's approx and table load it
+    # for their own output), and the verifier names no model but the default
+    package = Path(lupi.__file__).resolve().parent
+    raisers, importers, analysis_names = set(), set(), set()
+    for path in sorted(package.glob("*.py")):
+        if path.name in ("cli.py", "model.py"):
+            continue
+        for owner, node in _owned_nodes(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and "unknown model" in ast.unparse(node):
+                raisers.add(f"{path.stem}.{owner}")
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and re.search(r"\bmodel\b", ast.unparse(node)):
+                importers.add(f"{path.stem}.{owner}")
+            if path.name == "analysis.py" and isinstance(node, ast.Name):
+                analysis_names.add(node.id)
+    assert raisers == {"game._profile_choice_values", "solve.solve_symmetric"}
+    assert importers == {"game._profile_choice_values"}
+    assert not analysis_names & {"MODELS", "MODEL_PAPER"}
 
 
 def test_the_benchmark_trace_reaches_every_layer_and_kernel_route():
