@@ -27,7 +27,7 @@ _HOMES = {
         ("analysis", "VerificationReport best_response indifference_spread pure_choice_values"
                      " verify_profile"),
         ("game", "DEFAULT_EPSILON GameSpec MAX_SOLVER_N MIN_SOLVER_N MixedStrategy MODEL_EXACT"
-                 " MODEL_PAPER MODELS StrategyProfile adjudicate as_strategy exact_profile_payoffs"
+                 " MODEL_PAPER MODELS StrategyProfile as_strategy exact_profile_payoffs"
                  " win_probabilities"),
         ("model", "closed_form_gradient closed_form_payoff geometric_payoff geometric_strategy"
                   " two_choice_baseline"),

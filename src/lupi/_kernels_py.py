@@ -257,8 +257,9 @@ def simulate_rounds(rows, rounds, seed):
     """
     import numpy as np
 
-    # uint64 operands: a Python int above 2**63 would not mix with uint64
-    # arrays (it raises under numpy 2, promotes to float under numpy 1)
+    # uint64 operands, for numpy 1, which pyproject.toml admits and which was not
+    # checked. Under numpy 2.4 a Python int below 2**64 stays uint64 against a
+    # uint64 array too, with no warning; one of 2**64 or more raises OverflowError
     mul_1, mul_2 = np.uint64(_MUL_1), np.uint64(_MUL_2)
     shift_27, shift_30, shift_31 = (np.uint64(k) for k in (27, 30, 31))
 

@@ -254,8 +254,9 @@ def _cmd_best_response(args):
     from .analysis import best_response
 
     others = [_parse_vector(text) for text in args.others]
-    values, picks = best_response(GameSpec(args.n), others)
-    record = {"n": args.n, "values": list(values), "best_picks": list(picks)}
+    spec = GameSpec(len(others[0]))
+    values, picks = best_response(spec, others)
+    record = {"n": spec.n, "values": list(values), "best_picks": list(picks)}
     rows = [["choice", "value", "is_best"]]
     rows += [[i + 1, value, i + 1 in picks] for i, value in enumerate(values)]
     text = [f"choice {i + 1}: {_num(value)}" for i, value in enumerate(values)]
@@ -338,8 +339,7 @@ _COMMANDS = {
         _PROFILE, _Option("--eps", "gain tolerance", float, default=DEFAULT_EPSILON), _FORMAT]),
     "payoff": (_cmd_payoff, "exact expected payoffs of a profile", [_PROFILE, _FORMAT]),
     "best-response": (_cmd_best_response, "pure-choice values against given opponents", [
-        _Option("--n", "number of players", int, required=True),
-        _Option("--others", "n-1 opponent strategies, each as comma-separated probabilities",
+        _Option("--others", "n-1 opponent strategies, each as n comma-separated probabilities",
                 required=True, many=True), _FORMAT]),
     "approx": (_cmd_approx, "geometric strategy and its payoff", [_N, _SAVE, _FORMAT]),
     "simulate": (_cmd_simulate, "seeded Monte Carlo estimate of profile payoffs", [

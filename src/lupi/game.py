@@ -1,4 +1,4 @@
-"""Game definition, adjudication, and exact expected payoffs.
+"""Game definition and exact expected payoffs.
 
 Rules: each of n players secretly picks an integer from 1..n; the player
 holding the smallest integer picked by exactly one player wins a utility of
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import sys
 from operator import mul
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 SUM_TOLERANCE = 1e-9
 
@@ -183,27 +183,6 @@ class StrategyProfile(_Record):
     def rows(self):
         """Probabilities as a list of per-player lists (kernel input form)."""
         return [list(s.probs) for s in self.strategies]
-
-
-def adjudicate(picks: Sequence[int]) -> Optional[int]:
-    """Index of the player holding the smallest uniquely-picked integer.
-
-    Returns None when every chosen integer was chosen by at least two
-    players. The number of players is the length of ``picks`` and each pick
-    must lie in 1..n.
-    """
-    n = len(picks)
-    if n < 2:
-        raise ValueError("an outcome needs at least two picks")
-    counts = [0] * n
-    for i, p in enumerate(picks):
-        if not isinstance(p, int) or isinstance(p, bool) or not 1 <= p <= n:
-            raise ValueError(f"pick {p!r} of player {i} is outside 1..{n}")
-        counts[p - 1] += 1
-    for val in range(n):
-        if counts[val] == 1:
-            return list(picks).index(val + 1)
-    return None
 
 
 def _opponent_rows(spec: GameSpec, others: Sequence[StrategyLike]):

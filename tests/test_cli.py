@@ -299,7 +299,7 @@ def test_two_players_are_accepted(capsys, tmp_path):
     path = write_profile(tmp_path, {"n": 2, "strategies": [[1.0, 0.0], [0.0, 1.0]]})
     assert run_cli(capsys, "verify", "--profile", path)[0] == EXIT_OK
     assert run_cli(capsys, "payoff", "--profile", path)[0] == EXIT_OK
-    assert run_cli(capsys, "best-response", "--n", "2", "--others", "0.5,0.5")[0] == EXIT_OK
+    assert run_cli(capsys, "best-response", "--others", "0.5,0.5")[0] == EXIT_OK
 
 
 def test_payoff_csv(capsys, tmp_path):
@@ -316,22 +316,23 @@ def test_payoff_csv(capsys, tmp_path):
 
 
 def test_best_response_matches_reported_values(capsys):
-    code, out, _ = run_cli(
-        capsys, "best-response", "--n", "3", "--others", "0.5,0.5,0", "0.5,0.5,0"
-    )
+    code, out, _ = run_cli(capsys, "best-response", "--others", "0.5,0.5,0", "0.5,0.5,0")
     assert code == EXIT_OK
     assert "choice 3: 0.5" in out
     assert out.strip().splitlines()[-1] == "best: 3"
 
 
 def test_best_response_wrong_count(capsys):
-    code, _, err = run_cli(capsys, "best-response", "--n", "3", "--others", "0.5,0.5,0")
-    assert code == EXIT_INPUT
-    assert "2" in err
+    # n is the length of the first vector; every vector and their count must fit it
+    for others, message in ((["0.5,0.5,0"], "expected 2 opponent strategies for n=3, got 1"),
+                            (["0.5,0.5,0", "0.5,0.5"], "opponent strategy 1 has 2 entries, expected 3"),
+                            (["0.5,0.5", "0.5,0.5,0"], "expected 1 opponent strategies for n=2, got 2")):
+        code, _, err = run_cli(capsys, "best-response", "--others", *others)
+        assert (code, err) == (EXIT_INPUT, f"lupi: error: {message}\n")
 
 
 def test_best_response_bad_vector(capsys):
-    code, _, err = run_cli(capsys, "best-response", "--n", "3", "--others", "a,b,c", "0.5,0.5,0")
+    code, _, err = run_cli(capsys, "best-response", "--others", "a,b,c", "0.5,0.5,0")
     assert code == EXIT_INPUT
 
 
@@ -367,14 +368,13 @@ PARSED = [
     (["payoff", "--profile", "a b.json"], "_cmd_payoff", {"profile": "a b.json", "format": "text"}),
     (["payoff", "--format", "json", "--profile", "p.json", "--profile", "q.json"], "_cmd_payoff",
      {"profile": "q.json", "format": "json"}),
-    (["best-response", "--n", "3", "--others", "0.5,0.5,0", "0.5,0.5,0"], "_cmd_best_response",
-     {"n": 3, "others": ["0.5,0.5,0", "0.5,0.5,0"], "format": "text"}),
-    (["best-response", "--others", "a", "b", "c", "--n", "4", "--format", "json"], "_cmd_best_response",
-     {"n": 4, "others": ["a", "b", "c"], "format": "json"}),
-    (["best-response", "--n", "3", "--others", "x", "--others", "y", "-1"], "_cmd_best_response",
-     {"n": 3, "others": ["y", "-1"], "format": "text"}),
-    (["best-response", "--n", "2", "--others=1,0"], "_cmd_best_response",
-     {"n": 2, "others": ["1,0"], "format": "text"}),
+    (["best-response", "--others", "0.5,0.5,0", "0.5,0.5,0"], "_cmd_best_response",
+     {"others": ["0.5,0.5,0", "0.5,0.5,0"], "format": "text"}),
+    (["best-response", "--others", "a", "b", "c", "--format", "json"], "_cmd_best_response",
+     {"others": ["a", "b", "c"], "format": "json"}),
+    (["best-response", "--others", "x", "--others", "y", "-1"], "_cmd_best_response",
+     {"others": ["y", "-1"], "format": "text"}),
+    (["best-response", "--others=1,0"], "_cmd_best_response", {"others": ["1,0"], "format": "text"}),
     (["approx", "--n", "6"], "_cmd_approx", {"n": 6, "save_profile": None, "format": "text"}),
     (["approx", "--n", "+6", "--save-profile", "g.json", "--format", "csv"], "_cmd_approx",
      {"n": 6, "save_profile": "g.json", "format": "csv"}),
@@ -403,14 +403,15 @@ USAGE_ERRORS = [
     (["bogus"], "the first argument must be a command"),
     (["--format", "json"], "the first argument must be a command"),
     (["solve"], "the following arguments are required: --n"),
-    (["best-response"], "the following arguments are required: --n, --others"),
+    (["best-response"], "the following arguments are required: --others"),
     (["solve", "--n", "3", "--foo", "1"], "unrecognized argument: --foo"),
     (["table", "--max", "5"], "unrecognized argument: --max"),
     (["solve", "--n", "3", "extra"], "unrecognized argument: extra"),
     (["solve", "--n", "4", "--model", "exact", "--tol", "1e-17"], "unrecognized argument: --tol"),
     (["solve", "--n"], "argument --n: expected one argument"),
     (["solve", "--n", "--model", "paper"], "argument --n: expected one argument"),
-    (["best-response", "--n", "3", "--others"], "argument --others: expected at least one argument"),
+    (["best-response", "--others"], "argument --others: expected at least one argument"),
+    (["best-response", "--n", "3", "--others", "0.5,0.5,0", "0.5,0.5,0"], "unrecognized argument: --n"),
     (["solve", "--n", "x"], "argument --n: invalid int value: 'x'"),
     (["solve", "--n="], "argument --n: invalid int value: ''"),
     (["table", "--max-n", "1.5"], "argument --max-n: invalid int value: '1.5'"),
@@ -601,12 +602,12 @@ run("solve", "--n", "5", "--model", "exact", "--save-profile", saved)
 run("approx", "--n", "6")
 run("table", "--max-n", "6")
 run("verify", "--profile", saved)
-run("best-response", "--n", "3", "--others", "0.5,0.3,0.2", "0.5,0.3,0.2")
+run("best-response", "--others", "0.5,0.3,0.2", "0.5,0.3,0.2")
 heavy = {"dataclasses", "inspect", "numpy"} & set(sys.modules)
 assert not heavy, f"a symmetric command loaded {sorted(heavy)}"
 payoffs = run("payoff", "--profile", hetero, "--format", "json")
 run("verify", "--profile", hetero)
-run("best-response", "--n", "4", "--others", "0,0,1,0", "0.5,0.5,0,0", "0.5,0.5,0,0")
+run("best-response", "--others", "0,0,1,0", "0.5,0.5,0,0", "0.5,0.5,0,0")
 heavy = {"dataclasses", "inspect", "numpy"} & set(sys.modules)
 assert not heavy, f"a heterogeneous payoff command loaded {sorted(heavy)}"
 run("simulate", "--profile", hetero, "--rounds", "100")
@@ -675,7 +676,7 @@ def test_each_command_loads_only_its_layers(tmp_path):
     assert not {"dataclasses", "inspect", "numpy"} & bare
     hetero = write_profile(tmp_path, ASYM4)
     payoff = _modules_after("payoff", "--profile", hetero)
-    best = _modules_after("best-response", "--n", "3", "--others", "0.5,0.5,0", "0.5,0.5,0")
+    best = _modules_after("best-response", "--others", "0.5,0.5,0", "0.5,0.5,0")
     simulate = _modules_after("simulate", "--profile", hetero, "--rounds", "100")
     # the closed form is loaded by the `paper` routes only
     for exact in (solve, verify, payoff, best):
@@ -793,7 +794,7 @@ def test_csv_numbers_are_locale_independent(capsys, tmp_path):
         ["solve", "--n", "3", "--format", "csv"],
         ["payoff", "--profile", path, "--format", "csv"],
         ["simulate", "--profile", path, "--rounds", "500", "--format", "csv"],
-        ["best-response", "--n", "3", "--others", "0.5,0.5,0", "0.5,0.5,0", "--format", "csv"],
+        ["best-response", "--others", "0.5,0.5,0", "0.5,0.5,0", "--format", "csv"],
     ):
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK

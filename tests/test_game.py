@@ -1,4 +1,4 @@
-"""Game core: adjudication, strategy validation, and the exact payoff oracles."""
+"""Game core: strategy validation and the exact payoff oracles."""
 
 import math
 import random
@@ -7,12 +7,11 @@ from operator import add, mul
 
 import pytest
 
-from _oracle import brute_payoffs, brute_win_prob, brute_winner, random_profile, random_strategy
+from _oracle import brute_payoffs, brute_win_prob, random_profile, random_strategy
 from lupi import (
     GameSpec,
     MixedStrategy,
     StrategyProfile,
-    adjudicate,
     exact_profile_payoffs,
     geometric_strategy,
     win_probabilities,
@@ -22,47 +21,6 @@ from lupi.game import _total
 
 HALF = (0.5, 0.5, 0.0)
 HALF4 = (0.5, 0.5, 0.0, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# adjudication
-
-
-def test_adjudicate_examples():
-    assert adjudicate((3, 1, 1)) == 0
-    assert adjudicate((2, 2, 2)) is None
-    assert adjudicate((2, 1, 1, 3)) == 0
-    assert adjudicate((1, 2)) == 0
-    assert adjudicate((2, 2)) is None
-
-
-def test_adjudicate_rejects_bad_picks():
-    with pytest.raises(ValueError):
-        adjudicate((0, 1, 2))
-    with pytest.raises(ValueError):
-        adjudicate((1, 2, 4))
-    with pytest.raises(ValueError):
-        adjudicate((1.0, 2, 3))
-    with pytest.raises(ValueError):
-        adjudicate((2,))
-
-
-def test_adjudicate_matches_independent_rule():
-    rng = random.Random(101)
-    for _ in range(500):
-        n = rng.randint(2, 6)
-        picks = tuple(rng.randint(1, n) for _ in range(n))
-        assert adjudicate(picks) == brute_winner(picks)
-
-
-def test_adjudicate_winner_holds_unique_pick():
-    rng = random.Random(102)
-    for _ in range(300):
-        n = rng.randint(2, 6)
-        picks = tuple(rng.randint(1, n) for _ in range(n))
-        winner = adjudicate(picks)
-        if winner is not None:
-            assert picks.count(picks[winner]) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ def test_public_api_is_pinned():
         "SolveResult",
         "StrategyProfile",
         "VerificationReport",
-        "adjudicate",
         "as_strategy",
         "backend_name",
         "best_response",
