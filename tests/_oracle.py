@@ -4,7 +4,8 @@ The brute-force functions enumerate joint outcomes directly with their own
 winner rule, so they share no code with any of the package's computation
 paths. The generating-function oracle scores identical opponents in
 50-digit decimal arithmetic by an algorithm apart from the package's
-dynamic program, and the Poisson-limit oracle gives the equilibrium that
+dynamic program, and gives a symmetric strategy's gain in the same
+arithmetic; the Poisson-limit oracle gives the equilibrium that
 the exact game's approaches as n grows, in closed form. The scalar
 reference kernels and the repeated-product closed form at the end are
 plain loops that the package's kernels and closed-form model must agree
@@ -69,6 +70,24 @@ def egf_win_probs(probs):
     and the integers above take the rest. Series are truncated at degree m
     and multiplied in 50-digit decimal arithmetic.
     """
+    return [float(w) for w in _egf_wins(probs)]
+
+
+def egf_gain(probs):
+    """Gain of the best pure choice over ``probs`` against n - 1 opponents who all play it.
+
+    max_j win_j - sum_j p_j win_j, with the win probabilities of
+    ``egf_win_probs`` before they are rounded to floats, each float weight
+    taken exactly (``Decimal(float)``) and the result kept in 50-digit decimal.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        win = _egf_wins(probs)
+        return max(win) - sum((Decimal(p) * w for p, w in zip(probs, win)), Decimal(0))
+
+
+def _egf_wins(probs):
+    """``egf_win_probs`` as 50-digit decimals."""
     n = len(probs)
     m = n - 1
     with localcontext() as ctx:
@@ -87,7 +106,7 @@ def egf_win_probs(probs):
         for j in range(n):
             above = exp_series(sum(p[j + 1:], Decimal(0)))
             coeff = sum(below[k] * above[m - k] for k in range(m + 1))
-            win.append(float(coeff * math.factorial(m)))
+            win.append(coeff * math.factorial(m))
             factor = exp_series(p[j])
             factor[1] = Decimal(0)
             below = [sum(below[i] * factor[k - i] for i in range(k + 1)) for k in range(m + 1)]

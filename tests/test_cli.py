@@ -411,7 +411,7 @@ USAGE_ERRORS = [
     (["solve", "--n"], "argument --n: expected one argument"),
     (["solve", "--n", "--model", "paper"], "argument --n: expected one argument"),
     (["best-response", "--others"], "argument --others: expected at least one argument"),
-    (["best-response", "--n", "3", "--others", "0.5,0.5,0", "0.5,0.5,0"], "unrecognized argument: --n"),
+    (["best-response", "--n", "3", "--others"], "unrecognized argument: --n"),
     (["solve", "--n", "x"], "argument --n: invalid int value: 'x'"),
     (["solve", "--n="], "argument --n: invalid int value: ''"),
     (["table", "--max-n", "1.5"], "argument --max-n: invalid int value: '1.5'"),

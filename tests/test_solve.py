@@ -9,7 +9,8 @@ import pytest
 
 import lupi.model
 from _oracle import (
-    EXACT4_P1_POLY, EXACT4_POINT, EXACT4_VALUE, brute_winner, egf_win_probs, poisson_equilibrium, poisson_win_probs,
+    EXACT4_P1_POLY, EXACT4_POINT, EXACT4_VALUE, brute_winner, egf_gain, egf_win_probs, poisson_equilibrium,
+    poisson_win_probs,
 )
 from lupi import (
     MAX_SOLVER_N,
@@ -291,6 +292,22 @@ def test_exact_root_is_an_equilibrium_of_the_generating_function_oracle(n):
     kernel = win_probabilities(GameSpec(n), [probs] * (n - 1))
     assert kernel == pytest.approx(oracle, rel=0.0, abs=1e-13)
     assert max(oracle) - min(w for p, w in zip(probs, oracle) if p > 0.0) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [4, 12, 20, 30])
+def test_exact_root_gain_is_within_1e_14_in_50_digits(n, exact_root):
+    # the printed weights, taken exactly, against the oracle: no pure choice
+    # beats the root's payoff by more than 1e-14 (6.2e-16 at n = 12)
+    assert egf_gain(exact_root(n).strategy.probs) <= Decimal("1e-14")
+
+
+def test_exact_root_shifted_by_1e_13_fails_the_gain_bound(exact_root):
+    # moving 1e-13 of mass from the first choice to the second raises the
+    # gain to about 1.1e-13, so the bound above tells such a root apart
+    probs = list(exact_root(12).strategy.probs)
+    probs[0] -= 1e-13
+    probs[1] += 1e-13
+    assert egf_gain(probs) > Decimal("1e-14")
 
 
 @pytest.mark.parametrize("N", [2, 11, 39, 99, 1000])
