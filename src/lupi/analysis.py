@@ -13,10 +13,8 @@ one cannot make any player better off without hurting another.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .game import (
-    DEFAULT_EPSILON, MODEL_EXACT, SUM_TOLERANCE, GameSpec, StrategyLike, StrategyProfile, _opponent_rows,
+    DEFAULT_EPSILON, MODEL_EXACT, SUM_TOLERANCE, StrategyProfile, _opponent_rows,
     _profile_choice_values, _Record, _total, as_strategy, win_probabilities,
 )
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import sys
 from operator import mul
-from typing import Sequence, Union
 
 SUM_TOLERANCE = 1e-9
 
@@ -39,7 +38,9 @@ MIN_SOLVER_N = 3
 MAX_SOLVER_N = 40
 DEFAULT_EPSILON = 1e-9
 
-StrategyLike = Union["MixedStrategy", Sequence[float]]
+# lupi's annotations are text that is never evaluated (``from __future__ import annotations``),
+# so no module imports a name for them alone. ``Sequence`` and ``Optional`` in them are
+# typing's, and a ``StrategyLike`` is a MixedStrategy or a sequence of floats.
 
 # The one summation rule: every float total in lupi is _total(terms), its terms (at
 # least one) added left to right in doubles. That is the order every recorded output

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from .game import GameSpec, MixedStrategy, StrategyLike, _total
+from .game import MixedStrategy, _total
 
 
 def _entries(strategy: StrategyLike, n: int, name: str):

@@ -9,7 +9,6 @@ invariants; violations are reported with the offending row and column.
 from __future__ import annotations
 
 import json
-from typing import Optional, Sequence
 
 from .game import MixedStrategy, StrategyProfile
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 
 from . import _kernels_py
-from .game import StrategyProfile, _Record
+from .game import _Record
 
 
 class SimulationStats(_Record):

@@ -31,7 +31,7 @@ solver needs no array library.
 from __future__ import annotations
 
 from .game import (
-    MAX_SOLVER_N, MIN_SOLVER_N, MODEL_EXACT, MODEL_PAPER, MODELS, GameSpec, MixedStrategy, StrategyProfile,
+    MAX_SOLVER_N, MIN_SOLVER_N, MODEL_EXACT, MODEL_PAPER, MODELS, MixedStrategy, StrategyProfile,
     _profile_choice_values, _Record,
 )
 

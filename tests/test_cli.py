@@ -690,6 +690,40 @@ def test_each_command_loads_only_its_layers(tmp_path):
         assert not {"argparse", "gettext", "locale"} & modules
 
 
+# imports only io and sys, which every interpreter holds at start-up, before it reads sys.modules
+_MODULES_WITHOUT_SITE = """
+import io, sys
+from lupi.cli import main
+shown, sys.stdout = sys.stdout, io.StringIO()
+status = main(sys.argv[1:])
+sys.stdout = shown
+print(status, *sorted(sys.modules))
+"""
+
+
+def test_commands_import_no_module_for_annotations_alone(tmp_path):
+    """Each numpy-free command in a fresh interpreter without ``site`` (``-S``),
+    whose ``.pth`` files may load much of the standard library: no command
+    loads ``typing``, whose names lupi uses in annotations only, and text-format
+    ``solve``, ``approx`` and ``best-response`` load neither ``re`` nor ``enum``."""
+    src = str(Path(lupi.__file__).resolve().parent.parent)
+    path = write_profile(tmp_path, ASYM3)
+    text = [["solve", "--n", "8", "--model", "exact"], ["solve", "--n", "8", "--model", "paper"],
+            ["approx", "--n", "8"], ["best-response", "--others", "0.5,0.5,0", "0.5,0.5,0"]]
+    other = [["table", "--max-n", "8"], ["verify", "--profile", path], ["payoff", "--profile", path],
+             ["payoff", "--profile", path, "--format", "json"], ["solve", "--n", "5", "--format", "csv"]]
+    for argv in text + other:
+        proc = subprocess.run([sys.executable, "-S", "-c", _MODULES_WITHOUT_SITE, *argv],
+                              capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        status, *modules = proc.stdout.split()
+        assert int(status) == (EXIT_NOT_NASH if argv[0] == "verify" else EXIT_OK), argv
+        assert "lupi.cli" in modules and "typing" not in modules, argv
+        if argv in text:
+            assert not {"re", "enum"} & set(modules), argv
+
+
 
 _BLAS_AFTER = """
 import contextlib, io, os
