@@ -14,8 +14,8 @@ one cannot make any player better off without hurting another.
 from __future__ import annotations
 
 from .game import (
-    DEFAULT_EPSILON, MODEL_EXACT, SUM_TOLERANCE, StrategyProfile, _opponent_rows,
-    _profile_choice_values, _Record, _total, as_strategy, win_probabilities,
+    DEFAULT_EPSILON, MODEL_EXACT, SUM_TOLERANCE, StrategyProfile, _profile_choice_values, _Record,
+    _total, as_strategy,
 )
 
 _TIE_TOLERANCE = 1e-12
@@ -46,25 +46,38 @@ class VerificationReport(_Record):
     is_payoff_sum_maximal: bool
 
 
-def pure_choice_values(spec: GameSpec, others: Sequence[StrategyLike], model: str = MODEL_EXACT) -> tuple:
-    """Deviator's payoff for each pure choice 1..n under the chosen model.
+def pure_choice_values(others: Sequence[StrategyLike], model: str = MODEL_EXACT) -> tuple:
+    """Deviator's payoff for each pure choice 1..n against the n - 1 ``others``.
 
-    Exact values come from ``win_probabilities`` over the n - 1 opponents.
-    Under any other model the opponents are checked as there and scored as
+    n is the length of the first opponent's strategy, and every opponent's
+    strategy must have n entries. Exact values are win probabilities: entry
+    i is the probability that no opponent picks i + 1 and every integer
+    below it is picked by a count different from one, and the kernel
+    chooses the program from the opponents' rows. Under any other model the
+    opponents are scored as
     the symmetric profile (deviator on the first opponent's strategy, then
     the opponents) by ``_profile_choice_values``, which rejects an unknown
     model and, under ``paper``, opponents on different strategies.
     Opponents are renormalized first, unlike in ``closed_form_payoff``, so
     the two can differ in the last bits on a tuple whose sum is not 1.
     """
-    if model == MODEL_EXACT:
-        return win_probabilities(spec, others)
     strategies = [as_strategy(s) for s in others]
-    _opponent_rows(spec, strategies)
+    if not strategies:
+        raise ValueError("expected at least one opponent strategy")
+    n = len(strategies[0])
+    if len(strategies) != n - 1:
+        raise ValueError(f"expected {n - 1} opponent strategies for n={n}, got {len(strategies)}")
+    for i, s in enumerate(strategies):
+        if len(s) != n:
+            raise ValueError(f"opponent strategy {i} has {len(s)} entries, expected {n}")
+    if model == MODEL_EXACT:
+        from . import _kernels_py
+
+        return tuple(_kernels_py.win_probs_distinct([list(s.probs) for s in strategies]))
     return _profile_choice_values(StrategyProfile((strategies[0], *strategies)), model)[0][0]
 
 
-def best_response(spec: GameSpec, others: Sequence[StrategyLike], model: str = MODEL_EXACT):
+def best_response(others: Sequence[StrategyLike], model: str = MODEL_EXACT):
     """Value of every pure choice against ``others`` plus the maximizing set.
 
     Returns ``(values, best_picks)`` where ``values[i]`` is the payoff of
@@ -72,7 +85,7 @@ def best_response(spec: GameSpec, others: Sequence[StrategyLike], model: str = M
     the maximum (claims like "choice 3 is optimal" are then membership
     checks, robust to exact ties).
     """
-    values = pure_choice_values(spec, others, model)
+    values = pure_choice_values(others, model)
     return values, _best_picks(values)
 
 
@@ -82,14 +95,14 @@ def _best_picks(values: Sequence[float]) -> tuple:
     return tuple(i + 1 for i, v in enumerate(values) if v >= top - _TIE_TOLERANCE)
 
 
-def indifference_spread(spec: GameSpec, common: StrategyLike, model: str = MODEL_EXACT) -> float:
+def indifference_spread(common: StrategyLike, model: str = MODEL_EXACT) -> float:
     """Max minus min of the pure-choice payoffs against all-common opponents.
 
     Zero spread is the defining property of a full-support symmetric
     equilibrium: the deviator's payoff no longer depends on their strategy.
     """
     strategy = as_strategy(common)
-    values = pure_choice_values(spec, [strategy] * (spec.n - 1), model)
+    values = pure_choice_values([strategy] * (strategy.n - 1), model)
     return max(values) - min(values)
 
 

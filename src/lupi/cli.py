@@ -254,9 +254,8 @@ def _cmd_best_response(args):
     from .analysis import best_response
 
     others = [_parse_vector(text) for text in args.others]
-    spec = GameSpec(len(others[0]))
-    values, picks = best_response(spec, others)
-    record = {"n": spec.n, "values": list(values), "best_picks": list(picks)}
+    values, picks = best_response(others)
+    record = {"n": len(values), "values": list(values), "best_picks": list(picks)}
     rows = [["choice", "value", "is_best"]]
     rows += [[i + 1, value, i + 1 in picks] for i, value in enumerate(values)]
     text = [f"choice {i + 1}: {_num(value)}" for i, value in enumerate(values)]

@@ -186,30 +186,6 @@ class StrategyProfile(_Record):
         return [list(s.probs) for s in self.strategies]
 
 
-def _opponent_rows(spec: GameSpec, others: Sequence[StrategyLike]):
-    strategies = [as_strategy(s) for s in others]
-    if len(strategies) != spec.n - 1:
-        raise ValueError(
-            f"expected {spec.n - 1} opponent strategies for n={spec.n}, got {len(strategies)}"
-        )
-    for i, s in enumerate(strategies):
-        if len(s) != spec.n:
-            raise ValueError(f"opponent strategy {i} has {len(s)} entries, expected {spec.n}")
-    return [list(s.probs) for s in strategies]
-
-
-def win_probabilities(spec: GameSpec, others: Sequence[StrategyLike]) -> tuple:
-    """Exact win probability of each pure choice 1..n against ``others``.
-
-    Entry i is the probability that a player picking i + 1 wins: no opponent
-    picks i + 1 and every integer below it is picked by a count different
-    from one. The kernel chooses the program from the opponents' rows.
-    """
-    from . import _kernels_py
-
-    return tuple(_kernels_py.win_probs_distinct(_opponent_rows(spec, others)))
-
-
 def exact_profile_payoffs(profile: StrategyProfile) -> tuple:
     """Exact expected payoff of every player under the joint distribution.
 
@@ -249,5 +225,5 @@ def _profile_choice_values(profile: StrategyProfile, model: str = MODEL_EXACT) -
         raise ValueError("the closed-form model scores symmetric profiles only")
     from .model import _closed_form_mix, _closed_form_values
 
-    values = tuple(_closed_form_values(GameSpec(profile.n), common))
+    values = tuple(_closed_form_values(common))
     return [values] * profile.n, [_closed_form_mix(common.probs, values)] * profile.n

@@ -19,23 +19,23 @@ from operator import mul
 from .game import MixedStrategy, _total
 
 
-def _entries(strategy: StrategyLike, n: int, name: str):
-    entries = list(strategy.probs) if isinstance(strategy, MixedStrategy) else [float(v) for v in strategy]
-    if len(entries) != n:
-        raise ValueError(f"{name} has {len(entries)} entries, expected {n}")
-    return entries
+def _entries(strategy: StrategyLike) -> list:
+    return list(strategy.probs) if isinstance(strategy, MixedStrategy) else [float(v) for v in strategy]
 
 
-def _closed_form_values(spec: GameSpec, common: StrategyLike) -> list:
+def _closed_form_values(common: StrategyLike) -> list:
     """Closed-form payoff of each pure choice against all-``common`` opponents.
 
-    Entry k, for k < n - 1, is (1 - p_0 - ... - p_k)**m + p_0**m + ... +
-    p_{k-1}**m with m = n - 1 opponents; the last entry is p_0**m + ... +
-    p_{n-2}**m, so ``common``'s last weight is never read.
+    n is the length of ``common``, at least 2. Entry k, for k < n - 1, is
+    (1 - p_0 - ... - p_k)**m + p_0**m + ... + p_{k-1}**m with m = n - 1
+    opponents; the last entry is p_0**m + ... + p_{n-2}**m, so ``common``'s
+    last weight is never read.
     """
-    n = spec.n
+    p = _entries(common)
+    n = len(p)
+    if n < 2:
+        raise ValueError(f"opponents_common has {n} entries, expected at least 2")
     m = n - 1
-    p = _entries(common, n, "opponents_common")
     values = [(1.0 - p[0]) ** m]
     prefix = p[0]
     below = 0.0
@@ -47,18 +47,23 @@ def _closed_form_values(spec: GameSpec, common: StrategyLike) -> list:
     return values
 
 
-def closed_form_payoff(spec: GameSpec, mine: StrategyLike, opponents_common: StrategyLike) -> float:
+def closed_form_payoff(mine: StrategyLike, opponents_common: StrategyLike) -> float:
     """Deviator's expected winnings under the closed-form model.
 
     ``mine`` weights the deviator's choices, ``opponents_common`` is the one
-    strategy shared by all n - 1 opponents. The final entry of each vector
-    is recovered from normalization, exactly as the expression is written.
-    Raw sequences are read as given, neither validated nor renormalized
+    strategy shared by all n - 1 opponents; n is its length, and ``mine``
+    must have as many entries. The final entry of each vector is recovered
+    from normalization, exactly as the expression is written. Raw sequences
+    are read as given, their entries neither validated nor renormalized
     (finite-difference checks rely on this); ``pure_choice_values`` scores
     validated, renormalized opponents, so the two can differ in the last
     bits on a tuple whose sum is not 1.
     """
-    return _closed_form_mix(_entries(mine, spec.n, "mine"), _closed_form_values(spec, opponents_common))
+    values = _closed_form_values(opponents_common)
+    pi = _entries(mine)
+    if len(pi) != len(values):
+        raise ValueError(f"mine has {len(pi)} entries, expected {len(values)}")
+    return _closed_form_mix(pi, values)
 
 
 def _closed_form_mix(pi, values) -> float:
@@ -74,7 +79,7 @@ def _closed_form_mix(pi, values) -> float:
     return _total([pi[0] * values[0], last, *map(mul, pi[1 : n - 1], values[1 : n - 1])])
 
 
-def closed_form_gradient(spec: GameSpec, opponents_common: StrategyLike) -> tuple:
+def closed_form_gradient(opponents_common: StrategyLike) -> tuple:
     """Derivatives of the closed-form payoff in the deviator's first n - 1 weights.
 
     The payoff is linear in those weights once the last one is eliminated by
@@ -82,7 +87,7 @@ def closed_form_gradient(spec: GameSpec, opponents_common: StrategyLike) -> tupl
     A symmetric equilibrium candidate is a common strategy at which all n - 1
     derivatives vanish.
     """
-    *values, last = _closed_form_values(spec, opponents_common)
+    *values, last = _closed_form_values(opponents_common)
     return tuple(v - last for v in values)
 
 
@@ -108,7 +113,7 @@ def geometric_payoff(spec: GameSpec) -> float:
     if n < 3:
         raise ValueError(f"geometric payoff is defined for n >= 3, got {n}")
     geo = geometric_strategy(spec)
-    return closed_form_payoff(spec, geo, geo)
+    return closed_form_payoff(geo, geo)
 
 
 def two_choice_baseline(spec: GameSpec) -> float:

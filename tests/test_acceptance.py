@@ -22,10 +22,10 @@ from lupi import (
     closed_form_payoff,
     exact_profile_payoffs,
     indifference_spread,
+    pure_choice_values,
     simulate,
     solve_symmetric,
     verify_profile,
-    win_probabilities,
 )
 from lupi.cli import EXIT_OK, main
 
@@ -80,23 +80,21 @@ def test_criterion_03_table_reproduction(capsys):
 
 def test_criterion_04_models_agree_at_n3():
     rng = random.Random(1234)
-    spec = GameSpec(3)
     for _ in range(100):
         mine = random_strategy(rng, 3, zeros=True)
         common = random_strategy(rng, 3, zeros=True)
-        wins = win_probabilities(spec, [common, common])
+        wins = pure_choice_values([common, common])
         oracle = sum(m * w for m, w in zip(mine, wins))
-        assert abs(closed_form_payoff(spec, mine, common) - oracle) <= 1e-12
-    assert indifference_spread(spec, ROOT3, model="paper") <= 1e-12
-    assert indifference_spread(spec, ROOT3, model="exact") <= 1e-12
+        assert abs(closed_form_payoff(mine, common) - oracle) <= 1e-12
+    assert indifference_spread(ROOT3, model="paper") <= 1e-12
+    assert indifference_spread(ROOT3, model="exact") <= 1e-12
     _report(4, "closed form equals the oracle at n=3; root spread <= 1e-12 in both models")
 
 
 def test_criterion_05_model_gap_at_n4():
-    spec = GameSpec(4)
     others = [(2 / 3, 0.0, 1 / 3, 0.0)] * 3
-    model_value = closed_form_payoff(spec, (0, 1, 0, 0), others[0])
-    oracle_value = win_probabilities(spec, others)[2 - 1]
+    model_value = closed_form_payoff((0, 1, 0, 0), others[0])
+    oracle_value = pure_choice_values(others)[2 - 1]
     assert abs(model_value - 1 / 3) <= 1e-12
     assert abs(oracle_value - 7 / 9) <= 1e-12
     _report(5, "deviator on '2' vs (2/3, 0, 1/3, 0): model 1/3, oracle 7/9")
@@ -132,11 +130,10 @@ def test_criterion_07_verification_verdicts():
 def test_criterion_08_gradient_correctness():
     step = 1e-6
     for n in range(3, 9):
-        spec = GameSpec(n)
         rng = random.Random(8000 + n)
         for _ in range(100):
             p = random_interior(rng, n)
-            grad = closed_form_gradient(spec, p)
+            grad = closed_form_gradient(p)
             base = list(random_interior(rng, n))
             for i in range(n - 1):
                 up = list(base)
@@ -144,14 +141,13 @@ def test_criterion_08_gradient_correctness():
                 up[i] += step
                 down[i] -= step
                 fd = (
-                    closed_form_payoff(spec, up, p) - closed_form_payoff(spec, down, p)
+                    closed_form_payoff(up, p) - closed_form_payoff(down, p)
                 ) / (2 * step)
                 assert abs(grad[i] - fd) <= 1e-6
     rng = random.Random(8100)
-    spec = GameSpec(3)
     for _ in range(100):
         p = random_strategy(rng, 3, zeros=True)
-        g = closed_form_gradient(spec, p)
+        g = closed_form_gradient(p)
         assert abs(g[0] - (1 - 2 * p[0] - p[1] ** 2)) <= 1e-12
         assert abs(g[1] - (1 - 2 * p[0] + p[0] ** 2 - 2 * p[1] + 2 * p[0] * p[1])) <= 1e-12
     _report(8, "gradient matches centered differences (n=3..8) and the printed n=3 forms")

@@ -17,7 +17,6 @@ from lupi import (
     pure_choice_values,
     solve_symmetric,
     verify_profile,
-    win_probabilities,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -36,19 +35,19 @@ ASYM4 = StrategyProfile(((0, 0, 1, 0), HALF4, HALF4, HALF4))
 
 
 def test_best_response_against_two_half_half():
-    values, picks = best_response(GameSpec(3), [HALF, HALF])
+    values, picks = best_response([HALF, HALF])
     assert values == pytest.approx((0.25, 0.25, 0.5), abs=1e-15)
     assert picks == (3,)
 
 
 def test_best_response_at_symmetric_root_is_indifferent():
-    values, picks = best_response(GameSpec(3), [ROOT3, ROOT3])
+    values, picks = best_response([ROOT3, ROOT3])
     assert values == pytest.approx((PAYOFF3,) * 3, abs=1e-12)
     assert picks == (1, 2, 3)
 
 
 def test_best_response_n4_ties_are_a_set():
-    values, picks = best_response(GameSpec(4), [HALF4] * 3)
+    values, picks = best_response([HALF4] * 3)
     assert values == pytest.approx((0.125, 0.125, 0.25, 0.25), abs=1e-15)
     assert picks == (3, 4)
     assert 3 in picks  # the named optimal choice is a member, '4' simply ties
@@ -56,25 +55,24 @@ def test_best_response_n4_ties_are_a_set():
 
 def test_paper_and_exact_best_responses_agree_at_n3():
     rng = random.Random(501)
-    spec = GameSpec(3)
     for _ in range(40):
         common = random_strategy(rng, 3, zeros=True)
-        exact_values, _ = best_response(spec, [common, common], model="exact")
-        paper_values, _ = best_response(spec, [common, common], model="paper")
+        exact_values, _ = best_response([common, common], model="exact")
+        paper_values, _ = best_response([common, common], model="paper")
         assert paper_values == pytest.approx(exact_values, abs=1e-12)
 
 
 def test_paper_model_requires_common_opponents():
     with pytest.raises(ValueError):
-        best_response(GameSpec(3), [(0, 0, 1), HALF], model="paper")
+        best_response([(0, 0, 1), HALF], model="paper")
     with pytest.raises(ValueError, match=r"expected 2 opponent strategies for n=3, got 1"):
-        pure_choice_values(GameSpec(3), [HALF], model="paper")
+        pure_choice_values([HALF], model="paper")
 
 
 def test_unknown_model_is_rejected():
     message = r"unknown model 'closed', expected one of \('paper', 'exact'\)"
     with pytest.raises(ValueError, match=message):
-        pure_choice_values(GameSpec(3), [HALF, HALF], model="closed")
+        pure_choice_values([HALF, HALF], model="closed")
     with pytest.raises(ValueError, match=message):
         verify_profile(StrategyProfile.symmetric(HALF), model="closed")
 
@@ -84,11 +82,17 @@ def test_pure_choice_values_checks_the_opponents_then_the_model():
     # model is named as such even against differing opponents, and only
     # then does the closed form ask for one common strategy
     with pytest.raises(ValueError, match=r"expected 2 opponent strategies for n=3, got 1"):
-        pure_choice_values(GameSpec(3), [HALF], model="closed")
+        pure_choice_values([HALF], model="closed")
     with pytest.raises(ValueError, match=r"unknown model 'closed'"):
-        pure_choice_values(GameSpec(3), [HALF, (0, 0, 1)], model="closed")
+        pure_choice_values([HALF, (0, 0, 1)], model="closed")
     with pytest.raises(ValueError, match="the closed-form model scores symmetric profiles only"):
-        pure_choice_values(GameSpec(3), [HALF, (0, 0, 1)], model="paper")
+        pure_choice_values([HALF, (0, 0, 1)], model="paper")
+    # n is the first opponent's length: no opponent, or one choice, is no game
+    for model in ("exact", "paper"):
+        with pytest.raises(ValueError, match="expected at least one opponent strategy"):
+            pure_choice_values([], model=model)
+        with pytest.raises(ValueError, match="a strategy needs at least two choices"):
+            pure_choice_values([(1.0,)], model=model)
 
 
 # ---------------------------------------------------------------------------
@@ -272,26 +276,25 @@ def test_verify_rejects_bad_epsilon():
 
 
 def test_spread_examples():
-    assert indifference_spread(GameSpec(3), ROOT3) <= 1e-12
-    assert indifference_spread(GameSpec(3), HALF) == pytest.approx(0.25, abs=1e-15)
+    assert indifference_spread(ROOT3) <= 1e-12
+    assert indifference_spread(HALF) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_models_coincide_at_n3():
     rng = random.Random(505)
-    spec = GameSpec(3)
     for _ in range(25):
         common = random_strategy(rng, 3, zeros=True)
         gap = abs(
-            indifference_spread(spec, common, model="paper")
-            - indifference_spread(spec, common, model="exact")
+            indifference_spread(common, model="paper")
+            - indifference_spread(common, model="exact")
         )
         assert gap <= 1e-12
 
 
 def test_spread_separates_models_at_n4():
     paper_root = solve_symmetric(GameSpec(4), model="paper").strategy
-    assert indifference_spread(GameSpec(4), paper_root, model="paper") <= 1e-12
-    assert indifference_spread(GameSpec(4), paper_root, model="exact") > 0.1
+    assert indifference_spread(paper_root, model="paper") <= 1e-12
+    assert indifference_spread(paper_root, model="exact") > 0.1
 
 
 @pytest.mark.parametrize("n", range(3, MAX_SOLVER_N + 1))
@@ -314,11 +317,11 @@ def test_paper_root_is_an_exact_equilibrium_only_at_n3(n):
 
 
 EXACT_ENTRY_POINTS = {
-    "win_probabilities": lambda n, s: win_probabilities(GameSpec(n), [s] * (n - 1)),
+    "pure_choice_values": lambda n, s: pure_choice_values([s] * (n - 1)),
     "exact_profile_payoffs": lambda n, s: exact_profile_payoffs(StrategyProfile.symmetric(s)),
     "verify_profile": lambda n, s: verify_profile(StrategyProfile.symmetric(s)),
-    "best_response": lambda n, s: best_response(GameSpec(n), [s] * (n - 1)),
-    "indifference_spread": lambda n, s: indifference_spread(GameSpec(n), s),
+    "best_response": lambda n, s: best_response([s] * (n - 1)),
+    "indifference_spread": lambda n, s: indifference_spread(s),
 }
 
 

@@ -13,7 +13,7 @@ import pytest
 import lupi._kernels_py as kernels
 from _oracle import random_profile
 from lupi import (
-    MAX_SOLVER_N, MIN_SOLVER_N, GameSpec, StrategyProfile, exact_profile_payoffs, solve_symmetric, win_probabilities,
+    MAX_SOLVER_N, MIN_SOLVER_N, GameSpec, StrategyProfile, exact_profile_payoffs, pure_choice_values, solve_symmetric,
 )
 from lupi.solve import _TOLERANCES
 from lupi.cli import EXIT_NOT_NASH, EXIT_OK, main
@@ -106,7 +106,7 @@ def test_readme_work_budget_and_its_limits(monkeypatch):
         return exact_profile_payoffs(random_profile(rng, n))
 
     def opponents(n):
-        return win_probabilities(GameSpec(n), random_profile(rng, n).strategies[1:])
+        return pure_choice_values(random_profile(rng, n).strategies[1:])
 
     def deviator(n):
         return exact_profile_payoffs(StrategyProfile(([1.0 / n] * n,) * (n - 1) + ([1.0] + [0.0] * (n - 1),)))

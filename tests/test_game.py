@@ -14,7 +14,7 @@ from lupi import (
     StrategyProfile,
     exact_profile_payoffs,
     geometric_strategy,
-    win_probabilities,
+    pure_choice_values,
 )
 from lupi import _kernels_py as kernels
 from lupi.game import _total
@@ -68,33 +68,33 @@ def test_game_spec_validation():
 
 
 def test_win_pick3_against_two_half_half():
-    assert win_probabilities(GameSpec(3), [HALF, HALF])[3 - 1] == pytest.approx(0.5, abs=1e-15)
+    assert pure_choice_values([HALF, HALF])[3 - 1] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_win_pick3_n4():
-    assert win_probabilities(GameSpec(4), [HALF4] * 3)[3 - 1] == pytest.approx(0.25, abs=1e-15)
+    assert pure_choice_values([HALF4] * 3)[3 - 1] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_win_pick2_n4_mixed_opponent_configurations():
     # brute-force enumeration of all 4**3 opponent outcomes gives 7/9,
     # including wins through configurations like {1, 1, 3}
     others = [(2 / 3, 0.0, 1 / 3, 0.0)] * 3
-    value = win_probabilities(GameSpec(4), others)[2 - 1]
+    value = pure_choice_values(others)[2 - 1]
     assert value == pytest.approx(7 / 9, abs=1e-12)
     assert value == pytest.approx(brute_win_prob(4, 2, others), abs=1e-12)
 
 
 def test_win_probabilities_at_geometric_n4():
     geo = (0.5, 0.25, 0.125, 0.125)
-    wins = win_probabilities(GameSpec(4), [geo] * 3)
+    wins = pure_choice_values([geo] * 3)
     assert wins == pytest.approx((0.125, 0.328125, 0.259765625, 0.142578125), abs=1e-15)
 
 
 def test_rejects_wrong_opponent_count_and_length():
     with pytest.raises(ValueError):
-        win_probabilities(GameSpec(3), [HALF])
+        pure_choice_values([HALF])
     with pytest.raises(ValueError):
-        win_probabilities(GameSpec(3), [HALF4, HALF4])
+        pure_choice_values([HALF4, HALF4])
 
 
 def test_identical_and_distinct_routes_agree_on_identical_opponents():
@@ -124,7 +124,7 @@ def test_identical_and_distinct_routes_agree_on_identical_opponents():
 def test_identical_opponents_at_large_n():
     n = 30
     geo = geometric_strategy(GameSpec(n)).probs
-    wins = win_probabilities(GameSpec(n), [geo] * (n - 1))
+    wins = pure_choice_values([geo] * (n - 1))
     assert len(wins) == n
     assert all(math.isfinite(w) for w in wins)
     assert wins[0] == pytest.approx((1 - geo[0]) ** (n - 1), abs=1e-15)
@@ -138,7 +138,7 @@ def test_heterogeneous_route_matches_independent_brute_force():
     for _ in range(50):
         n = rng.randint(2, 5)
         rows = [random_strategy(rng, n, zeros=True) for _ in range(n - 1)]
-        wins = win_probabilities(GameSpec(n), rows)
+        wins = pure_choice_values(rows)
         for pick in range(1, n + 1):
             assert wins[pick - 1] == pytest.approx(
                 brute_win_prob(n, pick, rows), abs=1e-12
@@ -150,10 +150,10 @@ def test_opponent_reordering_invariance():
     for _ in range(30):
         n = rng.randint(3, 5)
         rows = [random_strategy(rng, n, zeros=True) for _ in range(n - 1)]
-        base = win_probabilities(GameSpec(n), rows)
+        base = pure_choice_values(rows)
         shuffled = rows[:]
         rng.shuffle(shuffled)
-        assert win_probabilities(GameSpec(n), shuffled) == pytest.approx(base, abs=1e-12)
+        assert pure_choice_values(shuffled) == pytest.approx(base, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from lupi import (
     pure_choice_values,
     solve_symmetric,
     two_choice_baseline,
-    win_probabilities,
 )
 from lupi.model import _closed_form_values
 
@@ -31,52 +30,54 @@ PAYOFF3 = 28 - 16 * SQRT3  # 4 * (7 - 4 * sqrt(3))
 
 
 def test_symmetric_root_payoff_n3():
-    value = closed_form_payoff(GameSpec(3), ROOT3, ROOT3)
+    value = closed_form_payoff(ROOT3, ROOT3)
     assert value == pytest.approx(PAYOFF3, abs=1e-12)
 
 
 def test_known_gap_against_exact_oracle_at_n4():
     # the expression only counts all-above and all-on-one-lower events, so a
     # deviator holding '2' against (2/3, 0, 1/3, 0) gets p1^3 + (1-p1-p2)^3
-    value = closed_form_payoff(GameSpec(4), (0, 1, 0, 0), (2 / 3, 0, 1 / 3, 0))
+    value = closed_form_payoff((0, 1, 0, 0), (2 / 3, 0, 1 / 3, 0))
     assert value == pytest.approx(1 / 3, abs=1e-12)
 
 
 def test_opponents_all_on_one():
-    value = closed_form_payoff(GameSpec(3), (1, 0, 0), (1, 0, 0))
+    value = closed_form_payoff((1, 0, 0), (1, 0, 0))
     assert value == 0.0
 
 
 def test_exact_at_n3_against_oracle():
     rng = random.Random(301)
-    spec = GameSpec(3)
     for _ in range(100):
         mine = random_strategy(rng, 3, zeros=True)
         common = random_strategy(rng, 3, zeros=True)
-        wins = win_probabilities(spec, [common, common])
+        wins = pure_choice_values([common, common])
         oracle = sum(m * w for m, w in zip(mine, wins))
-        assert closed_form_payoff(spec, mine, common) == pytest.approx(oracle, abs=1e-12)
+        assert closed_form_payoff(mine, common) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_linear_in_deviator_weights():
     rng = random.Random(302)
     for n in (3, 4, 6):
-        spec = GameSpec(n)
         for _ in range(20):
             a = random_strategy(rng, n)
             b = random_strategy(rng, n)
             common = random_strategy(rng, n)
             lam = rng.random()
             mix = tuple(lam * x + (1 - lam) * y for x, y in zip(a, b))
-            blended = lam * closed_form_payoff(spec, a, common) + (1 - lam) * closed_form_payoff(spec, b, common)
-            assert closed_form_payoff(spec, mix, common) == pytest.approx(blended, abs=1e-12)
+            blended = lam * closed_form_payoff(a, common) + (1 - lam) * closed_form_payoff(b, common)
+            assert closed_form_payoff(mix, common) == pytest.approx(blended, abs=1e-12)
 
 
 def test_rejects_mismatched_lengths():
     with pytest.raises(ValueError):
-        closed_form_payoff(GameSpec(3), (0.5, 0.5), ROOT3)
-    with pytest.raises(ValueError):
-        closed_form_gradient(GameSpec(4), ROOT3)
+        closed_form_payoff((0.5, 0.5), ROOT3)
+    # n is the opponents' length, and a game has at least two choices
+    for short in ([1.0], []):
+        with pytest.raises(ValueError, match=f"opponents_common has {len(short)} entries, expected at least 2"):
+            closed_form_gradient(short)
+        with pytest.raises(ValueError, match="expected at least 2"):
+            closed_form_payoff(short, short)
 
 
 # ---------------------------------------------------------------------------
@@ -85,37 +86,34 @@ def test_rejects_mismatched_lengths():
 
 def test_gradient_matches_printed_forms_at_n3():
     rng = random.Random(303)
-    spec = GameSpec(3)
     for _ in range(100):
         p = random_strategy(rng, 3, zeros=True)
         p1, p2 = p[0], p[1]
-        g = closed_form_gradient(spec, p)
+        g = closed_form_gradient(p)
         assert g[0] == pytest.approx(1 - 2 * p1 - p2 **2, abs=1e-12)
         assert g[1] == pytest.approx(1 - 2 * p1 + p1 **2 - 2 * p2 + 2 * p1 * p2, abs=1e-12)
 
 
 def test_gradient_point_values():
-    spec = GameSpec(3)
-    assert closed_form_gradient(spec, ROOT3) == pytest.approx((0.0, 0.0), abs=1e-12)
-    assert closed_form_gradient(spec, (1, 0, 0))[0] == pytest.approx(-1.0, abs=1e-15)
-    assert closed_form_gradient(spec, (0.5, 0.5, 0)) == pytest.approx((-0.25, -0.25), abs=1e-15)
+    assert closed_form_gradient(ROOT3) == pytest.approx((0.0, 0.0), abs=1e-12)
+    assert closed_form_gradient((1, 0, 0))[0] == pytest.approx(-1.0, abs=1e-15)
+    assert closed_form_gradient((0.5, 0.5, 0)) == pytest.approx((-0.25, -0.25), abs=1e-15)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_gradient_matches_centered_finite_differences(n):
     rng = random.Random(400 + n)
-    spec = GameSpec(n)
     step = 1e-6
     for _ in range(100):
         p = random_interior(rng, n)
-        grad = closed_form_gradient(spec, p)
+        grad = closed_form_gradient(p)
         base = list(random_interior(rng, n))
         for i in range(n - 1):
             up = list(base)
             down = list(base)
             up[i] += step
             down[i] -= step
-            fd = (closed_form_payoff(spec, up, p) - closed_form_payoff(spec, down, p)) / (2 * step)
+            fd = (closed_form_payoff(up, p) - closed_form_payoff(down, p)) / (2 * step)
             assert grad[i] == pytest.approx(fd, abs=1e-6)
 
 
@@ -124,13 +122,12 @@ def test_pure_choice_values_payoff_and_gradient_agree_bitwise():
     # payoff of that unit vector, and the gradient is each value minus the last
     rng = random.Random(304)
     for n in range(3, 41):
-        spec = GameSpec(n)
         for _ in range(5):
             common = as_strategy(random_strategy(rng, n, zeros=True))
-            values = pure_choice_values(spec, [common] * (n - 1), model="paper")
+            values = pure_choice_values([common] * (n - 1), model="paper")
             units = [tuple(float(i == k) for i in range(n)) for k in range(n)]
-            assert values == tuple(closed_form_payoff(spec, u, common) for u in units)
-            assert closed_form_gradient(spec, common) == tuple(v - values[-1] for v in values[:-1])
+            assert values == tuple(closed_form_payoff(u, common) for u in units)
+            assert closed_form_gradient(common) == tuple(v - values[-1] for v in values[:-1])
 
 
 @pytest.mark.parametrize("n", range(3, 41))
@@ -139,7 +136,7 @@ def test_closed_form_values_match_repeated_products(n):
     # differently in the last bits, never by more than 1e-15 relative
     spec = GameSpec(n)
     for common in (geometric_strategy(spec), solve_symmetric(spec, model="paper").strategy):
-        values = _closed_form_values(spec, common)
+        values = _closed_form_values(common)
         reference = repeated_product_closed_form_values(list(common.probs))
         assert len(values) == len(reference) == n
         for value, ref in zip(values, reference):
@@ -151,7 +148,7 @@ def test_closed_form_routes_are_linear_in_n():
     # power would take minutes; the payoff itself underflows to 0 there
     spec = GameSpec(10**5)
     geo = geometric_strategy(spec)
-    for call in (lambda: geometric_payoff(spec), lambda: closed_form_payoff(spec, geo, geo)):
+    for call in (lambda: geometric_payoff(spec), lambda: closed_form_payoff(geo, geo)):
         start = time.perf_counter()
         assert 0.0 <= call() <= 1.0
         assert time.perf_counter() - start < 1.0

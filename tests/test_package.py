@@ -46,7 +46,6 @@ def test_public_api_is_pinned():
         "solve_symmetric",
         "two_choice_baseline",
         "verify_profile",
-        "win_probabilities",
     ]
 
 

@@ -22,10 +22,10 @@ from lupi import (
     closed_form_payoff,
     exact_profile_payoffs,
     geometric_payoff,
+    pure_choice_values,
     solve_symmetric,
     two_choice_baseline,
     verify_profile,
-    win_probabilities,
 )
 import lupi.solve
 from lupi.solve import _exact_shot, _paper_shot
@@ -39,9 +39,9 @@ PAYOFF3 = 28 - 16 * SQRT3
 SIGN_POINTS = 65
 
 
-def _spread(spec, strategy):
+def _spread(strategy):
     """Largest win probability minus the smallest one on the support."""
-    wins = win_probabilities(spec, [strategy] * (spec.n - 1))
+    wins = pure_choice_values([strategy] * (strategy.n - 1))
     return max(wins) - min(w for p, w in zip(strategy.probs, wins) if p > 0.0)
 
 
@@ -82,7 +82,7 @@ def test_paper_solutions_track_geometric_payoff(n):
     assert result.converged
     assert result.payoff > two_choice_baseline(spec)
     assert abs(result.payoff - geometric_payoff(spec)) / geometric_payoff(spec) < 0.05
-    recomputed = max(abs(g) for g in closed_form_gradient(spec, result.strategy))
+    recomputed = max(abs(g) for g in closed_form_gradient(result.strategy))
     assert recomputed <= 1e-12
 
 
@@ -104,7 +104,7 @@ def test_exact_n4_root_and_indifference():
     for got, want in zip(result.strategy.probs, EXACT4_POINT):
         assert abs(Decimal(got) - Decimal(want)) <= Decimal("1e-15")
     assert abs(Decimal(result.payoff) - Decimal(EXACT4_VALUE)) <= Decimal("1e-15")
-    assert _spread(spec, result.strategy) <= 1e-10
+    assert _spread(result.strategy) <= 1e-10
 
 
 def test_exact_n4_point_equalises_the_brute_force_win_probabilities():
@@ -238,7 +238,6 @@ def test_exact_n4_differs_from_closed_form_root():
 
 @pytest.mark.parametrize("n", range(3, MAX_SOLVER_N + 1))
 def test_exact_solver_larger_n(n, exact_root):
-    spec = GameSpec(n)
     result = exact_root(n)
     assert result.converged
     # the README's step bound is checked against the largest iterations over
@@ -246,7 +245,7 @@ def test_exact_solver_larger_n(n, exact_root):
     # every choice is used up to n = 10 (the last weight at n = 10 is about
     # 2.5e-12); from n = 11 on the root leaves the top choices unused
     assert result.full_support == (n <= 10)
-    assert _spread(spec, result.strategy) <= 1e-10
+    assert _spread(result.strategy) <= 1e-10
     assert sum(result.strategy.probs) == pytest.approx(1.0, abs=1e-12)
     assert verify_profile(StrategyProfile([result.strategy] * n), epsilon=1e-12).is_nash
 
@@ -269,11 +268,11 @@ def test_paper_routes_read_the_closed_form_once(monkeypatch):
         spec = GameSpec(n)
         result = solve_symmetric(spec, model="paper")
         strategy = result.strategy
-        assert result.payoff == closed_form_payoff(spec, strategy, strategy)
-        assert result.residual_norm == max(abs(g) for g in closed_form_gradient(spec, strategy))
+        assert result.payoff == closed_form_payoff(strategy, strategy)
+        assert result.residual_norm == max(abs(g) for g in closed_form_gradient(strategy))
         report = verify_profile(StrategyProfile.symmetric(strategy), model="paper")
         assert report.payoffs == (result.payoff,) * n
-        assert report.best_response_values == (max(lupi.model._closed_form_values(spec, strategy)),) * n
+        assert report.best_response_values == (max(lupi.model._closed_form_values(strategy)),) * n
     reads = []
     read = lupi.model._closed_form_values
     monkeypatch.setattr(lupi.model, "_closed_form_values", lambda *args: reads.append(1) or read(*args))
@@ -289,7 +288,7 @@ def test_exact_root_is_an_equilibrium_of_the_generating_function_oracle(n):
     # apart from the kernel's, in 50-digit arithmetic
     probs = solve_symmetric(GameSpec(n), model="exact").strategy.probs
     oracle = egf_win_probs(probs)
-    kernel = win_probabilities(GameSpec(n), [probs] * (n - 1))
+    kernel = pure_choice_values([probs] * (n - 1))
     assert kernel == pytest.approx(oracle, rel=0.0, abs=1e-13)
     assert max(oracle) - min(w for p, w in zip(probs, oracle) if p > 0.0) <= 1e-13
 
@@ -342,9 +341,9 @@ def test_residual_claim_is_recomputable(model):
     spec = GameSpec(4)
     result = solve_symmetric(spec, model=model)
     if model == "paper":
-        recomputed = max(abs(g) for g in closed_form_gradient(spec, result.strategy))
+        recomputed = max(abs(g) for g in closed_form_gradient(result.strategy))
     else:
-        recomputed = _spread(spec, result.strategy)
+        recomputed = _spread(result.strategy)
     assert abs(recomputed - result.residual_norm) <= 1e-15
     assert result.converged == (result.residual_norm <= (1e-12 if model == "paper" else 1e-10))
 
