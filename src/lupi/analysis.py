@@ -54,10 +54,10 @@ def pure_choice_values(others: Sequence[StrategyLike], model: str = MODEL_EXACT)
     i is the probability that no opponent picks i + 1 and every integer
     below it is picked by a count different from one, and the kernel
     chooses the program from the opponents' rows. Under any other model the
-    opponents are scored as
-    the symmetric profile (deviator on the first opponent's strategy, then
-    the opponents) by ``_profile_choice_values``, which rejects an unknown
-    model and, under ``paper``, opponents on different strategies.
+    opponents are scored as the symmetric profile (deviator on the first
+    opponent's strategy, then the opponents) by ``_profile_choice_values``,
+    which rejects an unknown model and, under ``paper``, opponents on
+    different strategies.
     Opponents are renormalized first, unlike in ``closed_form_payoff``, so
     the two can differ in the last bits on a tuple whose sum is not 1.
     """

@@ -36,7 +36,6 @@ from .game import (
     MIN_SOLVER_N,
     MODEL_PAPER,
     MODELS,
-    GameSpec,
     StrategyProfile,
     _total,
     exact_profile_payoffs,
@@ -139,7 +138,7 @@ def _check_n(n: int, name: str) -> None:
 
 def _save_symmetric(path, strategy) -> None:
     """Write the symmetric profile of ``strategy`` to ``path``, if one was given."""
-    if path:
+    if path is not None:
         from .profiles import save_profile
 
         save_profile(path, StrategyProfile.symmetric(strategy))
@@ -148,7 +147,7 @@ def _save_symmetric(path, strategy) -> None:
 def _cmd_solve(args):
     from .solve import solve_symmetric
 
-    result = solve_symmetric(GameSpec(args.n), model=args.model)
+    result = solve_symmetric(args.n, model=args.model)
     _save_symmetric(args.save_profile, result.strategy)
     record = {
         "model": result.model,
@@ -174,11 +173,9 @@ def _cmd_table(args):
     ns = list(range(3, args.max_n + 1))
     record = {
         "n": ns,
-        "approx": [geometric_payoff(GameSpec(n)) for n in ns],
-        "reference": [two_choice_baseline(GameSpec(n)) for n in ns],
-        "exact": [
-            solve_symmetric(GameSpec(n), model=MODEL_PAPER).payoff if n <= 4 else None for n in ns
-        ],
+        "approx": [geometric_payoff(n) for n in ns],
+        "reference": [two_choice_baseline(n) for n in ns],
+        "exact": [solve_symmetric(n, model=MODEL_PAPER).payoff if n <= 4 else None for n in ns],
     }
     rows = [["row"] + [str(n) for n in ns]]
     for name in ("approx", "reference", "exact"):
@@ -267,10 +264,9 @@ def _cmd_approx(args):
     from .model import geometric_payoff, geometric_strategy
 
     _check_n(args.n, "--n")
-    spec = GameSpec(args.n)
-    strategy = geometric_strategy(spec)
+    strategy = geometric_strategy(args.n)
     _save_symmetric(args.save_profile, strategy)
-    record = {"n": args.n, "strategy": list(strategy.probs), "payoff": geometric_payoff(spec)}
+    record = {"n": args.n, "strategy": list(strategy.probs), "payoff": geometric_payoff(args.n)}
     return EXIT_OK, record, None, None
 
 

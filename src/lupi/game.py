@@ -102,16 +102,6 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class GameSpec(_Record):
-    """Player count n, which is also the size of the integer range 1..n."""
-
-    n: int
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 2:
-            raise ValueError(f"player count must be an integer >= 2, got {self.n!r}")
-
-
 class MixedStrategy(_Record):
     """Probability distribution over the pure choices 1..n.
 

@@ -91,36 +91,41 @@ def closed_form_gradient(opponents_common: StrategyLike) -> tuple:
     return tuple(v - last for v in values)
 
 
-def geometric_strategy(spec: GameSpec) -> MixedStrategy:
-    """Halving weights: 1/2**i on choice i, with the last weight repeated.
+def _player_count(n: int) -> int:
+    """``n`` itself, if it is an int of at least 2."""
+    if not isinstance(n, int) or n < 2:
+        raise ValueError(f"player count must be an integer >= 2, got {n!r}")
+    return n
+
+
+def geometric_strategy(n: int) -> MixedStrategy:
+    """Halving weights for n players: 1/2**i on choice i, with the last weight repeated.
 
     Sums to one by construction and approximates the symmetric equilibria
     while favouring smaller integers.
     """
-    probs = [0.5**i for i in range(1, spec.n)]
-    probs.append(probs[-1])
-    return MixedStrategy(tuple(probs))
+    _player_count(n)
+    return MixedStrategy([0.5**i for i in range(1, n)] + [0.5 ** (n - 1)])
 
 
-def geometric_payoff(spec: GameSpec) -> float:
-    """Per-player payoff when everyone plays the geometric strategy (n >= 3).
+def geometric_payoff(n: int) -> float:
+    """Per-player payoff when all n players play the geometric strategy (n >= 3).
 
     The closed-form payoff at the geometric point; written out, it is the
     published double sum over the deviator's choice k and the opponents'
     common choice j <= k.
     """
-    n = spec.n
-    if n < 3:
-        raise ValueError(f"geometric payoff is defined for n >= 3, got {n}")
-    geo = geometric_strategy(spec)
+    if not isinstance(n, int) or n < 3:
+        raise ValueError(f"geometric payoff is defined for n >= 3, got {n!r}")
+    geo = geometric_strategy(n)
     return closed_form_payoff(geo, geo)
 
 
-def two_choice_baseline(spec: GameSpec) -> float:
-    """Per-player payoff when every player mixes evenly over '1' and '2'.
+def two_choice_baseline(n: int) -> float:
+    """Per-player payoff when each of n players mixes evenly over '1' and '2'.
 
     Equals 1/2**(n-1): a player wins exactly when all others land on the
     other of the two integers. The reference point the geometric strategy
     is compared against.
     """
-    return 0.5 ** (spec.n - 1)
+    return 0.5 ** (_player_count(n) - 1)

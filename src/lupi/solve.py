@@ -172,7 +172,7 @@ def _paper_shot(n, s):
     return probs, tails[n - 1] - 1.0
 
 
-def _package(spec: GameSpec, model: str, probs, iterations: int) -> SolveResult:
+def _package(model: str, probs, iterations: int) -> SolveResult:
     strategy = MixedStrategy(tuple(probs))
     values, payoffs = _profile_choice_values(StrategyProfile.symmetric(strategy), model)
     values, payoff = values[0], payoffs[0]
@@ -183,7 +183,7 @@ def _package(spec: GameSpec, model: str, probs, iterations: int) -> SolveResult:
         residual_norm = max(values) - min(w for p, w in zip(strategy.probs, values) if p > 0.0)
     return SolveResult(
         model=model,
-        n=spec.n,
+        n=strategy.n,
         strategy=strategy,
         payoff=payoff,
         residual_norm=residual_norm,
@@ -193,8 +193,8 @@ def _package(spec: GameSpec, model: str, probs, iterations: int) -> SolveResult:
     )
 
 
-def solve_symmetric(spec: GameSpec, model: str = MODEL_PAPER) -> SolveResult:
-    """Find a common strategy that is its own best response under ``model``.
+def solve_symmetric(n: int, model: str = MODEL_PAPER) -> SolveResult:
+    """Find a common strategy for n players that is its own best response under ``model``.
 
     ``paper`` shoots once from the root of its linear map. ``exact``
     searches the whole domain of its scalar map, whose ends bracket its
@@ -204,17 +204,16 @@ def solve_symmetric(spec: GameSpec, model: str = MODEL_PAPER) -> SolveResult:
     which only a search stopped at its step cap leaves, and the point
     reached is reported as-is.
     """
-    if not MIN_SOLVER_N <= spec.n <= MAX_SOLVER_N:
-        raise ValueError(f"solver supports {MIN_SOLVER_N} <= n <= {MAX_SOLVER_N}, got {spec.n}")
+    if not (isinstance(n, int) and MIN_SOLVER_N <= n <= MAX_SOLVER_N):
+        raise ValueError(f"solver supports {MIN_SOLVER_N} <= n <= {MAX_SOLVER_N}, got {n!r}")
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
-    n = spec.n
     if model == MODEL_PAPER:
         # H(s) = s * t_{-1}(1) - 1, so the root is 1 / t_{-1}(1)
         s = 1.0 / (_paper_shot(n, 1.0)[1] + 1.0)
-        return _package(spec, model, _paper_shot(n, s)[0], 0)
+        return _package(model, _paper_shot(n, s)[0], 0)
     # v <= 1/n because the n payoffs of a symmetric profile sum to at most one
     top = 1.0 / n
     f_lo, f_hi = _exact_shot(n, 0.0)[1], _exact_shot(n, top)[1]
     lo, steps = _find_root(lambda v: _exact_shot(n, v)[1], 0.0, top, f_lo, f_hi)
-    return _package(spec, model, _exact_shot(n, lo)[0], steps)
+    return _package(model, _exact_shot(n, lo)[0], steps)

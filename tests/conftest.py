@@ -34,8 +34,8 @@ def pytest_sessionfinish(session):
 
 @pytest.fixture(scope="session")
 def exact_root():
-    """``exact_root(n)`` is ``solve_symmetric(GameSpec(n), model="exact")``,
+    """``exact_root(n)`` is ``solve_symmetric(n, model="exact")``,
     solved once per session however many tests read it."""
-    from lupi import GameSpec, solve_symmetric
+    from lupi import solve_symmetric
 
-    return functools.cache(lambda n: solve_symmetric(GameSpec(n), model="exact"))
+    return functools.cache(lambda n: solve_symmetric(n, model="exact"))

@@ -16,7 +16,6 @@ import pytest
 
 from _oracle import brute_payoffs, random_interior, random_strategy
 from lupi import (
-    GameSpec,
     StrategyProfile,
     closed_form_gradient,
     closed_form_payoff,
@@ -113,7 +112,7 @@ def test_criterion_06_asymmetric_profile_payoffs():
 def test_criterion_07_verification_verdicts():
     for n in (3, 4):
         for model in ("paper", "exact"):
-            strategy = solve_symmetric(GameSpec(n), model=model).strategy
+            strategy = solve_symmetric(n, model=model).strategy
             report = verify_profile(StrategyProfile.symmetric(strategy), epsilon=1e-9, model=model)
             assert report.is_nash, f"n={n} {model} solver output failed verification"
     report = verify_profile(ASYM3, epsilon=1e-9)

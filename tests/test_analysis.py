@@ -9,7 +9,6 @@ import pytest
 from _oracle import brute_payoffs, random_profile, random_strategy
 from lupi import (
     MAX_SOLVER_N,
-    GameSpec,
     StrategyProfile,
     best_response,
     exact_profile_payoffs,
@@ -156,10 +155,10 @@ def test_report_internal_consistency():
 
 def test_solver_outputs_verify_under_their_models():
     for n in (3, 4):
-        exact = solve_symmetric(GameSpec(n), model="exact")
+        exact = solve_symmetric(n, model="exact")
         report = verify_profile(StrategyProfile.symmetric(exact.strategy), model="exact")
         assert report.is_nash
-        paper = solve_symmetric(GameSpec(n), model="paper")
+        paper = solve_symmetric(n, model="paper")
         report = verify_profile(StrategyProfile.symmetric(paper.strategy), model="paper")
         assert report.is_nash
 
@@ -205,7 +204,7 @@ def test_nash_verdicts_survive_enumeration_recheck():
     candidates = [
         StrategyProfile.symmetric(ROOT3),
         ASYM4,
-        StrategyProfile.symmetric(solve_symmetric(GameSpec(4), model="exact").strategy),
+        StrategyProfile.symmetric(solve_symmetric(4, model="exact").strategy),
     ]
     for profile in candidates:
         report = verify_profile(profile)
@@ -228,7 +227,7 @@ def _unit(n, pick):
 
 def test_payoff_and_verify_report_bit_equal_payoffs():
     rng = random.Random(506)
-    symmetric = StrategyProfile.symmetric(solve_symmetric(GameSpec(6), model="exact").strategy)
+    symmetric = StrategyProfile.symmetric(solve_symmetric(6, model="exact").strategy)
     common = random_strategy(rng, 7)
     one_deviant = StrategyProfile((random_strategy(rng, 7),) + (common,) * 6)
     dense = random_profile(rng, 8)
@@ -247,7 +246,7 @@ def test_verdicts_match_brute_force_deviations(n):
         StrategyProfile((random_strategy(rng, n, zeros=True),) + (common,) * (n - 1)),
     ]
     if n >= 3:
-        profiles.append(StrategyProfile.symmetric(solve_symmetric(GameSpec(n), model="exact").strategy))
+        profiles.append(StrategyProfile.symmetric(solve_symmetric(n, model="exact").strategy))
     for profile in profiles:
         rows = profile.rows()
         base = brute_payoffs(rows)
@@ -292,7 +291,7 @@ def test_models_coincide_at_n3():
 
 
 def test_spread_separates_models_at_n4():
-    paper_root = solve_symmetric(GameSpec(4), model="paper").strategy
+    paper_root = solve_symmetric(4, model="paper").strategy
     assert indifference_spread(paper_root, model="paper") <= 1e-12
     assert indifference_spread(paper_root, model="exact") > 0.1
 
@@ -303,7 +302,7 @@ def test_paper_root_is_an_exact_equilibrium_only_at_n3(n):
     # equilibrium of the closed-form model, and of the exact game only at
     # n = 3; from n = 4 on it leaves a best exact deviation gain above 0.1
     # (the gain is not monotone in n)
-    profile = StrategyProfile.symmetric(solve_symmetric(GameSpec(n), model="paper").strategy)
+    profile = StrategyProfile.symmetric(solve_symmetric(n, model="paper").strategy)
     assert max(verify_profile(profile, model="paper").deviation_gains) <= 1e-12
     gain = max(verify_profile(profile).deviation_gains)
     if n == 3:

@@ -16,7 +16,7 @@ import pytest
 
 from _oracle import random_profile, random_strategy
 import lupi
-from lupi import MAX_SOLVER_N, GameSpec, StrategyProfile, solve_symmetric
+from lupi import MAX_SOLVER_N, StrategyProfile, solve_symmetric
 from lupi import cli
 from lupi.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_NOT_NASH, EXIT_OK, format_sig3, main
 from lupi.profiles import save_profile
@@ -219,10 +219,11 @@ def test_verify_invalid_json(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command", [["approx", "--n", "3"], ["solve", "--n", "3"]])
-@pytest.mark.parametrize("target", ["missing/profile.json", "."])
+@pytest.mark.parametrize("target", ["missing/profile.json", ".", ""])
 def test_unwritable_save_profile_is_an_input_error(capsys, tmp_path, command, target):
-    # a path under a missing directory, and a path that is a directory
-    code, out, err = run_cli(capsys, *command, "--save-profile", str(tmp_path / target))
+    # a path under a missing directory, a path that is a directory, and an empty path
+    path = str(tmp_path / target) if target else target
+    code, out, err = run_cli(capsys, *command, "--save-profile", path)
     assert (code, out) == (EXIT_INPUT, "")
     assert err.count("\n") == 1 and err.startswith("lupi: error: cannot write profile file ")
 
@@ -857,7 +858,7 @@ def golden_profiles(tmp_path_factory):
              "ASYM4": write_profile(root, ASYM4, "asym4.json")}
     for model in ("paper", "exact"):
         paths[f"{model.upper()}40"] = path = str(root / f"{model}40.json")
-        save_profile(path, StrategyProfile.symmetric(solve_symmetric(GameSpec(40), model=model).strategy))
+        save_profile(path, StrategyProfile.symmetric(solve_symmetric(40, model=model).strategy))
     return paths
 
 

@@ -13,7 +13,7 @@ import pytest
 import lupi._kernels_py as kernels
 from _oracle import random_profile
 from lupi import (
-    MAX_SOLVER_N, MIN_SOLVER_N, GameSpec, StrategyProfile, exact_profile_payoffs, pure_choice_values, solve_symmetric,
+    MAX_SOLVER_N, MIN_SOLVER_N, StrategyProfile, exact_profile_payoffs, pure_choice_values, solve_symmetric,
 )
 from lupi.solve import _TOLERANCES
 from lupi.cli import EXIT_NOT_NASH, EXIT_OK, main
@@ -131,7 +131,7 @@ def test_readme_solver_claims(exact_root):
     (top,) = _claim(r"every root up to n = (\d+) is within it by more than four orders of magnitude")
     assert top == MAX_SOLVER_N
     ns = range(MIN_SOLVER_N, MAX_SOLVER_N + 1)
-    for model, roots in (("exact", map(exact_root, ns)), ("paper", (solve_symmetric(GameSpec(n)) for n in ns))):
+    for model, roots in (("exact", map(exact_root, ns)), ("paper", (solve_symmetric(n) for n in ns))):
         assert max(root.residual_norm for root in roots) * 1e4 < _TOLERANCES[model], model
 
 

@@ -9,7 +9,6 @@ import pytest
 
 from _oracle import brute_payoffs, brute_win_prob, random_profile, random_strategy
 from lupi import (
-    GameSpec,
     MixedStrategy,
     StrategyProfile,
     exact_profile_payoffs,
@@ -54,13 +53,6 @@ def test_profile_shape_validation():
         StrategyProfile(((0.5, 0.5, 0.0), (0.5, 0.5), (0.5, 0.5)))
     profile = StrategyProfile.symmetric((0.5, 0.25, 0.25))
     assert profile.n == 3
-
-
-def test_game_spec_validation():
-    with pytest.raises(ValueError):
-        GameSpec(1)
-    with pytest.raises(ValueError):
-        GameSpec(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +115,7 @@ def test_identical_and_distinct_routes_agree_on_identical_opponents():
 
 def test_identical_opponents_at_large_n():
     n = 30
-    geo = geometric_strategy(GameSpec(n)).probs
+    geo = geometric_strategy(n).probs
     wins = pure_choice_values([geo] * (n - 1))
     assert len(wins) == n
     assert all(math.isfinite(w) for w in wins)

@@ -8,7 +8,6 @@ import pytest
 
 from _oracle import random_interior, random_strategy, repeated_product_closed_form_values
 from lupi import (
-    GameSpec,
     as_strategy,
     closed_form_gradient,
     closed_form_payoff,
@@ -134,8 +133,7 @@ def test_pure_choice_values_payoff_and_gradient_agree_bitwise():
 def test_closed_form_values_match_repeated_products(n):
     # one ``**`` per power against m repeated multiplications: the two round
     # differently in the last bits, never by more than 1e-15 relative
-    spec = GameSpec(n)
-    for common in (geometric_strategy(spec), solve_symmetric(spec, model="paper").strategy):
+    for common in (geometric_strategy(n), solve_symmetric(n, model="paper").strategy):
         values = _closed_form_values(common)
         reference = repeated_product_closed_form_values(list(common.probs))
         assert len(values) == len(reference) == n
@@ -146,9 +144,8 @@ def test_closed_form_values_match_repeated_products(n):
 def test_closed_form_routes_are_linear_in_n():
     # O(n) each: about 0.05 s at n = 10**5, where n - 1 multiplications per
     # power would take minutes; the payoff itself underflows to 0 there
-    spec = GameSpec(10**5)
-    geo = geometric_strategy(spec)
-    for call in (lambda: geometric_payoff(spec), lambda: closed_form_payoff(geo, geo)):
+    geo = geometric_strategy(10**5)
+    for call in (lambda: geometric_payoff(10**5), lambda: closed_form_payoff(geo, geo)):
         start = time.perf_counter()
         assert 0.0 <= call() <= 1.0
         assert time.perf_counter() - start < 1.0
@@ -159,27 +156,39 @@ def test_closed_form_routes_are_linear_in_n():
 
 
 def test_geometric_strategy_values():
-    assert geometric_strategy(GameSpec(3)).probs == (0.5, 0.25, 0.25)
-    assert geometric_strategy(GameSpec(4)).probs == (0.5, 0.25, 0.125, 0.125)
-    assert geometric_strategy(GameSpec(2)).probs == (0.5, 0.5)
+    assert geometric_strategy(3).probs == (0.5, 0.25, 0.25)
+    assert geometric_strategy(4).probs == (0.5, 0.25, 0.125, 0.125)
+    assert geometric_strategy(2).probs == (0.5, 0.5)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_geometric_strategy_sums_to_one_with_repeated_tail(n):
-    probs = geometric_strategy(GameSpec(n)).probs
+    probs = geometric_strategy(n).probs
     assert sum(probs) == 1.0
     assert probs[-1] == probs[-2]
 
 
 def test_geometric_payoff_values():
-    assert geometric_payoff(GameSpec(3)) == pytest.approx(9 / 32, abs=1e-15)
-    assert geometric_payoff(GameSpec(4)) == pytest.approx(0.13330078125, abs=1e-15)
-    assert geometric_payoff(GameSpec(8)) == pytest.approx(0.00784313725490196, abs=1e-15)
+    assert geometric_payoff(3) == pytest.approx(9 / 32, abs=1e-15)
+    assert geometric_payoff(4) == pytest.approx(0.13330078125, abs=1e-15)
+    assert geometric_payoff(8) == pytest.approx(0.00784313725490196, abs=1e-15)
 
 
 def test_geometric_payoff_rejects_small_n():
-    with pytest.raises(ValueError):
-        geometric_payoff(GameSpec(2))
+    with pytest.raises(ValueError, match=r"^geometric payoff is defined for n >= 3, got 2$"):
+        geometric_payoff(2)
+
+
+@pytest.mark.parametrize(
+    "function", [geometric_strategy, geometric_payoff, two_choice_baseline, solve_symmetric],
+    ids=lambda function: function.__name__,
+)
+def test_player_count_must_be_an_int_in_range(function):
+    # 3.0 and "3" are not ints, and 1, 0 and True fall below the range; the message names the value
+    for bad in (1, 0, True, 3.0, "3"):
+        with pytest.raises(ValueError) as info:
+            function(bad)
+        assert str(info.value).endswith(f", got {bad!r}")
 
 
 @pytest.mark.parametrize("n", range(3, 41))
@@ -198,16 +207,15 @@ def test_geometric_payoff_equals_expression_at_geometric_point(n):
     for j in range(1, n):
         tail += 2.0 ** -(j * m)
     total += 2.0**-m * tail
-    assert geometric_payoff(GameSpec(n)) == total
+    assert geometric_payoff(n) == total
 
 
 def test_two_choice_baseline_values():
-    assert two_choice_baseline(GameSpec(2)) == 0.5
-    assert two_choice_baseline(GameSpec(3)) == 0.25
-    assert two_choice_baseline(GameSpec(6)) == 0.03125
+    assert two_choice_baseline(2) == 0.5
+    assert two_choice_baseline(3) == 0.25
+    assert two_choice_baseline(6) == 0.03125
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_geometric_beats_two_choice_baseline(n):
-    spec = GameSpec(n)
-    assert geometric_payoff(spec) > two_choice_baseline(spec)
+    assert geometric_payoff(n) > two_choice_baseline(n)

@@ -1,4 +1,4 @@
-"""Value semantics of the six record types: construction, equality, hashing,
+"""Value semantics of the five record types: construction, equality, hashing,
 repr, immutability, and the validation done on construction."""
 
 import copy
@@ -7,7 +7,6 @@ import pickle
 import pytest
 
 from lupi import (
-    GameSpec,
     MixedStrategy,
     SimulationStats,
     SolveResult,
@@ -23,7 +22,6 @@ PAIR = StrategyProfile((HALF, HALF))
 
 # (type, field names in order, one value per field)
 RECORDS = [
-    (GameSpec, ("n",), (3,)),
     (MixedStrategy, ("probs",), ((0.5, 0.25, 0.25),)),
     (StrategyProfile, ("strategies",), ((HALF, HALF),)),
     (
@@ -47,6 +45,7 @@ RECORDS = [
     ),
 ]
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
+FIELDS = {cls: names for cls, names, _ in RECORDS}
 
 
 @pytest.mark.parametrize("cls, names, values", RECORDS, ids=IDS)
@@ -91,14 +90,11 @@ def test_wrong_arguments_raise_type_error(cls, names, values):
 
 
 def test_records_with_different_fields_differ():
-    assert GameSpec(3) != GameSpec(4)
     assert MixedStrategy((0.5, 0.5)) != MixedStrategy((0.25, 0.75))
-    assert hash(GameSpec(3)) == hash(GameSpec(3))
-    assert {GameSpec(3): "a"}[GameSpec(3)] == "a"
+    assert {MixedStrategy((0.5, 0.5)): "a"}[HALF] == "a"
 
 
 def test_repr_text():
-    assert repr(GameSpec(3)) == "GameSpec(n=3)"
     assert repr(MixedStrategy((0.5, 0.25, 0.25))) == "MixedStrategy(probs=(0.5, 0.25, 0.25))"
     assert repr(PAIR) == (
         "StrategyProfile(strategies=(MixedStrategy(probs=(0.5, 0.5)),"
@@ -122,20 +118,10 @@ def test_repr_text():
 
 
 def test_library_results_equal_rebuilt_records():
-    result = solve_symmetric(GameSpec(3))
-    names = RECORDS[3][1]
-    assert SolveResult(**{name: getattr(result, name) for name in names}) == result
+    result = solve_symmetric(3)
+    assert SolveResult(**{name: getattr(result, name) for name in FIELDS[SolveResult]}) == result
     report = verify_profile(PAIR)
-    assert VerificationReport(*(getattr(report, name) for name in RECORDS[4][1])) == report
-
-
-def test_game_spec_validation_messages():
-    for bad in (1, 0, True, 3.0, "3"):
-        with pytest.raises(ValueError, match=r"player count must be an integer >= 2, got "):
-            GameSpec(bad)
-    with pytest.raises(ValueError) as info:
-        GameSpec(1)
-    assert str(info.value) == "player count must be an integer >= 2, got 1"
+    assert VerificationReport(*(getattr(report, name) for name in FIELDS[VerificationReport])) == report
 
 
 def test_mixed_strategy_validation_messages():

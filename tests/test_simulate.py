@@ -6,7 +6,7 @@ import random
 import pytest
 
 from _oracle import random_strategy
-from lupi import GameSpec, StrategyProfile, exact_profile_payoffs, geometric_strategy, simulate, solve_symmetric
+from lupi import StrategyProfile, exact_profile_payoffs, geometric_strategy, simulate, solve_symmetric
 from lupi import _kernels_py as kernels
 
 HALF = (0.5, 0.5, 0.0)
@@ -24,7 +24,7 @@ def test_seeded_counts_are_pinned():
     # must not move them
     stats = simulate(ASYM3, 50_000, seed=42)
     assert (stats.wins, stats.no_winner_rounds) == ((25066, 12613, 12321), 0)
-    geometric = StrategyProfile.symmetric(geometric_strategy(GameSpec(12)))
+    geometric = StrategyProfile.symmetric(geometric_strategy(12))
     stats = simulate(geometric, 20_000, seed=2026)
     assert stats.wins == (1302, 1333, 1360, 1368, 1367, 1367, 1299, 1341, 1346, 1320, 1361, 1450)
     assert stats.no_winner_rounds == 3786
@@ -67,7 +67,7 @@ def test_empirical_payoffs_near_exact_values(seed):
 
 
 def test_empirical_payoffs_at_symmetric_equilibrium():
-    strategy = solve_symmetric(GameSpec(3), model="exact").strategy
+    strategy = solve_symmetric(3, model="exact").strategy
     profile = StrategyProfile.symmetric(strategy)
     exact = exact_profile_payoffs(profile)
     stats = simulate(profile, 100_000, seed=11)
@@ -79,7 +79,7 @@ def test_empirical_payoffs_at_the_n40_exact_equilibrium():
     # the sampler shares no code with the dynamic program that both the
     # solver and verify_profile use, so this checks the n = 40 root
     # independently of them
-    result = solve_symmetric(GameSpec(40), model="exact")
+    result = solve_symmetric(40, model="exact")
     stats = simulate(StrategyProfile.symmetric(result.strategy), 200_000, seed=2026)
     for emp, se in zip(stats.payoffs, stats.standard_errors):
         assert abs(emp - result.payoff) <= 4 * se

@@ -16,7 +16,6 @@ from lupi import (
     MAX_SOLVER_N,
     MIN_SOLVER_N,
     MODELS,
-    GameSpec,
     StrategyProfile,
     closed_form_gradient,
     closed_form_payoff,
@@ -46,7 +45,7 @@ def _spread(strategy):
 
 
 def test_paper_n3_matches_radical_solution():
-    result = solve_symmetric(GameSpec(3), model="paper")
+    result = solve_symmetric(3, model="paper")
     assert result.converged
     assert result.model == "paper"
     for got, want in zip(result.strategy.probs, ROOT3):
@@ -56,7 +55,7 @@ def test_paper_n3_matches_radical_solution():
 
 
 def test_paper_n4_matches_reported_solution():
-    result = solve_symmetric(GameSpec(4), model="paper")
+    result = solve_symmetric(4, model="paper")
     assert result.converged
     rounded = tuple(round(p, 3) for p in result.strategy.probs)
     assert rounded == (0.488, 0.250, 0.131, 0.131)
@@ -67,7 +66,7 @@ def test_paper_n4_matches_reported_solution():
 def test_paper_solution_has_equal_last_two_weights(n):
     # the map is linear (test_paper_map_is_linear_in_its_last_weight), so
     # one division gives its root and no search runs
-    result = solve_symmetric(GameSpec(n), model="paper")
+    result = solve_symmetric(n, model="paper")
     probs = result.strategy.probs
     assert result.iterations == 0
     assert result.converged
@@ -77,17 +76,16 @@ def test_paper_solution_has_equal_last_two_weights(n):
 
 @pytest.mark.parametrize("n", range(5, 9))
 def test_paper_solutions_track_geometric_payoff(n):
-    spec = GameSpec(n)
-    result = solve_symmetric(spec, model="paper")
+    result = solve_symmetric(n, model="paper")
     assert result.converged
-    assert result.payoff > two_choice_baseline(spec)
-    assert abs(result.payoff - geometric_payoff(spec)) / geometric_payoff(spec) < 0.05
+    assert result.payoff > two_choice_baseline(n)
+    assert abs(result.payoff - geometric_payoff(n)) / geometric_payoff(n) < 0.05
     recomputed = max(abs(g) for g in closed_form_gradient(result.strategy))
     assert recomputed <= 1e-12
 
 
 def test_exact_n3_agrees_with_paper_root():
-    result = solve_symmetric(GameSpec(3), model="exact")
+    result = solve_symmetric(3, model="exact")
     assert result.converged
     for got, want in zip(result.strategy.probs, ROOT3):
         assert abs(got - want) <= 1e-9
@@ -97,8 +95,7 @@ def test_exact_n3_agrees_with_paper_root():
 def test_exact_n4_root_and_indifference():
     # the float root lies within 1e-15 of the 40-digit algebraic point
     # (measured 1.3e-16 in the weights and 7.8e-17 in payoff)
-    spec = GameSpec(4)
-    result = solve_symmetric(spec, model="exact")
+    result = solve_symmetric(4, model="exact")
     assert result.converged
     assert result.full_support
     for got, want in zip(result.strategy.probs, EXACT4_POINT):
@@ -228,8 +225,8 @@ def test_exact_n4_polynomial_is_irreducible_so_p1_has_degree_27():
 
 
 def test_exact_n4_differs_from_closed_form_root():
-    exact = solve_symmetric(GameSpec(4), model="exact").strategy.probs
-    paper = solve_symmetric(GameSpec(4), model="paper").strategy.probs
+    exact = solve_symmetric(4, model="exact").strategy.probs
+    paper = solve_symmetric(4, model="paper").strategy.probs
     assert max(abs(a - b) for a, b in zip(exact, paper)) > 0.1
     # the equal-last-two-weights property is an artifact of the closed-form
     # expression; the exact oracle's root does not have it at n = 4
@@ -254,7 +251,7 @@ def test_exact_solver_larger_n(n, exact_root):
 def test_solved_payoff_is_the_verifiers_bit_for_bit(model, exact_root):
     # the solver and the verifier score a symmetric strategy with one producer per model
     for n in range(MIN_SOLVER_N, MAX_SOLVER_N + 1):
-        result = exact_root(n) if model == "exact" else solve_symmetric(GameSpec(n), model=model)
+        result = exact_root(n) if model == "exact" else solve_symmetric(n, model=model)
         profile = StrategyProfile.symmetric(result.strategy)
         assert result.payoff == verify_profile(profile, model=model).payoffs[0]
         if model == "exact":
@@ -265,8 +262,7 @@ def test_paper_routes_read_the_closed_form_once(monkeypatch):
     # the solver and the verifier take the gradient, the values and the payoff
     # from one read, with the floats of the public closed-form functions
     for n in range(MIN_SOLVER_N, MAX_SOLVER_N + 1):
-        spec = GameSpec(n)
-        result = solve_symmetric(spec, model="paper")
+        result = solve_symmetric(n, model="paper")
         strategy = result.strategy
         assert result.payoff == closed_form_payoff(strategy, strategy)
         assert result.residual_norm == max(abs(g) for g in closed_form_gradient(strategy))
@@ -276,7 +272,7 @@ def test_paper_routes_read_the_closed_form_once(monkeypatch):
     reads = []
     read = lupi.model._closed_form_values
     monkeypatch.setattr(lupi.model, "_closed_form_values", lambda *args: reads.append(1) or read(*args))
-    result = solve_symmetric(GameSpec(12), model="paper")
+    result = solve_symmetric(12, model="paper")
     assert len(reads) == 1
     verify_profile(StrategyProfile.symmetric(result.strategy), model="paper")
     assert len(reads) == 2
@@ -286,7 +282,7 @@ def test_paper_routes_read_the_closed_form_once(monkeypatch):
 def test_exact_root_is_an_equilibrium_of_the_generating_function_oracle(n):
     # above n = 16 no other exact route runs: the oracle is an algorithm
     # apart from the kernel's, in 50-digit arithmetic
-    probs = solve_symmetric(GameSpec(n), model="exact").strategy.probs
+    probs = solve_symmetric(n, model="exact").strategy.probs
     oracle = egf_win_probs(probs)
     kernel = pure_choice_values([probs] * (n - 1))
     assert kernel == pytest.approx(oracle, rel=0.0, abs=1e-13)
@@ -324,7 +320,7 @@ def test_exact_root_approaches_poisson_limit():
     # monotone at these n: 0.00419, 0.00428, 0.00233
     gaps, distances = [], []
     for n in (12, 20, 40):
-        result = solve_symmetric(GameSpec(n), model="exact")
+        result = solve_symmetric(n, model="exact")
         limit = poisson_equilibrium(n - 1)
         size = max(n, len(limit))
         probs = list(result.strategy.probs) + [0.0] * (size - n)
@@ -338,8 +334,7 @@ def test_exact_root_approaches_poisson_limit():
 
 @pytest.mark.parametrize("model", ["paper", "exact"])
 def test_residual_claim_is_recomputable(model):
-    spec = GameSpec(4)
-    result = solve_symmetric(spec, model=model)
+    result = solve_symmetric(4, model=model)
     if model == "paper":
         recomputed = max(abs(g) for g in closed_form_gradient(result.strategy))
     else:
@@ -350,8 +345,8 @@ def test_residual_claim_is_recomputable(model):
 
 @pytest.mark.parametrize("model", ["paper", "exact"])
 def test_solver_is_deterministic(model):
-    first = solve_symmetric(GameSpec(5), model=model)
-    second = solve_symmetric(GameSpec(5), model=model)
+    first = solve_symmetric(5, model=model)
+    second = solve_symmetric(5, model=model)
     assert first == second
 
 
@@ -377,7 +372,7 @@ def test_failure_is_reported_not_fabricated(monkeypatch):
     # the search runs to full precision, so only a search cut at its step
     # cap leaves the root unconverged; the point reached is still reported
     monkeypatch.setattr(lupi.solve, "_MAX_STEPS", 1)
-    result = solve_symmetric(GameSpec(6), model="exact")
+    result = solve_symmetric(6, model="exact")
     assert (result.converged, result.iterations) == (False, 1)
     assert result.residual_norm > 1e-10
     assert len(result.strategy.probs) == 6
@@ -385,10 +380,10 @@ def test_failure_is_reported_not_fabricated(monkeypatch):
 
 def test_argument_validation():
     with pytest.raises(ValueError):
-        solve_symmetric(GameSpec(2))
+        solve_symmetric(2)
     with pytest.raises(ValueError):
-        solve_symmetric(GameSpec(MAX_SOLVER_N + 1))
+        solve_symmetric(MAX_SOLVER_N + 1)
     with pytest.raises(ValueError):
-        solve_symmetric(GameSpec(4), model="bogus")
+        solve_symmetric(4, model="bogus")
     with pytest.raises(TypeError):
-        solve_symmetric(GameSpec(4), tol=1e-17)  # the tolerance is fixed per model
+        solve_symmetric(4, tol=1e-17)  # the tolerance is fixed per model
