@@ -240,22 +240,21 @@ def _cmd_payoff(args):
     return EXIT_OK, record, rows, text
 
 
-def _parse_vector(text: str):
-    try:
-        return tuple(float(token) for token in text.split(","))
-    except ValueError:
-        raise ValueError(f"cannot parse probability vector {text!r}") from None
-
-
 def _cmd_best_response(args):
     from .analysis import best_response
+    from .profiles import load_profile
 
-    others = [_parse_vector(text) for text in args.others]
-    values, picks = best_response(others)
-    record = {"n": len(values), "values": list(values), "best_picks": list(picks)}
+    profile, labels = load_profile(args.profile)
+    n, i = profile.n, args.player - 1
+    if not 0 <= i < n:
+        raise ValueError(f"--player must be between 1 and {n}, got {args.player}")
+    values, picks = best_response(profile.strategies[:i] + profile.strategies[i + 1:])
+    record = {"n": n, "player": args.player, "label": labels[i] if labels else None,
+              "values": list(values), "best_picks": list(picks)}
     rows = [["choice", "value", "is_best"]]
-    rows += [[i + 1, value, i + 1 in picks] for i, value in enumerate(values)]
-    text = [f"choice {i + 1}: {_num(value)}" for i, value in enumerate(values)]
+    rows += [[c + 1, value, c + 1 in picks] for c, value in enumerate(values)]
+    text = [f"player: {_player_names(n, labels)[i]}"]
+    text += [f"choice {c + 1}: {_num(value)}" for c, value in enumerate(values)]
     text.append("best: " + ",".join(map(str, picks)))
     return EXIT_OK, record, rows, text
 
@@ -301,13 +300,12 @@ def _cmd_simulate(args):
 
 
 class _Option:
-    """A command's option; ``many`` takes one or more values, ``dest`` is the flag's name."""
+    """A command's option, which takes one value; ``dest`` is the flag's name."""
 
-    def __init__(self, flag, help, type=str, default=None, required=False, choices=None, many=False):
+    def __init__(self, flag, help, type=str, default=None, required=False, choices=None):
         self.flag, self.dest, self.help, self.type = flag, flag[2:].replace("-", "_"), help, type
-        self.default, self.required, self.choices, self.many = default, required, choices, many
-        value = "{" + ",".join(choices) + "}" if choices else self.dest.upper()
-        self.form = f"{flag} {value} [{value} ...]" if many else f"{flag} {value}"
+        self.default, self.required, self.choices = default, required, choices
+        self.form = f"{flag} " + ("{" + ",".join(choices) + "}" if choices else self.dest.upper())
 
     def read(self, command, text):
         if self.choices and text not in self.choices:
@@ -333,9 +331,8 @@ _COMMANDS = {
     "verify": (_cmd_verify, "check whether a profile is a Nash equilibrium", [
         _PROFILE, _Option("--eps", "gain tolerance", float, default=DEFAULT_EPSILON), _FORMAT]),
     "payoff": (_cmd_payoff, "exact expected payoffs of a profile", [_PROFILE, _FORMAT]),
-    "best-response": (_cmd_best_response, "pure-choice values against given opponents", [
-        _Option("--others", "n-1 opponent strategies, each as n comma-separated probabilities",
-                required=True, many=True), _FORMAT]),
+    "best-response": (_cmd_best_response, "one player's pure-choice values against the others", [
+        _PROFILE, _Option("--player", "player to score (1..n)", int, required=True), _FORMAT]),
     "approx": (_cmd_approx, "geometric strategy and its payoff", [_N, _SAVE, _FORMAT]),
     "simulate": (_cmd_simulate, "seeded Monte Carlo estimate of profile payoffs", [
         _PROFILE, _Option("--rounds", "number of rounds to play", int, required=True),
@@ -367,13 +364,11 @@ def _parse(argv):
         flag, inline, text = token.partition("=")
         if flag not in options:
             _exit(command, None if token in ("-h", "--help") else f"unrecognized argument: {token}")
-        option, texts = options[flag], [text] if inline else []
-        while not inline and rest and rest[0][:2] != "--" and rest[0] != "-h" and (option.many or not texts):
-            texts.append(rest.pop(0))
-        if not texts:
-            _exit(command, f"argument {flag}: expected {'at least ' if option.many else ''}one argument")
-        read = [option.read(command, text) for text in texts]
-        values[option.dest] = read if option.many else read[0]
+        if not inline:
+            if not rest or rest[0][:2] == "--" or rest[0] == "-h":
+                _exit(command, f"argument {flag}: expected one argument")
+            text = rest.pop(0)
+        values[options[flag].dest] = options[flag].read(command, text)
     if missing := [option.flag for option in table if option.required and option.dest not in values]:
         _exit(command, "the following arguments are required: " + ", ".join(missing))
     return handler, SimpleNamespace(**{o.dest: values.get(o.dest, o.default) for o in table})

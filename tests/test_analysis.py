@@ -77,11 +77,14 @@ def test_unknown_model_is_rejected():
 
 
 def test_pure_choice_values_checks_the_opponents_then_the_model():
-    # the opponents' count comes first whatever the model; then an unknown
+    # the opponents' count and lengths come first whatever the model; then an unknown
     # model is named as such even against differing opponents, and only
     # then does the closed form ask for one common strategy
-    with pytest.raises(ValueError, match=r"expected 2 opponent strategies for n=3, got 1"):
-        pure_choice_values([HALF], model="closed")
+    for others, message in (([HALF], "expected 2 opponent strategies for n=3, got 1"),
+                            ([HALF, (0.5, 0.5)], "opponent strategy 1 has 2 entries, expected 3"),
+                            ([(0.5, 0.5), HALF], "expected 1 opponent strategies for n=2, got 2")):
+        with pytest.raises(ValueError, match=message):
+            pure_choice_values(others, model="closed")
     with pytest.raises(ValueError, match=r"unknown model 'closed'"):
         pure_choice_values([HALF, (0, 0, 1)], model="closed")
     with pytest.raises(ValueError, match="the closed-form model scores symmetric profiles only"):

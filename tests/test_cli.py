@@ -287,6 +287,16 @@ def test_exact_root_with_one_deviator_at_n40(capsys, tmp_path, exact_root):
     assert code == EXIT_OK
     assert report["best_response_values"][-1] == pytest.approx(
         json.loads(out)["best_response_values"][0], rel=0.0, abs=1e-15)
+    # best-response scores one player of the same document, a root player
+    # and the deviator, as verify does
+    for player in (1, n):
+        code, out, _ = run_cli(capsys, "best-response", "--profile", deviator, "--player", str(player),
+                               "--format", "json")
+        assert code == EXIT_OK
+        scored = json.loads(out)
+        assert (scored["n"], scored["player"], scored["label"]) == (n, player, None)
+        assert max(scored["values"]) == report["best_response_values"][player - 1]
+        assert scored["best_picks"] == report["best_response_picks"][player - 1]
 
 
 def test_heterogeneous_profile_above_twelve_is_accepted(capsys, tmp_path):
@@ -300,7 +310,7 @@ def test_two_players_are_accepted(capsys, tmp_path):
     path = write_profile(tmp_path, {"n": 2, "strategies": [[1.0, 0.0], [0.0, 1.0]]})
     assert run_cli(capsys, "verify", "--profile", path)[0] == EXIT_OK
     assert run_cli(capsys, "payoff", "--profile", path)[0] == EXIT_OK
-    assert run_cli(capsys, "best-response", "--others", "0.5,0.5")[0] == EXIT_OK
+    assert run_cli(capsys, "best-response", "--profile", path, "--player", "2")[0] == EXIT_OK
 
 
 def test_payoff_csv(capsys, tmp_path):
@@ -316,25 +326,24 @@ def test_payoff_csv(capsys, tmp_path):
 # best-response / approx
 
 
-def test_best_response_matches_reported_values(capsys):
-    code, out, _ = run_cli(capsys, "best-response", "--others", "0.5,0.5,0", "0.5,0.5,0")
+def test_best_response_matches_reported_values(capsys, tmp_path):
+    path = write_profile(tmp_path, ASYM3)
+    code, out, _ = run_cli(capsys, "best-response", "--profile", path, "--player", "1")
     assert code == EXIT_OK
+    assert out.startswith("player: 1 (Alice)\n")
     assert "choice 3: 0.5" in out
     assert out.strip().splitlines()[-1] == "best: 3"
+    code, out, _ = run_cli(capsys, "best-response", "--profile", path, "--player", "2", "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out) == {"n": 3, "player": 2, "label": "Bob", "values": [0.5, 0.0, 0.0], "best_picks": [1]}
 
 
-def test_best_response_wrong_count(capsys):
-    # n is the length of the first vector; every vector and their count must fit it
-    for others, message in ((["0.5,0.5,0"], "expected 2 opponent strategies for n=3, got 1"),
-                            (["0.5,0.5,0", "0.5,0.5"], "opponent strategy 1 has 2 entries, expected 3"),
-                            (["0.5,0.5", "0.5,0.5,0"], "expected 1 opponent strategies for n=2, got 2")):
-        code, _, err = run_cli(capsys, "best-response", "--others", *others)
-        assert (code, err) == (EXIT_INPUT, f"lupi: error: {message}\n")
-
-
-def test_best_response_bad_vector(capsys):
-    code, _, err = run_cli(capsys, "best-response", "--others", "a,b,c", "0.5,0.5,0")
-    assert code == EXIT_INPUT
+def test_best_response_player_out_of_range(capsys, tmp_path):
+    path = write_profile(tmp_path, ASYM4)
+    for player in ("0", "5"):
+        code, out, err = run_cli(capsys, "best-response", "--profile", path, "--player", player)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"lupi: error: --player must be between 1 and 4, got {player}\n"
 
 
 def test_approx_reports_strategy_and_payoff(capsys):
@@ -369,13 +378,14 @@ PARSED = [
     (["payoff", "--profile", "a b.json"], "_cmd_payoff", {"profile": "a b.json", "format": "text"}),
     (["payoff", "--format", "json", "--profile", "p.json", "--profile", "q.json"], "_cmd_payoff",
      {"profile": "q.json", "format": "json"}),
-    (["best-response", "--others", "0.5,0.5,0", "0.5,0.5,0"], "_cmd_best_response",
-     {"others": ["0.5,0.5,0", "0.5,0.5,0"], "format": "text"}),
-    (["best-response", "--others", "a", "b", "c", "--format", "json"], "_cmd_best_response",
-     {"others": ["a", "b", "c"], "format": "json"}),
-    (["best-response", "--others", "x", "--others", "y", "-1"], "_cmd_best_response",
-     {"others": ["y", "-1"], "format": "text"}),
-    (["best-response", "--others=1,0"], "_cmd_best_response", {"others": ["1,0"], "format": "text"}),
+    (["best-response", "--profile", "p.json", "--player", "1"], "_cmd_best_response",
+     {"profile": "p.json", "player": 1, "format": "text"}),
+    (["best-response", "--player=2", "--profile=p.json", "--format", "json"], "_cmd_best_response",
+     {"profile": "p.json", "player": 2, "format": "json"}),
+    (["best-response", "--profile", "p.json", "--player", "3", "--player", "-1"], "_cmd_best_response",
+     {"profile": "p.json", "player": -1, "format": "text"}),
+    (["best-response", "--format=csv", "--player", "+4", "--profile", "-"], "_cmd_best_response",
+     {"profile": "-", "player": 4, "format": "csv"}),
     (["approx", "--n", "6"], "_cmd_approx", {"n": 6, "save_profile": None, "format": "text"}),
     (["approx", "--n", "+6", "--save-profile", "g.json", "--format", "csv"], "_cmd_approx",
      {"n": 6, "save_profile": "g.json", "format": "csv"}),
@@ -404,15 +414,16 @@ USAGE_ERRORS = [
     (["bogus"], "the first argument must be a command"),
     (["--format", "json"], "the first argument must be a command"),
     (["solve"], "the following arguments are required: --n"),
-    (["best-response"], "the following arguments are required: --others"),
+    (["best-response"], "the following arguments are required: --profile, --player"),
     (["solve", "--n", "3", "--foo", "1"], "unrecognized argument: --foo"),
     (["table", "--max", "5"], "unrecognized argument: --max"),
     (["solve", "--n", "3", "extra"], "unrecognized argument: extra"),
     (["solve", "--n", "4", "--model", "exact", "--tol", "1e-17"], "unrecognized argument: --tol"),
     (["solve", "--n"], "argument --n: expected one argument"),
     (["solve", "--n", "--model", "paper"], "argument --n: expected one argument"),
-    (["best-response", "--others"], "argument --others: expected at least one argument"),
+    (["best-response", "--others", "0.5,0.5"], "unrecognized argument: --others"),
     (["best-response", "--n", "3", "--others"], "unrecognized argument: --n"),
+    (["best-response", "--profile", "p.json", "--player", "x"], "argument --player: invalid int value: 'x'"),
     (["solve", "--n", "x"], "argument --n: invalid int value: 'x'"),
     (["solve", "--n="], "argument --n: invalid int value: ''"),
     (["table", "--max-n", "1.5"], "argument --max-n: invalid int value: '1.5'"),
@@ -603,12 +614,12 @@ run("solve", "--n", "5", "--model", "exact", "--save-profile", saved)
 run("approx", "--n", "6")
 run("table", "--max-n", "6")
 run("verify", "--profile", saved)
-run("best-response", "--others", "0.5,0.3,0.2", "0.5,0.3,0.2")
+run("best-response", "--profile", saved, "--player", "1")
 heavy = {"dataclasses", "inspect", "numpy"} & set(sys.modules)
 assert not heavy, f"a symmetric command loaded {sorted(heavy)}"
 payoffs = run("payoff", "--profile", hetero, "--format", "json")
 run("verify", "--profile", hetero)
-run("best-response", "--others", "0,0,1,0", "0.5,0.5,0,0", "0.5,0.5,0,0")
+run("best-response", "--profile", hetero, "--player", "2")
 heavy = {"dataclasses", "inspect", "numpy"} & set(sys.modules)
 assert not heavy, f"a heterogeneous payoff command loaded {sorted(heavy)}"
 run("simulate", "--profile", hetero, "--rounds", "100")
@@ -677,7 +688,8 @@ def test_each_command_loads_only_its_layers(tmp_path):
     assert not {"dataclasses", "inspect", "numpy"} & bare
     hetero = write_profile(tmp_path, ASYM4)
     payoff = _modules_after("payoff", "--profile", hetero)
-    best = _modules_after("best-response", "--others", "0.5,0.5,0", "0.5,0.5,0")
+    best = _modules_after("best-response", "--profile", hetero, "--player", "2")
+    assert "lupi.profiles" in best
     simulate = _modules_after("simulate", "--profile", hetero, "--rounds", "100")
     # the closed form is loaded by the `paper` routes only
     for exact in (solve, verify, payoff, best):
@@ -706,12 +718,13 @@ def test_commands_import_no_module_for_annotations_alone(tmp_path):
     """Each numpy-free command in a fresh interpreter without ``site`` (``-S``),
     whose ``.pth`` files may load much of the standard library: no command
     loads ``typing``, whose names lupi uses in annotations only, and text-format
-    ``solve``, ``approx`` and ``best-response`` load neither ``re`` nor ``enum``."""
+    ``solve`` and ``approx`` load neither ``re`` nor ``enum``."""
     src = str(Path(lupi.__file__).resolve().parent.parent)
     path = write_profile(tmp_path, ASYM3)
     text = [["solve", "--n", "8", "--model", "exact"], ["solve", "--n", "8", "--model", "paper"],
-            ["approx", "--n", "8"], ["best-response", "--others", "0.5,0.5,0", "0.5,0.5,0"]]
+            ["approx", "--n", "8"]]
     other = [["table", "--max-n", "8"], ["verify", "--profile", path], ["payoff", "--profile", path],
+             ["best-response", "--profile", path, "--player", "1"],
              ["payoff", "--profile", path, "--format", "json"], ["solve", "--n", "5", "--format", "csv"]]
     for argv in text + other:
         proc = subprocess.run([sys.executable, "-S", "-c", _MODULES_WITHOUT_SITE, *argv],
@@ -829,7 +842,7 @@ def test_csv_numbers_are_locale_independent(capsys, tmp_path):
         ["solve", "--n", "3", "--format", "csv"],
         ["payoff", "--profile", path, "--format", "csv"],
         ["simulate", "--profile", path, "--rounds", "500", "--format", "csv"],
-        ["best-response", "--others", "0.5,0.5,0", "0.5,0.5,0", "--format", "csv"],
+        ["best-response", "--profile", path, "--player", "2", "--format", "csv"],
     ):
         code, out, _ = run_cli(capsys, *argv)
         assert code == EXIT_OK
