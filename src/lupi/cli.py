@@ -32,8 +32,6 @@ from types import SimpleNamespace
 
 from .game import (
     DEFAULT_EPSILON,
-    MAX_SOLVER_N,
-    MIN_SOLVER_N,
     MODEL_PAPER,
     MODELS,
     StrategyProfile,
@@ -130,12 +128,6 @@ def _player_rows(labels, *columns) -> list:
 # commands: each returns (exit status, record, csv rows or None, text lines or None)
 
 
-def _check_n(n: int, name: str) -> None:
-    """Reject n outside the solver's range; the exact kernels bound their own work."""
-    if not MIN_SOLVER_N <= n <= MAX_SOLVER_N:
-        raise ValueError(f"{name} must be between {MIN_SOLVER_N} and {MAX_SOLVER_N}, got {n}")
-
-
 def _save_symmetric(path, strategy) -> None:
     """Write the symmetric profile of ``strategy`` to ``path``, if one was given."""
     if path is not None:
@@ -169,7 +161,7 @@ def _cmd_table(args):
     from .model import geometric_payoff, two_choice_baseline
     from .solve import solve_symmetric
 
-    _check_n(args.max_n, "--max-n")
+    geometric_payoff(args.max_n)  # refuses a --max-n out of its range before any work
     ns = list(range(3, args.max_n + 1))
     record = {
         "n": ns,
@@ -262,10 +254,10 @@ def _cmd_best_response(args):
 def _cmd_approx(args):
     from .model import geometric_payoff, geometric_strategy
 
-    _check_n(args.n, "--n")
+    payoff = geometric_payoff(args.n)  # refuses an --n out of its range before the save
     strategy = geometric_strategy(args.n)
     _save_symmetric(args.save_profile, strategy)
-    record = {"n": args.n, "strategy": list(strategy.probs), "payoff": geometric_payoff(args.n)}
+    record = {"n": args.n, "strategy": list(strategy.probs), "payoff": payoff}
     return EXIT_OK, record, None, None
 
 
@@ -316,7 +308,7 @@ class _Option:
             _exit(command, f"argument {self.flag}: invalid {self.type.__name__} value: {text!r}")
 
 
-_N = _Option("--n", f"number of players ({MIN_SOLVER_N}..{MAX_SOLVER_N})", int, required=True)
+_N = _Option("--n", "number of players", int, required=True)
 _PROFILE = _Option("--profile", "profile document (JSON)", required=True)
 _SAVE = _Option("--save-profile", "write the symmetric profile as JSON")
 _FORMAT = _Option("--format", "output format (default: text)", default="text", choices=("text", "csv", "json"))
@@ -326,8 +318,7 @@ _COMMANDS = {
         _N, _Option("--model", "payoff model: 'paper' (closed form) or 'exact' (exact win probabilities)",
                     default=MODEL_PAPER, choices=MODELS), _SAVE, _FORMAT]),
     "table": (_cmd_table, "payoff comparison table across player counts", [
-        _Option("--max-n", f"largest player count ({MIN_SOLVER_N}..{MAX_SOLVER_N})", int, default=8),
-        _FORMAT]),
+        _Option("--max-n", "largest player count", int, default=8), _FORMAT]),
     "verify": (_cmd_verify, "check whether a profile is a Nash equilibrium", [
         _PROFILE, _Option("--eps", "gain tolerance", float, default=DEFAULT_EPSILON), _FORMAT]),
     "payoff": (_cmd_payoff, "exact expected payoffs of a profile", [_PROFILE, _FORMAT]),

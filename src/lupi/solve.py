@@ -8,8 +8,9 @@ reduce to one scalar equation.
     probability p_j at which its exact win probability equals v (win_j
     falls as p_j grows, so this is an inner search), or 0 when win_j is
     already at most v at p_j = 0. The last choice that takes mass gets all
-    the mass left, and the map is R(v) = its win probability - v. From
-    n = 11 on, the root leaves the top choices at 0.
+    the mass left, and the map is R(v) = its win probability - v; when that
+    win is above v, R(v) is the larger of it and the next choice's win at
+    zero mass, minus v. From n = 11 on, the root leaves the top choices at 0.
   * ``paper``: shoot backward from s = p_{n-1}. A zero closed-form gradient
     forces p_{n-2} = s, and then the tail masses t_g = p_{g+1} + ... +
     p_{n-1} follow from t_{n-2} = s, t_{n-3} = 2s and
@@ -120,7 +121,10 @@ def _exact_shot(n, v):
     """Forward shot at equilibrium value v: (probabilities, R(v)).
 
     The last choice that takes mass gets all the mass left when the loop
-    ends, and R(v) is its win probability with that mass, minus v. The
+    ends, and R(v) is its win probability with that mass, minus v. When
+    that win is above v, the next choice, unused, is scored at zero mass and
+    R(v) takes the larger win: without it R would touch 0 below the root,
+    at each support jump where the full-mass win falls to v. The
     inner search compares m-th roots of the win probabilities (m = n - 1
     opponents): early on, win_j is close to (1 - p_0 - ... - p_j)**m, and
     its m-th root is close to linear in p_j.
@@ -140,6 +144,8 @@ def _exact_shot(n, v):
         w_all = row[0]  # win probability with all the remaining mass on j
         last, w_last = j, w_all
         if w_all > v:
+            if j + 1 < n:
+                w_last = max(w_all, common_step(row, rem)[0])
             break
 
         def excess(p):

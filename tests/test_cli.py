@@ -134,9 +134,13 @@ def test_table_json_keeps_full_precision(capsys):
 
 
 def test_table_range_validation(capsys):
-    code, _, err = run_cli(capsys, "table", "--max-n", "41")
-    assert code == EXIT_INPUT
-    assert "max-n" in err
+    # the closed form refuses --max-n before any row is computed; the solver's cap is not checked
+    for max_n, error in (("2", "geometric payoff is defined for n >= 3, got 2"),
+                         ("1023", "geometric strategy is defined for n <= 1022, got 1023")):
+        assert run_cli(capsys, "table", "--max-n", max_n) == (EXIT_INPUT, "", f"lupi: error: {error}\n")
+    code, out, _ = run_cli(capsys, "table", "--max-n", "41")
+    assert code == EXIT_OK
+    assert out.splitlines()[0].split()[-1] == "41"
 
 
 def test_sig3_rounds_half_up():
@@ -353,9 +357,20 @@ def test_approx_reports_strategy_and_payoff(capsys):
     assert "payoff: 0.28125" in out
 
 
-def test_approx_range(capsys):
-    code, _, _ = run_cli(capsys, "approx", "--n", "2")
-    assert code == EXIT_INPUT
+def test_approx_range(capsys, tmp_path):
+    # the model refuses n before the strategy is computed or saved
+    path = tmp_path / "geo.json"
+    for argv, error in (
+        (["--n", "1"], "geometric payoff is defined for n >= 3, got 1"),
+        (["--n", "2"], "geometric payoff is defined for n >= 3, got 2"),
+        (["--n", "1023"], "geometric strategy is defined for n <= 1022, got 1023"),
+        (["--n", "2", "--save-profile", str(path)], "geometric payoff is defined for n >= 3, got 2"),
+    ):
+        assert run_cli(capsys, "approx", *argv) == (EXIT_INPUT, "", f"lupi: error: {error}\n")
+    assert not path.exists()
+    # the solver's cap of 40 does not bound the closed form
+    for n in ("41", "1022"):
+        assert run_cli(capsys, "approx", "--n", n)[0] == EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from _oracle import random_profile
 from lupi import (
     MAX_SOLVER_N, MIN_SOLVER_N, StrategyProfile, exact_profile_payoffs, pure_choice_values, solve_symmetric,
 )
+from lupi.model import MAX_GEOMETRIC_N
 from lupi.solve import _TOLERANCES
 from lupi.cli import EXIT_NOT_NASH, EXIT_OK, main
 from test_solve import SIGN_POINTS
@@ -117,8 +118,13 @@ def test_readme_work_budget_and_its_limits(monkeypatch):
             monkeypatch, lambda: route(n + 1)), route.__name__
 
 
+def test_readme_geometric_limit():
+    (top,) = _claim(r"`approx` and `table` take n up to (\d+), the largest n whose geometric payoff is a normal double")
+    assert top == MAX_GEOMETRIC_N
+
+
 def test_readme_solver_claims(exact_root):
-    # "at most 23 steps for every n up to 40" is the largest step count of the
+    # "at most 22 steps for every n up to 40" is the largest step count of the
     # exact roots, and "changes sign once on 65 evenly spaced points" is the
     # count that test_solve.py::test_exact_map_changes_sign_once samples
     steps, top = _claim(r"closes its bracket in at most (\d+) steps for every n up to (\d+),")

@@ -2,12 +2,14 @@
 
 import math
 import random
+import sys
 import time
 
 import pytest
 
 from _oracle import random_interior, random_strategy, repeated_product_closed_form_values
 from lupi import (
+    MixedStrategy,
     as_strategy,
     closed_form_gradient,
     closed_form_payoff,
@@ -17,7 +19,7 @@ from lupi import (
     solve_symmetric,
     two_choice_baseline,
 )
-from lupi.model import _closed_form_values
+from lupi.model import MAX_GEOMETRIC_N, _closed_form_values
 
 SQRT3 = math.sqrt(3.0)
 ROOT3 = (2 * SQRT3 - 3, 2 - SQRT3, 2 - SQRT3)
@@ -141,14 +143,27 @@ def test_closed_form_values_match_repeated_products(n):
             assert abs(value - ref) <= 1e-15 * abs(ref)
 
 
+def _halving(n):
+    """The geometric strategy's weights, built without its range check."""
+    return MixedStrategy([0.5**i for i in range(1, n)] + [0.5 ** (n - 1)])
+
+
 def test_closed_form_routes_are_linear_in_n():
-    # O(n) each: about 0.05 s at n = 10**5, where n - 1 multiplications per
-    # power would take minutes; the payoff itself underflows to 0 there
-    geo = geometric_strategy(10**5)
-    for call in (lambda: geometric_payoff(10**5), lambda: closed_form_payoff(geo, geo)):
-        start = time.perf_counter()
-        assert 0.0 <= call() <= 1.0
-        assert time.perf_counter() - start < 1.0
+    # O(n): about 0.03 s at n = 10**5, where n - 1 multiplications per power
+    # would take minutes. geometric_payoff runs this route, but refuses that
+    # n, whose payoff underflows to 0
+    geo = _halving(10**5)
+    start = time.perf_counter()
+    assert 0.0 <= closed_form_payoff(geo, geo) <= 1.0
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match=r", got 100000$"):
+        geometric_payoff(10**5)
+
+
+def test_geometric_limit_is_the_last_n_whose_payoff_is_a_normal_double():
+    assert geometric_payoff(MAX_GEOMETRIC_N) >= sys.float_info.min
+    geo = _halving(MAX_GEOMETRIC_N + 1)
+    assert closed_form_payoff(geo, geo) < sys.float_info.min
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +199,10 @@ def test_geometric_payoff_rejects_small_n():
     ids=lambda function: function.__name__,
 )
 def test_player_count_must_be_an_int_in_range(function):
-    # 3.0 and "3" are not ints, and 1, 0 and True fall below the range; the message names the value
-    for bad in (1, 0, True, 3.0, "3"):
+    # 3.0 and "3" are not ints, 1, 0 and True fall below the range, and the
+    # geometric functions' range ends at MAX_GEOMETRIC_N; the message names the value
+    above = (MAX_GEOMETRIC_N + 1,) if function in (geometric_strategy, geometric_payoff) else ()
+    for bad in (1, 0, True, 3.0, "3", *above):
         with pytest.raises(ValueError) as info:
             function(bad)
         assert str(info.value).endswith(f", got {bad!r}")

@@ -27,7 +27,7 @@ from lupi import (
     verify_profile,
 )
 import lupi.solve
-from lupi.solve import _exact_shot, _paper_shot
+from lupi.solve import _exact_shot, _find_root, _paper_shot
 
 SQRT3 = math.sqrt(3.0)
 ROOT3 = (2 * SQRT3 - 3, 2 - SQRT3, 2 - SQRT3)
@@ -356,6 +356,42 @@ def test_exact_map_changes_sign_once(n):
     # one root the solver's bracket closes on is the only one in [0, 1/n]
     values = [_exact_shot(n, i / ((SIGN_POINTS - 1) * n))[1] for i in range(SIGN_POINTS)]
     assert sum((a > 0.0) != (b > 0.0) for a, b in zip(values, values[1:])) == 1
+
+
+def _support_and_map(n, v):
+    """(v, number of choices up to the last with mass, R(v)) of the exact shot at v."""
+    probs, value = _exact_shot(n, v)
+    return v, max(j for j, p in enumerate(probs) if p > 0.0) + 1, value
+
+
+@pytest.mark.parametrize("n", [4, 12, 40])
+def test_exact_map_stays_above_zero_at_every_support_jump_below_the_root(n):
+    # where the last choice's full-mass win falls to v, that choice wins v
+    # exactly and R would touch 0, though the next choice, unused, wins more;
+    # scoring that choice keeps R clear of 0. Bisecting on the support count
+    # finds each jump below the root, in a cell narrower than a thousandth of
+    # its distance to the root; a cell whose ends differ by more than one
+    # choice is split down to adjacent floats. One choice enters at each
+    # jump, and R on either side is at least its distance to the root (2.7
+    # times it or more, measured). A check at sampled n, not a proof
+    top = 1.0 / n
+    root, _ = _find_root(lambda v: _exact_shot(n, v)[1], 0.0, top, _exact_shot(n, 0.0)[1], _exact_shot(n, top)[1])
+    cells, jumps = [(_support_and_map(n, 0.0), _support_and_map(n, root))], []
+    size = cells[0][1][1]
+    while cells:
+        left, right = cells.pop()
+        if left[1] != right[1]:
+            middle = left[0] + 0.5 * (right[0] - left[0])
+            narrow = right[1] - left[1] == 1 and right[0] - left[0] <= 1e-3 * (root - right[0])
+            if narrow or middle in (left[0], right[0]):
+                jumps.append((left, right))
+            else:
+                middle = _support_and_map(n, middle)
+                cells += [(left, middle), (middle, right)]
+    jumps.sort()
+    assert [(left[1], right[1]) for left, right in jumps] == [(s, s + 1) for s in range(1, size)]
+    for end in (point for jump in jumps for point in jump):
+        assert end[2] >= root - end[0], end
 
 
 @pytest.mark.parametrize("n", range(3, MAX_SOLVER_N + 1))

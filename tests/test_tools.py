@@ -1,6 +1,7 @@
 """The scripts under ``tools/``, each loaded by path as its own module."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 from test_cli import ASYM3, ASYM4
@@ -44,3 +45,20 @@ def test_replay_golden_profiles_are_the_cli_tests_profiles():
     # the tool writes the {ASYM3} and {ASYM4} placeholders from its own copies
     tool = _load("replay_golden")
     assert (tool.ASYM3, tool.ASYM4) == (ASYM3, ASYM4)
+
+
+def test_replay_golden_goes_on_past_an_interpreter_that_cannot_run(capsys):
+    # one that is not there (OSError) and one that exits non-zero: each gets
+    # one line, and the next interpreter is still tried
+    tool = _load("replay_golden")
+    pythons = ["/nonexistent/python3", "/bin/false"]
+    assert [tool.replay(python, []) for python in pythons] == [0, 0]
+    assert capsys.readouterr().out == (
+        "cannot run /nonexistent/python3 (No such file or directory): its 0 cases count as differing\n"
+        "cannot run /bin/false (exit 1): its 0 cases count as differing\n"
+    )
+    # with the golden cases, each interpreter's cases differ, and the run fails
+    assert tool.main(pythons) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert all(re.search(r"\): its [1-9]\d* cases count as differing$", line) for line in lines)

@@ -10,7 +10,9 @@ written first: ``{ASYM3}`` and ``{ASYM4}`` from the documents below (the
 same as in ``tests/test_cli.py``), ``{PAPER40}`` and ``{EXACT40}`` by
 ``PYTHON -m lupi.cli solve --n 40 --save-profile``. Prints one line per
 differing case and one summary line per interpreter, and exits 1 when any
-case differs on any of them. Standard library only, so it runs on an
+case differs on any of them. An interpreter that cannot run gets one line
+naming it and the reason, its cases count as differing, and the next one
+is replayed. Standard library only, so it runs on an
 interpreter without numpy or pytest.
 """
 
@@ -34,8 +36,16 @@ def replay(python, cases):
     def lupi(*args):
         return subprocess.run([python, "-m", "lupi.cli", *args], capture_output=True, text=True, env=env)
 
-    version = subprocess.run([python, "-c", "import platform; print(platform.python_version())"],
-                             capture_output=True, text=True, check=True).stdout.strip()
+    try:
+        proc = subprocess.run([python, "-c", "import platform; print(platform.python_version())"],
+                              capture_output=True, text=True)
+        reason = f"exit {proc.returncode}" if proc.returncode else ""
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    if reason:
+        print(f"cannot run {python} ({reason}): its {len(cases)} cases count as differing")
+        return len(cases)
+    version = proc.stdout.strip()
     differ = 0
     with tempfile.TemporaryDirectory() as root:
         paths = {}
