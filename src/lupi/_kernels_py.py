@@ -2,15 +2,11 @@
 
 ``win_probs_common`` (identical opponents) and the distinct-opponent
 kernels ``win_probs_distinct`` and ``win_probs_leave_one_out`` are plain
-Python dynamic programs. The last two make the one choice of program: they
-group equal rows, hand a single group to ``win_probs_common``, and walk any
-other rows through one grouped pass over the integers (``_grouped_steps``),
-whose states count how many rows of each group sit below an integer:
-prod(g_i + 1) weights for groups of g_i rows, 2**m when m rows all differ.
-One pass scores every player of a whole profile. ``tests/test_kernels.py``
-checks them to rounding against the scalar loop over 3**n capped-count
-states kept in ``tests/_oracle.py``. Before any work, all three check their
-multiply-adds against ``_WORK_BUDGET``.
+Python dynamic programs. The last two take their route from ``_plan``, the
+one place that groups the rows, picks the program and checks the budget.
+One grouped pass (``_grouped_steps``) scores every player of a whole
+profile. ``tests/test_kernels.py`` checks them to rounding against the
+scalar loop over 3**n capped-count states kept in ``tests/_oracle.py``.
 
 ``simulate_rounds`` is numpy-vectorised in exact integer arithmetic: the
 draws, the inverse-CDF choice and the winner rule involve no rounding, so
@@ -78,7 +74,6 @@ def win_probs_common(probs, opponents):
     O(n * opponents**2) work, about n * opponents**2 / 2 multiply-adds.
     """
     n = len(probs)
-    _check_work("the identical-opponent program", n * opponents * opponents / 2)
     # tail[j] is the mass on j and above, added from the top down
     tail = list(accumulate(reversed(probs), initial=0.0))[::-1]
     row = [0.0] * opponents + [1.0]
@@ -119,14 +114,13 @@ def win_probs_distinct(rows):
     """Win probability of every pure choice against the opponents ``rows``.
 
     A choice j wins when the opponents who pick below j leave no integer
-    picked exactly once and all the others pick above j. Identical
-    opponents, one group of rows, go to ``win_probs_common``, any others to
-    the grouped program (``_grouped_steps``).
+    picked exactly once and all the others pick above j. ``_plan`` picks
+    the program.
     """
-    groups, _ = _groups(rows)
-    if len(groups) == 1:
+    groups, _, moves = _plan(rows, len(rows))
+    if moves is None:
         return win_probs_common(rows[0], len(rows))
-    return [_total(map(mul, dist, above)) for dist, above in _grouped_steps(groups, _count_moves(groups))]
+    return [_total(map(mul, dist, above)) for dist, above in _grouped_steps(groups, moves)]
 
 
 def win_probs_leave_one_out(rows):
@@ -141,11 +135,10 @@ def win_probs_leave_one_out(rows):
     players never involves a player outside it. Every entry is a list of its
     own, also for players with equal rows.
     """
-    groups, group_of = _groups(rows)
-    if len(groups) == 1:
+    groups, group_of, moves = _plan(rows, len(rows) - 1)
+    if moves is None:
         win = win_probs_common(rows[0], len(rows) - 1)
         return [win[:] for _ in rows]
-    moves = _count_moves(groups)
     # per group, the pairs from each count c to c + 1, with the weight (g - c) / g
     scores = [[((g - c) / g, lo, hi) for c in range(g) for lo, hi in group_moves[c + 1][c][2]]
               for (_, g), group_moves in zip(groups, moves)]
@@ -156,11 +149,25 @@ def win_probs_leave_one_out(rows):
     return [wins[k][:] for k in group_of]
 
 
-def _groups(rows):
-    """Rows grouped by equality in first-appearance order, as (row, copies) pairs, and each row's group."""
+def _plan(rows, opponents):
+    """The route of a distinct-opponent kernel call: (groups, each row's group, moves).
+
+    Rows are grouped by equality in first-appearance order, as (row, copies)
+    pairs. One group is ``opponents`` identical opponents for
+    ``win_probs_common``, and ``moves`` is None; any other grouping takes
+    the grouped pass, ``_grouped_steps`` over the moves of ``_count_moves``.
+    The route's multiply-adds, as each program's docstring estimates them,
+    are checked against the budget here, before any work, and nowhere else.
+    """
     first = {}
     group_of = [first.setdefault(tuple(row), len(first)) for row in rows]
-    return [(list(row), group_of.count(k)) for k, row in enumerate(first)], group_of
+    groups = [(list(row), group_of.count(k)) for k, row in enumerate(first)]
+    if len(groups) == 1:
+        _check_work("the identical-opponent program", len(rows[0]) * opponents * opponents / 2)
+        return groups, group_of, None
+    size = math.prod(g + 1 for _, g in groups)
+    _check_work("the subset program", size * len(rows[0]) * len(rows))
+    return groups, group_of, _count_moves(groups, size)
 
 
 def _grouped_steps(groups, moves):
@@ -213,16 +220,14 @@ def _grouped_steps(groups, moves):
         dist = [d + w for d, w in zip(dist, many)]
 
 
-def _count_moves(groups):
+def _count_moves(groups, size):
     """Per group, its moves onto each count t: (c, C(g - c, t - c), slice pairs) for c < t.
 
-    The pairs match every state that counts c of the group's rows to the one
-    that counts t, with the other counts equal: strided slices when there
-    are fewer of them than contiguous runs, so every pair is as long as it
-    can be. Both grouped kernels start here, with the budget check.
+    ``size`` is the number of count states, prod(g_i + 1). The pairs match
+    every state that counts c of the group's rows to the one that counts t,
+    with the other counts equal: strided slices when there are fewer of
+    them than contiguous runs, so every pair is as long as it can be.
     """
-    size = math.prod(g + 1 for _, g in groups)
-    _check_work("the subset program", size * len(groups[0][0]) * sum(g for _, g in groups))
     moves, stride = [], 1
     for _, g in groups:
         block = stride * (g + 1)

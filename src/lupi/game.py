@@ -6,17 +6,13 @@ one, and if no integer is picked exactly once nobody wins.
 
 The payoff computations here are exact (no sampling, no model
 approximations) and serve as the ground truth the closed-form model and the
-solvers are checked against. This module hands the kernels the rows and
-leaves the choice of program to them (``lupi._kernels_py``): they group
-equal rows, send one group of identical opponents to a dynamic program over
-(integer, opponents not yet placed) with n * n cells, and any other rows to
-one dynamic program over (integer, how many rows of each group are placed
-below it), prod(g_i + 1) weights per integer for groups of g_i rows. A
-whole profile's payoffs take one pass over all n players, which scores
-every player against the others. That pass is one branch of the one
-profile scorer, ``_profile_choice_values``; its other branch reads the
-closed-form model's values from :mod:`lupi.model`, for the solver, the
-verifier and ``pure_choice_values`` under ``paper``.
+solvers are checked against. This module hands the kernels the rows, and
+``lupi._kernels_py._plan`` picks the program from them. A whole profile's
+payoffs take one kernel pass over all n players, which scores every player
+against the others. That pass is one branch of the one profile scorer,
+``_profile_choice_values``; its other branch reads the closed-form model's
+values from :mod:`lupi.model`, for the solver, the verifier and
+``pure_choice_values`` under ``paper``.
 
 Players are 0-indexed everywhere in this package; command-line output is
 1-indexed.

@@ -99,7 +99,8 @@ def test_identical_and_distinct_routes_agree_on_identical_opponents():
         p = list(random_strategy(rng, n, zeros=True))
         common = kernels.win_probs_common(p, m)
         groups = [(p, m)]
-        dp = [sum(map(mul, dist, above)) for dist, above in kernels._grouped_steps(groups, kernels._count_moves(groups))]
+        steps = kernels._grouped_steps(groups, kernels._count_moves(groups, m + 1))
+        dp = [sum(map(mul, dist, above)) for dist, above in steps]
         assert common == pytest.approx(dp, abs=1e-12)
     # the identical-opponent route against independent brute force, also
     # with fewer opponents than the integer range
@@ -242,8 +243,8 @@ def test_every_float_total_adds_left_to_right():
     # distinct rows: at the second integer, the products of the count states'
     # weights and masses above sum differently in the two orders
     rows = [[0.1, 0.9, 0.0], [0.1, 0.0, 0.9], [0.1, 0.45, 0.45]]
-    groups, _ = kernels._groups(rows)
-    steps = kernels._grouped_steps(groups, kernels._count_moves(groups))
+    groups, _, moves = kernels._plan(rows, len(rows))
+    steps = kernels._grouped_steps(groups, moves)
     terms = [list(map(mul, dist, above)) for dist, above in steps]
     assert _left_to_right(terms[1]) != math.fsum(terms[1])
     assert kernels.win_probs_distinct(rows) == [_left_to_right(t) for t in terms]

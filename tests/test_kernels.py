@@ -12,8 +12,10 @@ identical-opponent kernel is checked against the generating-function
 oracle, which reads the same win probabilities off power series.
 """
 
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,7 @@ from _oracle import (
     scalar_win_probs_distinct,
 )
 from lupi import _kernels_py as kernels
+from test_package import _owned_nodes
 
 SEEDS = (0, 2**64 - 1)
 
@@ -268,16 +271,14 @@ def _distinct_rows(m, n):
     return [[(1.0 + i * (j == 0)) / (n + i) for j in range(n)] for i in range(m)]
 
 
-def test_fold_size_guard(monkeypatch):
+def test_fold_size_guard():
     # two rows of 17 integers are 136 multiply-adds
     assert len(kernels.win_probs_distinct(_distinct_rows(2, 17))) == 17
-    # the boundary of the budget on each estimate, with the kernels' work
-    # stubbed out: within it the call must get past the check
-    monkeypatch.setattr(kernels, "_grouped_steps", lambda groups, moves: iter(()))
-    monkeypatch.setattr(kernels, "common_step", lambda row, pj: row)
-    monkeypatch.setattr(kernels, "common_win", lambda row, above: 0.0)
+    # the boundary of the budget on each route: within it the plan gets past
+    # its check, and above it the public kernels stop before any work
     assert 16 * 16 * 2**16 <= kernels._WORK_BUDGET < 17 * 17 * 2**17
-    kernels.win_probs_leave_one_out(_distinct_rows(16, 16))
+    groups, _, moves = kernels._plan(_distinct_rows(16, 16), 15)
+    assert len(groups) == len(moves) == 16
     with pytest.raises(ValueError, match="the subset program needs about 3.79e\\+07 multiply-adds"):
         kernels.win_probs_leave_one_out(_distinct_rows(17, 17))
     with pytest.raises(ValueError, match="the subset program"):
@@ -285,11 +286,32 @@ def test_fold_size_guard(monkeypatch):
     # identical opponents: n players take about n * (n - 1)**2 / 2
     n = next(n for n in itertools.count(2) if n * (n - 1) ** 2 / 2 > kernels._WORK_BUDGET)
     assert n == 343
-    assert kernels.win_probs_common([1.0 / (n - 1)] * (n - 1), n - 2) == [0.0] * (n - 1)
-    with pytest.raises(ValueError, match="the identical-opponent program needs about 2.01e\\+07 multiply-adds"):
-        kernels.win_probs_common([1.0 / n] * n, n - 1)
+    groups, _, moves = kernels._plan([[1.0 / (n - 1)] * (n - 1)] * (n - 1), n - 2)
+    assert len(groups) == 1 and moves is None
+    message = "the identical-opponent program needs about 2.01e\\+07 multiply-adds"
+    with pytest.raises(ValueError, match=message):
+        kernels.win_probs_leave_one_out([[1.0 / n] * n] * n)
+    with pytest.raises(ValueError, match=message):
+        kernels.win_probs_distinct([[1.0 / n] * n] * (n - 1))
     # equal rows are one group: 17 of them take the identical-opponent program
     kernels.win_probs_leave_one_out([[1.0 / 17] * 17] * 17)
+
+
+def test_the_budget_is_checked_in_one_place():
+    # _plan is the one route choice of the exact kernels: the budget is
+    # checked there only, and the two distinct-opponent kernels call it
+    package = Path(kernels.__file__).resolve().parent
+    callers = {"_check_work": set(), "_plan": set()}
+    for path in sorted(package.glob("*.py")):
+        for owner, node in _owned_nodes(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in callers:
+                    callers[name].add(f"{path.stem}.{owner}")
+    assert callers == {
+        "_check_work": {"_kernels_py._plan"},
+        "_plan": {"_kernels_py.win_probs_distinct", "_kernels_py.win_probs_leave_one_out"},
+    }
 
 
 def test_subset_size_guard_counts_players():

@@ -394,6 +394,21 @@ def test_exact_map_stays_above_zero_at_every_support_jump_below_the_root(n):
         assert end[2] >= root - end[0], end
 
 
+@pytest.mark.parametrize("n", [4, 12, 40])
+def test_exact_map_stays_below_zero_above_the_root(n):
+    # points from 1/n halfway down towards the root, 48 times or until they
+    # reach it: R at each is at most minus its distance to the root (2.2, 7.0
+    # and 22.9 times it or more at n = 4, 12 and 40, measured, the smallest at
+    # 1/n). A check at sampled n, not a proof
+    top = 1.0 / n
+    root, _ = _find_root(lambda v: _exact_shot(n, v)[1], 0.0, top, _exact_shot(n, 0.0)[1], _exact_shot(n, top)[1])
+    for k in range(48):
+        v = root + (top - root) * 2.0**-k
+        if v == root:
+            break
+        assert _exact_shot(n, v)[1] <= -(v - root), (k, v)
+
+
 @pytest.mark.parametrize("n", range(3, MAX_SOLVER_N + 1))
 def test_paper_map_is_linear_in_its_last_weight(n):
     # the backward recurrence is homogeneous of degree 1 in s, so
