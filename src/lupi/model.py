@@ -116,9 +116,9 @@ def geometric_strategy(n: int) -> MixedStrategy:
 def geometric_payoff(n: int) -> float:
     """Per-player payoff when all n players play the geometric strategy.
 
-    n runs from 3 to ``MAX_GEOMETRIC_N``. The closed-form payoff at the geometric point; written out, it is the
+    The closed-form payoff at the geometric point; written out, it is the
     published double sum over the deviator's choice k and the opponents'
-    common choice j <= k.
+    common choice j <= k. n runs from 3 to ``MAX_GEOMETRIC_N``.
     """
     if not isinstance(n, int) or n < 3:
         raise ValueError(f"geometric payoff is defined for n >= 3, got {n!r}")

@@ -1,7 +1,9 @@
 """The repository's committed documents: the README's examples run as
-written, its numeric claims about the engine hold, the tests it names
+written, its numeric claims about the engine hold, it describes every
+command, option and exit code, the names, tests and paths it points to
 exist, and every committed bench record holds the shared keys."""
 
+import importlib
 import json
 import random
 import re
@@ -14,7 +16,9 @@ import lupi._kernels_py as kernels
 from _oracle import random_profile
 from lupi import (
     MAX_SOLVER_N, MIN_SOLVER_N, StrategyProfile, exact_profile_payoffs, pure_choice_values, solve_symmetric,
+    verify_profile,
 )
+from lupi import cli
 from lupi.model import MAX_GEOMETRIC_N
 from lupi.solve import _TOLERANCES
 from lupi.cli import EXIT_NOT_NASH, EXIT_OK, main
@@ -141,11 +145,60 @@ def test_readme_solver_claims(exact_root):
         assert max(root.residual_norm for root in roots) * 1e4 < _TOLERANCES[model], model
 
 
+def test_readme_rounding_limit_of_verify(exact_root):
+    # the stated bound is the first power of ten above the exact roots' largest
+    # gain (5.85e-15, at n = 34), so a smaller --eps judges rounding
+    exponent, top = _claim(r"the exact roots' gains are below 1e-(\d+) for every n up to (\d+), so an `--eps` "
+                           r"below that judges rounding, not the strategy")
+    assert top == MAX_SOLVER_N
+    reports = {n: verify_profile(StrategyProfile.symmetric(exact_root(n).strategy))
+               for n in range(MIN_SOLVER_N, MAX_SOLVER_N + 1)}
+    assert 10.0 ** -(exponent + 1) <= max(max(r.deviation_gains) for r in reports.values()) < 10.0 ** -exponent
+    exponent, n = _claim(r"`verify --eps 1e-(\d+)` calls the n = (\d+) root not an equilibrium")
+    assert reports[n].is_nash and not verify_profile(reports[n].profile, 10.0 ** -exponent).is_nash
+
+
+def test_readme_describes_every_command_option_and_exit_code():
+    (count,) = re.findall(r"One binary, (\w+) subcommands", PROSE)
+    assert "zero one two three four five six seven eight nine ten".split().index(count) == len(cli._COMMANDS)
+    for command, (_, _, options) in cli._COMMANDS.items():
+        assert f"lupi {command} " in README, command
+        for option in options:
+            assert re.search(rf"(?<![\w-]){option.flag}(?![\w-])", README), (command, option.flag)
+    (sentence,) = re.findall(r"Exit codes: ([^.]*)\.", PROSE)
+    codes = sorted(value for name, value in vars(cli).items() if name.startswith("EXIT_"))
+    assert codes == list(range(cli.EXIT_OK, cli.EXIT_NO_CONVERGENCE + 1))
+    assert [int(code) for code in re.findall(r"`(\d+)`", sentence)] == codes
+
+
 def test_readme_names_only_tests_that_exist():
     named = re.findall(r"tests/(test_\w+\.py)::(\w+)", README)
     assert len(named) >= 5
     for module, test in named:
         assert re.search(rf"^def {test}\(", (ROOT / "tests" / module).read_text(), re.M), (module, test)
+
+
+def test_readme_pointers_resolve():
+    # a backticked ``lupi.…`` name is the longest importable module prefix,
+    # then attributes; a repo path is a file or directory of the checkout
+    names = set(re.findall(r"`(lupi(?:\.\w+)+)(?:\(\))?`", PROSE))
+    assert len(names) >= 5
+    for name in sorted(names):
+        parts = name.split(".")
+        cut = len(parts)
+        while True:
+            try:
+                target = importlib.import_module(".".join(parts[:cut]))
+                break
+            except ModuleNotFoundError:
+                cut -= 1
+        for attribute in parts[cut:]:
+            assert hasattr(target, attribute), name
+            target = getattr(target, attribute)
+    paths = set(re.findall(r"(?<![\w/.])((?:src|tests|tools|perfbench)/[\w./]*\w)", README))
+    assert len(paths) >= 5
+    for path in sorted(paths):
+        assert (ROOT / path).exists(), path
 
 
 # ---------------------------------------------------------------------------
