@@ -26,13 +26,13 @@ _HOMES = {
         ("_backend", "backend_name"),
         ("analysis", "VerificationReport best_response indifference_spread pure_choice_values"
                      " verify_profile"),
-        ("game", "DEFAULT_EPSILON MAX_SOLVER_N MIN_SOLVER_N MixedStrategy MODEL_EXACT MODEL_PAPER"
-                 " MODELS StrategyProfile as_strategy exact_profile_payoffs"),
+        ("game", "DEFAULT_EPSILON MixedStrategy MODEL_EXACT MODEL_PAPER MODELS StrategyProfile as_strategy"
+                 " exact_profile_payoffs"),
         ("model", "closed_form_gradient closed_form_payoff geometric_payoff geometric_strategy"
                   " two_choice_baseline"),
         ("profiles", "load_profile parse_profile_document save_profile"),
         ("simulate", "SimulationStats simulate"),
-        ("solve", "SolveResult solve_symmetric"),
+        ("solve", "MAX_SOLVER_N MIN_SOLVER_N SolveResult solve_symmetric"),
     ]
     for name in names.split()
 }

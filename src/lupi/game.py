@@ -26,12 +26,10 @@ from operator import mul
 
 SUM_TOLERANCE = 1e-9
 
-# model names, the solver's range of n and the verifier's default tolerance
+# model names and the verifier's default tolerance
 MODEL_PAPER = "paper"
 MODEL_EXACT = "exact"
 MODELS = (MODEL_PAPER, MODEL_EXACT)
-MIN_SOLVER_N = 3
-MAX_SOLVER_N = 40
 DEFAULT_EPSILON = 1e-9
 
 # lupi's annotations are text that is never evaluated (``from __future__ import annotations``),

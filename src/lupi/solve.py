@@ -23,21 +23,25 @@ Every ``exact`` search, outer and inner, is Illinois false position on a
 bracket with a bisection fallback, run to full floating-point precision; it
 needs no derivatives and stops on its own. A root counts as converged when
 the residual, recomputed from the returned strategy, is within the model's
-fixed ``_TOLERANCES`` entry, which every root up to ``MAX_SOLVER_N`` meets
-with orders of magnitude to spare, so a result that is not converged means
-that a search stopped at its step cap. Everything is plain Python lists: the
-solver needs no array library.
+fixed ``_TOLERANCES`` entry, which every root up to the model's
+``MAX_SOLVER_N`` entry meets with orders of magnitude to spare, so a result
+that is not converged means that an ``exact`` search stopped at its step cap.
+Everything is plain Python lists: the solver needs no array library.
 """
 
 from __future__ import annotations
 
-from .game import (
-    MAX_SOLVER_N, MIN_SOLVER_N, MODEL_EXACT, MODEL_PAPER, MODELS, MixedStrategy, StrategyProfile,
-    _profile_choice_values, _Record,
-)
+from .game import MODEL_EXACT, MODEL_PAPER, MODELS, MixedStrategy, StrategyProfile, _profile_choice_values, _Record
 
 # largest recomputed residual that counts as converged, per model
 _TOLERANCES = {MODEL_PAPER: 1e-12, MODEL_EXACT: 1e-10}
+
+# the solver's range of n, per model. paper: the largest n whose root
+# s = 1/(t_{-1}(1) + 1) is a normal double: 2.23e-308 at n = 1023, subnormal at
+# 1024, 0.0 at 1025 and 1026, where t_{-1}(1) overflows, and NaN from 1027 on.
+# exact: the range its search is tested over
+MIN_SOLVER_N = 3
+MAX_SOLVER_N = {MODEL_PAPER: 1023, MODEL_EXACT: 40}
 
 _EPS = 2.0**-52
 # cap on the steps of one search; three steps at least halve its bracket, so
@@ -205,15 +209,16 @@ def solve_symmetric(n: int, model: str = MODEL_PAPER) -> SolveResult:
     ``paper`` shoots once from the root of its linear map. ``exact``
     searches the whole domain of its scalar map, whose ends bracket its
     sign change, and returns the strategy shot from the low end of the
-    final bracket. The result is never fabricated: ``converged`` is False
-    whenever the recomputed residual exceeds the model's fixed tolerance,
-    which only a search stopped at its step cap leaves, and the point
-    reached is reported as-is.
+    final bracket. n ranges from ``MIN_SOLVER_N`` to the model's
+    ``MAX_SOLVER_N`` entry. The result is never fabricated: ``converged`` is
+    False whenever the recomputed residual exceeds the model's fixed
+    tolerance, which only an ``exact`` search stopped at its step cap leaves,
+    and the point reached is reported as-is.
     """
-    if not (isinstance(n, int) and MIN_SOLVER_N <= n <= MAX_SOLVER_N):
-        raise ValueError(f"solver supports {MIN_SOLVER_N} <= n <= {MAX_SOLVER_N}, got {n!r}")
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
+    if not (isinstance(n, int) and MIN_SOLVER_N <= n <= MAX_SOLVER_N[model]):
+        raise ValueError(f"the {model} solver supports {MIN_SOLVER_N} <= n <= {MAX_SOLVER_N[model]}, got {n!r}")
     if model == MODEL_PAPER:
         # H(s) = s * t_{-1}(1) - 1, so the root is 1 / t_{-1}(1)
         s = 1.0 / (_paper_shot(n, 1.0)[1] + 1.0)

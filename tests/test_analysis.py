@@ -299,7 +299,7 @@ def test_spread_separates_models_at_n4():
     assert indifference_spread(paper_root, model="exact") > 0.1
 
 
-@pytest.mark.parametrize("n", range(3, MAX_SOLVER_N + 1))
+@pytest.mark.parametrize("n", range(3, MAX_SOLVER_N["exact"] + 1))
 def test_paper_root_is_an_exact_equilibrium_only_at_n3(n):
     # the paper's claim at every n, both ways: the closed-form root is an
     # equilibrium of the closed-form model, and of the exact game only at

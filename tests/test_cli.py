@@ -81,6 +81,19 @@ def test_solve_below_range_is_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv, status, err", [
+    (["--n", "41"], EXIT_OK, ""),
+    (["--n", "1023", "--model", "paper"], EXIT_OK, ""),
+    (["--n", "1024", "--model", "paper"], EXIT_INPUT, "lupi: error: the paper solver supports 3 <= n <= 1023, got 1024\n"),
+    (["--n", "41", "--model", "exact"], EXIT_INPUT, "lupi: error: the exact solver supports 3 <= n <= 40, got 41\n"),
+])
+def test_solve_takes_each_models_range(capsys, argv, status, err):
+    # the default model is paper, whose one shot represents its root up to n = 1023
+    code, out, got = run_cli(capsys, "solve", *argv)
+    assert (code, got) == (status, err)
+    assert ("converged: yes" in out) if status == EXIT_OK else out == ""
+
+
 def test_solve_unknown_model_exits_1(capsys):
     with pytest.raises(SystemExit) as info:
         main(["solve", "--n", "3", "--model", "bogus"])
@@ -238,9 +251,9 @@ def _dense_profile(n):
 
 
 def test_profile_size_is_bounded_by_the_work_budget(capsys, tmp_path):
-    # the solver's cap does not bound profiles: above it, a symmetric profile
-    # takes the identical-opponent program, whose work budget admits n = 342
-    n = MAX_SOLVER_N + 1
+    # the exact solver's cap does not bound profiles: above it, a symmetric
+    # profile takes the identical-opponent program, whose work budget admits n = 342
+    n = MAX_SOLVER_N["exact"] + 1
     path = write_profile(tmp_path, {"n": n, "strategies": [[1.0 / n] * n] * n})
     for argv, status in ((["verify"], EXIT_NOT_NASH), (["payoff"], EXIT_OK), (["simulate", "--rounds", "10"], EXIT_OK)):
         code, out, err = run_cli(capsys, *argv, "--profile", path)

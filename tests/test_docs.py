@@ -15,14 +15,13 @@ import pytest
 import lupi._kernels_py as kernels
 from _oracle import random_profile
 from lupi import (
-    MAX_SOLVER_N, MIN_SOLVER_N, StrategyProfile, exact_profile_payoffs, pure_choice_values, solve_symmetric,
-    verify_profile,
+    MAX_SOLVER_N, StrategyProfile, exact_profile_payoffs, pure_choice_values, solve_symmetric, verify_profile,
 )
 from lupi import cli
 from lupi.model import MAX_GEOMETRIC_N
 from lupi.solve import _TOLERANCES
 from lupi.cli import EXIT_NOT_NASH, EXIT_OK, main
-from test_solve import SIGN_POINTS
+from test_solve import EXACT_NS, PAPER_NS, SIGN_POINTS
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -127,21 +126,28 @@ def test_readme_geometric_limit():
     assert top == MAX_GEOMETRIC_N
 
 
+def test_readme_paper_limit():
+    (top,) = _claim(r"`solve --model paper` takes n up to (\d+), the largest n whose root's last weight is a normal double")
+    assert top == MAX_SOLVER_N["paper"]
+
+
 def test_readme_solver_claims(exact_root):
     # "at most 22 steps for every n up to 40" is the largest step count of the
     # exact roots, and "changes sign once on 65 evenly spaced points" is the
     # count that test_solve.py::test_exact_map_changes_sign_once samples
     steps, top = _claim(r"closes its bracket in at most (\d+) steps for every n up to (\d+),")
-    assert top == MAX_SOLVER_N
-    assert steps == max(exact_root(n).iterations for n in range(MIN_SOLVER_N, MAX_SOLVER_N + 1))
+    assert top == EXACT_NS[-1]
+    assert steps == max(exact_root(n).iterations for n in EXACT_NS)
     points, top = _claim(r"changes sign once on (\d+) evenly spaced points for every n up to (\d+)\.")
-    assert (points, top) == (SIGN_POINTS, MAX_SOLVER_N)
+    assert (points, top) == (SIGN_POINTS, EXACT_NS[-1])
     # each model's fixed tolerance is over 10**4 times its largest residual,
-    # so only a search stopped at its step cap reports no convergence
-    (top,) = _claim(r"every root up to n = (\d+) is within it by more than four orders of magnitude")
-    assert top == MAX_SOLVER_N
-    ns = range(MIN_SOLVER_N, MAX_SOLVER_N + 1)
-    for model, roots in (("exact", map(exact_root, ns)), ("paper", (solve_symmetric(n) for n in ns))):
+    # so only an exact search stopped at its step cap reports no convergence.
+    # The paper margin is read over test_solve.py's sample of its range; over
+    # every n up to 1023 the largest residual measured 3.5e-17
+    exact_top, paper_top = _claim(r"every `exact` root up to n = (\d+) and every `paper` root up to n = (\d+) is "
+                                  r"within it by more than four orders of magnitude")
+    assert (exact_top, paper_top) == (EXACT_NS[-1], PAPER_NS[-1])
+    for model, roots in (("exact", map(exact_root, EXACT_NS)), ("paper", (solve_symmetric(n) for n in PAPER_NS))):
         assert max(root.residual_norm for root in roots) * 1e4 < _TOLERANCES[model], model
 
 
@@ -150,9 +156,8 @@ def test_readme_rounding_limit_of_verify(exact_root):
     # gain (5.85e-15, at n = 34), so a smaller --eps judges rounding
     exponent, top = _claim(r"the exact roots' gains are below 1e-(\d+) for every n up to (\d+), so an `--eps` "
                            r"below that judges rounding, not the strategy")
-    assert top == MAX_SOLVER_N
-    reports = {n: verify_profile(StrategyProfile.symmetric(exact_root(n).strategy))
-               for n in range(MIN_SOLVER_N, MAX_SOLVER_N + 1)}
+    assert top == EXACT_NS[-1]
+    reports = {n: verify_profile(StrategyProfile.symmetric(exact_root(n).strategy)) for n in EXACT_NS}
     assert 10.0 ** -(exponent + 1) <= max(max(r.deviation_gains) for r in reports.values()) < 10.0 ** -exponent
     exponent, n = _claim(r"`verify --eps 1e-(\d+)` calls the n = (\d+) root not an equilibrium")
     assert reports[n].is_nash and not verify_profile(reports[n].profile, 10.0 ** -exponent).is_nash

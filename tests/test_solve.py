@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from lupi import (
     verify_profile,
 )
 import lupi.solve
-from lupi.solve import _exact_shot, _find_root, _paper_shot
+from lupi.solve import _TOLERANCES, _exact_shot, _find_root, _paper_shot
 
 SQRT3 = math.sqrt(3.0)
 ROOT3 = (2 * SQRT3 - 3, 2 - SQRT3, 2 - SQRT3)
@@ -36,6 +37,12 @@ PAYOFF3 = 28 - 16 * SQRT3
 # points on [0, 1/n] at which the exact map's sign changes are counted; the
 # README states this number (tests/test_docs.py)
 SIGN_POINTS = 65
+
+# every n the exact solver takes, and a sample of the paper solver's: the same
+# n, every 50th n above them and the last four up to its limit
+EXACT_NS = range(MIN_SOLVER_N, MAX_SOLVER_N["exact"] + 1)
+PAPER_NS = [*EXACT_NS, *range(EXACT_NS[-1] + 1, MAX_SOLVER_N["paper"] - 3, 50),
+            *range(MAX_SOLVER_N["paper"] - 3, MAX_SOLVER_N["paper"] + 1)]
 
 
 def _spread(strategy):
@@ -62,16 +69,27 @@ def test_paper_n4_matches_reported_solution():
     assert abs(result.payoff - 0.134) <= 0.0005
 
 
-@pytest.mark.parametrize("n", range(3, MAX_SOLVER_N + 1))
+@pytest.mark.parametrize("n", PAPER_NS)
 def test_paper_solution_has_equal_last_two_weights(n):
     # the map is linear (test_paper_map_is_linear_in_its_last_weight), so
     # one division gives its root and no search runs
     result = solve_symmetric(n, model="paper")
     probs = result.strategy.probs
     assert result.iterations == 0
-    assert result.converged
+    assert result.converged and result.full_support
+    assert result.residual_norm < 1e-4 * _TOLERANCES["paper"]
     assert probs[n - 2] == probs[n - 1]
     assert abs(_paper_shot(n, probs[n - 1])[1]) <= 1e-14
+
+
+def test_paper_limit_is_the_last_n_whose_root_is_a_normal_double():
+    # test_paper_solution_has_equal_last_two_weights checks the roots up to
+    # the limit; each model refuses the n above its own limit, and names it
+    top = MAX_SOLVER_N["paper"]
+    assert solve_symmetric(top).strategy.probs[-1] >= sys.float_info.min > 1.0 / (_paper_shot(top + 1, 1.0)[1] + 1.0)
+    for model, n in (("paper", top + 1), ("exact", MAX_SOLVER_N["exact"] + 1)):
+        with pytest.raises(ValueError, match=rf"^the {model} solver supports 3 <= n <= {n - 1}, got {n}$"):
+            solve_symmetric(n, model)
 
 
 @pytest.mark.parametrize("n", range(5, 9))
@@ -233,7 +251,7 @@ def test_exact_n4_differs_from_closed_form_root():
     assert abs(exact[-1] - exact[-2]) > 0.05
 
 
-@pytest.mark.parametrize("n", range(3, MAX_SOLVER_N + 1))
+@pytest.mark.parametrize("n", EXACT_NS)
 def test_exact_solver_larger_n(n, exact_root):
     result = exact_root(n)
     assert result.converged
@@ -250,7 +268,7 @@ def test_exact_solver_larger_n(n, exact_root):
 @pytest.mark.parametrize("model", MODELS)
 def test_solved_payoff_is_the_verifiers_bit_for_bit(model, exact_root):
     # the solver and the verifier score a symmetric strategy with one producer per model
-    for n in range(MIN_SOLVER_N, MAX_SOLVER_N + 1):
+    for n in EXACT_NS:
         result = exact_root(n) if model == "exact" else solve_symmetric(n, model=model)
         profile = StrategyProfile.symmetric(result.strategy)
         assert result.payoff == verify_profile(profile, model=model).payoffs[0]
@@ -261,7 +279,7 @@ def test_solved_payoff_is_the_verifiers_bit_for_bit(model, exact_root):
 def test_paper_routes_read_the_closed_form_once(monkeypatch):
     # the solver and the verifier take the gradient, the values and the payoff
     # from one read, with the floats of the public closed-form functions
-    for n in range(MIN_SOLVER_N, MAX_SOLVER_N + 1):
+    for n in EXACT_NS:
         result = solve_symmetric(n, model="paper")
         strategy = result.strategy
         assert result.payoff == closed_form_payoff(strategy, strategy)
@@ -350,7 +368,7 @@ def test_solver_is_deterministic(model):
     assert first == second
 
 
-@pytest.mark.parametrize("n", range(3, MAX_SOLVER_N + 1))
+@pytest.mark.parametrize("n", EXACT_NS)
 def test_exact_map_changes_sign_once(n):
     # no theorem makes the exact root unique: this is the evidence that the
     # one root the solver's bracket closes on is the only one in [0, 1/n]
@@ -409,7 +427,7 @@ def test_exact_map_stays_below_zero_above_the_root(n):
         assert _exact_shot(n, v)[1] <= -(v - root), (k, v)
 
 
-@pytest.mark.parametrize("n", range(3, MAX_SOLVER_N + 1))
+@pytest.mark.parametrize("n", PAPER_NS)
 def test_paper_map_is_linear_in_its_last_weight(n):
     # the backward recurrence is homogeneous of degree 1 in s, so
     # H(s) = s * t_{-1}(1) - 1 is linear and has exactly one root
@@ -433,7 +451,7 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         solve_symmetric(2)
     with pytest.raises(ValueError):
-        solve_symmetric(MAX_SOLVER_N + 1)
+        solve_symmetric(MAX_SOLVER_N["paper"] + 1)
     with pytest.raises(ValueError):
         solve_symmetric(4, model="bogus")
     with pytest.raises(TypeError):
