@@ -377,23 +377,29 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    """Run ``main()`` as a whole process: the entry behind ``lupi`` and ``python -m lupi.cli``.
+
+    The command runs without the cyclic collector. Once its output is flushed,
+    the process ends through ``os._exit`` with the command's status, 1 if the
+    reader closed stdout, so nothing registered to run at exit runs (``atexit``,
+    ``python -m cProfile``'s report, ``coverage run``'s data). To profile or
+    trace a command, wrap ``main()``. A usage error or ``--help`` still leaves
+    through ``SystemExit``, and an unexpected exception prints its traceback.
+    """
     # lupi makes no BLAS call, and numpy's OpenBLAS otherwise (also when the variable is
     # empty) starts a worker thread per extra core at import, which spins and takes CPU
     if not os.environ.get("OPENBLAS_NUM_THREADS"):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    # a command leaves no cyclic garbage that grows with its work, so the process skips
-    # the collector's passes: none while it runs, and none over the frozen objects at exit
+    # a command leaves no cyclic garbage that grows with its work, and os._exit
+    # skips the teardown, so the process never needs the collector's passes
     gc.disable()
     try:
         status = main()
-        sys.stdout.flush()  # a reader that closed stdout shows here, not at exit
+        sys.stdout.flush()  # a reader that closed stdout shows here
     except BrokenPipeError:
-        # as Python's signal docs advise: stdout to devnull, so that the flush at exit raises nothing
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         status = EXIT_INPUT
-    finally:
-        gc.freeze()
-    sys.exit(status)
+    sys.stderr.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":

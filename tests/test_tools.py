@@ -1,10 +1,14 @@
 """The scripts under ``tools/``, each loaded by path as its own module."""
 
 import importlib.util
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from test_cli import ASYM3, ASYM4
+from test_docs import PAIR_KEYS
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -62,3 +66,52 @@ def test_replay_golden_goes_on_past_an_interpreter_that_cannot_run(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
     assert all(re.search(r"\): its [1-9]\d* cases count as differing$", line) for line in lines)
+
+
+# appends the tree a run is in, whether lupi.cli came from that tree's src,
+# and whether the tree holds no __pycache__ after the import
+_RECORD = """
+def record(log):
+    import os, lupi.cli
+    tree = os.getcwd()
+    ours = os.path.samefile(lupi.cli.__file__, os.path.join(tree, "src", "lupi", "cli.py"))
+    clean = not any("__pycache__" in dirs for _, dirs, _ in os.walk(tree))
+    with open(log, "a") as out:
+        print(os.path.basename(tree), ours, clean, file=out)
+"""
+
+
+def test_pairs_alternates_two_archived_trees(tmp_path, monkeypatch, capsys):
+    # HEAD against HEAD of a one-commit repository for 3 pairs, whole-process
+    # and in-process; its untracked __pycache__ stays out of the archives, and
+    # the runs write none though this environment would let them
+    tool = _load("pairs")
+    log = tmp_path / "log"
+    repo = tmp_path / "repo"
+    (repo / "src" / "lupi" / "__pycache__").mkdir(parents=True)
+    (repo / "src" / "lupi" / "__pycache__" / "cli.pyc").write_bytes(b"")
+    for name in ("__init__.py", "cli.py"):
+        (repo / "src" / "lupi" / name).write_text("")
+    for git in (["init", "-q"], ["add", "src/lupi/__init__.py", "src/lupi/cli.py"],
+                ["-c", "user.name=lupi", "-c", "user.email=lupi@localhost", "commit", "-qm", "one"]):
+        subprocess.run(["git", *git], cwd=repo, check=True)
+    monkeypatch.chdir(repo)
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    call = f"record({str(log)!r})"
+    order = ["parent", "change", "change", "parent", "parent", "change"]
+    argv = ["HEAD", "HEAD", "--pairs", "3", "--json", "--", sys.executable, "-c", _RECORD + call]
+    assert tool.main(argv) == 0
+    assert log.read_text().splitlines() == [f"{side} True True" for side in order]
+    (name, entry), = json.loads(capsys.readouterr().out).items()
+    assert name == "wall_s" and PAIR_KEYS <= set(entry) and entry["pairs"] == 3
+    assert 0 <= entry["change_better_pairs"] <= 3
+    for side in ("parent", "change"):
+        q1, q3 = entry[f"{side}_q1_q3"]
+        assert 0 < q1 <= entry[f"{side}_median"] <= q3
+    # in-process: a warm-up and a timed call per run, and the text summary
+    log.unlink()
+    assert tool.main(["HEAD", "HEAD", "--pairs", "3", "--in-process", "--", _RECORD, call]) == 0
+    assert log.read_text().splitlines() == [f"{side} True True" for side in order for _ in range(2)]
+    parent, change, won = capsys.readouterr().out.splitlines()
+    assert parent.startswith("parent ") and change.startswith("change ")
+    assert re.fullmatch(r"the change took less time in [0-3] of 3 pairs", won)

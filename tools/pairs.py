@@ -1,0 +1,125 @@
+"""Time one command at two git revisions, in alternating pairs.
+
+    python3 tools/pairs.py PARENT CHANGE [--pairs N] [--json] -- ARGV...
+    python3 tools/pairs.py PARENT CHANGE [--pairs N] [--json] --in-process -- [SETUP...] EXPR
+
+Run it inside a git checkout. Each revision's committed tree is written by
+``git archive`` into its own temporary directory, so it holds no
+``__pycache__``, and no run writes one. Pair k runs both sides one after the
+other, the parent first when k is even (counting from 0) and the change
+first when k is odd. Each run is a fresh process whose working directory is
+the side's tree, with ``PYTHONPATH=<tree>/src``, ``PYTHONDONTWRITEBYTECODE=1``
+and otherwise this environment; its output is discarded, and every run must
+exit with the status of the first (0 with ``--in-process``). By default a run
+is ARGV and its time is the process's wall time (``perf_counter`` around
+it). With ``--in-process`` a run is this interpreter executing each SETUP
+statement, evaluating EXPR once to warm up and once more timed, with stdout
+sent to a string; the time is that second evaluation's.
+
+Prints each side's median and inclusive quartiles in seconds, and the number
+of pairs the change won (it took less time than the parent). ``--json``
+prints the block instead, in the shape of a ``BENCH_*.json`` record's
+``pairs``: ``{"wall_s" or "call_s": {"parent_median", "parent_q1_q3",
+"change_median", "change_q1_q3", "change_better_pairs", "pairs"}}``.
+Standard library only.
+"""
+
+import argparse
+import io
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+_IN_PROCESS = """
+import contextlib, io, sys, time
+*setup, expr = sys.argv[1:]
+for statement in setup:
+    exec(statement)
+with contextlib.redirect_stdout(io.StringIO()):
+    eval(expr)
+    start = time.perf_counter()
+    eval(expr)
+    seconds = time.perf_counter() - start
+print(seconds)
+"""
+
+
+def materialise(revision, tree):
+    """Write ``revision``'s committed files into the directory ``tree``; return its full hash."""
+    def git(*args):
+        return subprocess.run(["git", *args], capture_output=True, check=True).stdout
+
+    full = git("rev-parse", "--verify", f"{revision}^{{commit}}").decode().strip()
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", full))) as archive:
+        archive.extractall(tree, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+    return full
+
+
+def run_once(tree, argv, in_process):
+    """The finished process of one run of ``argv`` in ``tree``, and the run's seconds."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-c", _IN_PROCESS, *argv] if in_process else argv
+    start = time.perf_counter()
+    proc = subprocess.run(command, cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    seconds = time.perf_counter() - start
+    return proc, float(proc.stdout.split()[-1]) if in_process and not proc.returncode else seconds
+
+
+def pairs_entry(times):
+    """The BENCH ``pairs`` entry of ``times``, a list of seconds per side, in pair order."""
+    entry = {}
+    for side in SIDES:
+        q1, median, q3 = statistics.quantiles(times[side], n=4, method="inclusive")
+        entry[f"{side}_median"], entry[f"{side}_q1_q3"] = median, [q1, q3]
+    entry["change_better_pairs"] = sum(c < p for p, c in zip(times["parent"], times["change"]))
+    entry["pairs"] = len(times["parent"])
+    return entry
+
+
+def main(argv):
+    cut = argv.index("--") if "--" in argv else len(argv)
+    parser = argparse.ArgumentParser(
+        prog="pairs.py", usage="%(prog)s PARENT CHANGE [--pairs N] [--json] [--in-process] -- ARGV...")
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--json", action="store_true")
+    parser.add_argument("--in-process", action="store_true")
+    args, command = parser.parse_args(argv[:cut]), argv[cut + 1:]
+    if not command or args.pairs < 2:
+        parser.error("give ARGV after -- and at least 2 pairs")
+    times, expected = {side: [] for side in SIDES}, 0 if args.in_process else None
+    with tempfile.TemporaryDirectory() as root:
+        trees = {side: os.path.join(root, side) for side in SIDES}
+        revisions = {side: materialise(getattr(args, side), trees[side]) for side in SIDES}
+        for k in range(args.pairs):
+            for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+                proc, seconds = run_once(trees[side], command, args.in_process)
+                expected = proc.returncode if expected is None else expected
+                if proc.returncode != expected:
+                    print(f"pairs.py: the {side} run of pair {k} exited {proc.returncode}, not {expected}",
+                          proc.stderr, sep="\n", end="", file=sys.stderr)
+                    return 1
+                times[side].append(seconds)
+    entry = pairs_entry(times)
+    if args.json:
+        print(json.dumps({"call_s" if args.in_process else "wall_s": entry}, indent=2))
+        return 0
+    for side in SIDES:
+        q1, q3 = entry[f"{side}_q1_q3"]
+        print(f"{side} {revisions[side][:7]}: median {entry[f'{side}_median']:.4f} s,"
+              f" quartiles {q1:.4f} .. {q3:.4f} s")
+    print(f"the change took less time in {entry['change_better_pairs']} of {args.pairs} pairs")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

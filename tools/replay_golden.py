@@ -4,9 +4,10 @@
 
 For each interpreter in turn, runs every case of ``tests/cli_golden.json``
 except ``simulate`` (the one command that needs numpy) as ``PYTHON -m
-lupi.cli ...`` against this checkout's ``src``, and compares each exit
-status and stdout with the recorded bytes. The placeholder profiles are
-written first: ``{ASYM3}`` and ``{ASYM4}`` from the documents below (the
+lupi.cli ...`` against this checkout's ``src``, with ``PYTHONUNBUFFERED``
+empty so that stdout is block-buffered, and compares each exit status and
+stdout with the recorded bytes. The placeholder profiles are written
+first: ``{ASYM3}`` and ``{ASYM4}`` from the documents below (the
 same as in ``tests/test_cli.py``), ``{PAPER40}`` and ``{EXACT40}`` by
 ``PYTHON -m lupi.cli solve --n 40 --save-profile``. Prints one line per
 differing case and one summary line per interpreter, and exits 1 when any
@@ -31,7 +32,7 @@ ASYM4 = {"n": 4, "strategies": [[0, 0, 1, 0], [0.5, 0.5, 0, 0], [0.5, 0.5, 0, 0]
 
 def replay(python, cases):
     """Number of ``cases`` whose exit status or stdout under ``python`` differs from the record."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1", PYTHONUNBUFFERED="")
 
     def lupi(*args):
         return subprocess.run([python, "-m", "lupi.cli", *args], capture_output=True, text=True, env=env)
