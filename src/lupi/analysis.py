@@ -58,8 +58,6 @@ def pure_choice_values(others: Sequence[StrategyLike], model: str = MODEL_EXACT)
     (deviator on the first opponent's strategy, then the opponents) by
     ``_profile_choice_values``, which rejects an unknown model and, under
     ``paper``, opponents on different strategies.
-    Opponents are renormalized first, unlike in ``closed_form_payoff``, so
-    the two can differ in the last bits on a tuple whose sum is not 1.
     """
     strategies = [as_strategy(s) for s in others]
     if not strategies:

@@ -20,7 +20,6 @@ Players are 0-indexed everywhere in this package; command-line output is
 
 from __future__ import annotations
 
-import math
 import sys
 from operator import mul
 
@@ -100,27 +99,29 @@ class MixedStrategy(_Record):
     """Probability distribution over the pure choices 1..n.
 
     Entry i is the probability of choosing the integer i + 1. Entries must
-    lie in [0, 1] and sum to 1 within 1e-9; accepted inputs are renormalized
-    so downstream code can rely on a unit sum.
+    be ints or floats (not bools) in [0, 1], summing to 1 within 1e-9. They
+    are kept as the floats given, never rescaled, so ``MixedStrategy(s.probs)
+    == s`` and a saved profile reads back with the same bits.
     """
 
     probs: tuple
 
     def __post_init__(self):
         try:
-            probs = tuple(float(p) for p in self.probs)
-        except (TypeError, ValueError):
+            probs = tuple(self.probs)
+        except TypeError:
             raise ValueError(f"strategy entries must be numbers, got {self.probs!r}") from None
         if len(probs) < 2:
             raise ValueError("a strategy needs at least two choices")
         for i, p in enumerate(probs):
-            if not math.isfinite(p) or p < 0.0 or p > 1.0:
+            if isinstance(p, bool) or not isinstance(p, (int, float)):
+                raise ValueError(f"entry {p!r} at index {i} is not a number")
+            if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability {p!r} at index {i} is outside [0, 1]")
+        probs = tuple(map(float, probs))
         total = _total(probs)
         if abs(total - 1.0) > SUM_TOLERANCE:
             raise ValueError(f"probabilities sum to {total!r}, not 1 within {SUM_TOLERANCE}")
-        if total != 1.0:
-            probs = tuple(p / total for p in probs)
         object.__setattr__(self, "probs", probs)
 
     @property

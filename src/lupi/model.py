@@ -58,10 +58,8 @@ def closed_form_payoff(mine: StrategyLike, opponents_common: StrategyLike) -> fl
     strategy shared by all n - 1 opponents; n is its length, and ``mine``
     must have as many entries. The final entry of each vector is recovered
     from normalization, exactly as the expression is written. Raw sequences
-    are read as given, their entries neither validated nor renormalized
-    (finite-difference checks rely on this); ``pure_choice_values`` scores
-    validated, renormalized opponents, so the two can differ in the last
-    bits on a tuple whose sum is not 1.
+    are read as given, their entries not validated (finite-difference checks
+    rely on this).
     """
     values = _closed_form_values(opponents_common)
     pi = _entries(mine)

@@ -3,7 +3,9 @@
 A profile document is a JSON object with fields ``n`` (player count),
 ``strategies`` (n rows of n probabilities, players in order) and optional
 ``labels`` (one name per player). Rows must satisfy the usual strategy
-invariants; violations are reported with the offending row and column.
+invariants; violations are reported with the offending row and index. Rows
+are kept as given, so a profile that ``save_profile`` wrote reads back with
+the same bits.
 """
 
 from __future__ import annotations
@@ -18,13 +20,8 @@ def _parse_row(row, index: int, n: int) -> MixedStrategy:
         raise ValueError(f"strategies row {index}: expected a list of numbers")
     if len(row) != n:
         raise ValueError(f"strategies row {index}: has {len(row)} entries, expected {n}")
-    values = []
-    for col, item in enumerate(row):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ValueError(f"strategies row {index}, column {col}: not a number: {item!r}")
-        values.append(float(item))
     try:
-        return MixedStrategy(tuple(values))
+        return MixedStrategy(row)
     except ValueError as exc:
         raise ValueError(f"strategies row {index}: {exc}") from None
 

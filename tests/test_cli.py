@@ -34,6 +34,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def child_env(**extra):
+    """``os.environ`` for a child interpreter that imports the lupi under test, plus ``extra``."""
+    src = str(Path(lupi.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def write_profile(tmp_path, doc, name="profile.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -218,7 +225,7 @@ def test_verify_bad_cell_reports_row_and_column(capsys, tmp_path):
     path = write_profile(tmp_path, doc)
     code, _, err = run_cli(capsys, "verify", "--profile", path)
     assert code == EXIT_INPUT
-    assert "row 0" in err and "column 1" in err
+    assert "row 0" in err and "index 1" in err
 
 
 def test_verify_missing_file(capsys, tmp_path):
@@ -500,9 +507,7 @@ def test_closed_stdout_ends_the_command_quietly(tmp_path, command, unbuffered):
     path = str(tmp_path / "dense9.json")
     save_profile(path, random_profile(random.Random(9), 9))
     argv = ["verify", "--profile", path] if command == "verify" else ["--help"]
-    src = str(Path(lupi.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-               PYTHONUNBUFFERED=unbuffered)
+    env = child_env(PYTHONUNBUFFERED=unbuffered)
     read, write = os.pipe()
     os.close(read)
     try:
@@ -526,9 +531,7 @@ def test_module_entry_point_runs_in_a_fresh_interpreter(capsys, golden_profiles)
     recorded. stdout and stderr are block-buffered (``PYTHONUNBUFFERED`` is
     empty) and the tables pass the 8 KiB buffer, so output that the process
     does not flush before it exits shows here."""
-    src = str(Path(lupi.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-               PYTHONUNBUFFERED="")
+    env = child_env(PYTHONUNBUFFERED="")
     firsts = {}
     for case in GOLDEN:
         firsts.setdefault((case["argv"][0], case["exit"]), case)
@@ -554,7 +557,7 @@ def test_module_entry_point_runs_in_a_fresh_interpreter(capsys, golden_profiles)
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_main_leaves_the_collector_as_it_found_it(capsys, tmp_path, enabled):
-    # only the process entry, run(), switches the cyclic collector off and freezes
+    # only the process entry, run(), switches the cyclic collector off
     path = write_profile(tmp_path, ASYM3)
     was, frozen = gc.isenabled(), gc.get_freeze_count()
     (gc.enable if enabled else gc.disable)()
@@ -599,8 +602,7 @@ print(json.dumps([code, seen, gc.isenabled()]))
 @pytest.mark.parametrize("missing, status", [(False, EXIT_OK), (True, EXIT_INPUT)])
 def test_a_command_process_runs_without_the_collector_and_exits_with_its_status(tmp_path, missing, status):
     path = str(tmp_path / "missing.json") if missing else write_profile(tmp_path, ASYM3)
-    src = str(Path(lupi.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = child_env()
     proc = subprocess.run([sys.executable, "-c", _COLLECTOR_IN_RUN, "payoff", "--profile", path],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -681,8 +683,7 @@ sys.stdout.write(payoffs)
 def test_symmetric_commands_leave_numpy_unloaded(capsys, tmp_path):
     saved = tmp_path / "symmetric.json"
     hetero = write_profile(tmp_path, ASYM4)
-    src = str(Path(lupi.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = child_env()
     proc = subprocess.run(
         [sys.executable, "-c", _PROFILE_COMMANDS_THEN_SIMULATE, str(saved), hetero],
         capture_output=True, text=True, env=env, timeout=120,
@@ -709,8 +710,7 @@ print(json.dumps(sorted(sys.modules)))
 def _modules_after(*argv):
     """Modules loaded by a fresh interpreter that runs one command, or only
     ``import lupi`` when no command is given."""
-    src = str(Path(lupi.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = child_env()
     proc = subprocess.run(
         [sys.executable, "-c", _MODULES_AFTER, *argv],
         capture_output=True, text=True, env=env, timeout=120,
@@ -769,7 +769,6 @@ def test_commands_import_no_module_for_annotations_alone(tmp_path):
     whose ``.pth`` files may load much of the standard library: no command
     loads ``typing``, whose names lupi uses in annotations only, and text-format
     ``solve`` and ``approx`` load neither ``re`` nor ``enum``."""
-    src = str(Path(lupi.__file__).resolve().parent.parent)
     path = write_profile(tmp_path, ASYM3)
     text = [["solve", "--n", "8", "--model", "exact"], ["solve", "--n", "8", "--model", "paper"],
             ["approx", "--n", "8"]]
@@ -778,7 +777,7 @@ def test_commands_import_no_module_for_annotations_alone(tmp_path):
              ["payoff", "--profile", path, "--format", "json"], ["solve", "--n", "5", "--format", "csv"]]
     for argv in text + other:
         proc = subprocess.run([sys.executable, "-S", "-c", _MODULES_WITHOUT_SITE, *argv],
-                              capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, env=child_env(),
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
         status, *modules = proc.stdout.split()
@@ -807,8 +806,7 @@ print(os.environ.get("OPENBLAS_NUM_THREADS"), threads)
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("", "1"), ("3", "3")])
 def test_simulate_process_starts_no_blas_threads(tmp_path, preset, expected):
     path = write_profile(tmp_path, ASYM4)
-    src = str(Path(lupi.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = child_env()
     env.pop("OPENBLAS_NUM_THREADS", None)
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
@@ -872,17 +870,27 @@ def test_simulate_rejects_zero_rounds(capsys, tmp_path):
 SAVED = [
     *((["solve", "--n", str(n), "--model", "paper"], EXIT_OK if n == 3 else EXIT_NOT_NASH)
       for n in (3, 13, 40)),
-    *((["solve", "--n", str(n), "--model", "exact"], EXIT_OK) for n in (3, 13, 40)),
+    *((["solve", "--n", str(n), "--model", "exact"], EXIT_OK) for n in (3, 12, 13, 40)),
     (["approx", "--n", "20"], EXIT_NOT_NASH),
 ]
 
 
 @pytest.mark.parametrize("argv, verified", SAVED, ids=[" ".join(argv) for argv, _ in SAVED])
 def test_saved_profiles_are_accepted_by_every_reader(capsys, tmp_path, argv, verified):
+    # the saved rows read back with their bits, so the exact readers score an
+    # exact root with the payoff that ``solve`` printed
     saved = str(tmp_path / "saved.json")
-    assert run_cli(capsys, *argv, "--save-profile", saved)[0] == EXIT_OK
-    assert run_cli(capsys, "verify", "--profile", saved)[0] == verified
-    assert run_cli(capsys, "payoff", "--profile", saved)[0] == EXIT_OK
+    code, out, _ = run_cli(capsys, *argv, "--format", "json", "--save-profile", saved)
+    assert code == EXIT_OK
+    n, payoff = int(argv[2]), json.loads(out)["payoff"]
+    code, out, _ = run_cli(capsys, "verify", "--profile", saved, "--format", "json")
+    assert code == verified
+    payoffs = [json.loads(out)["payoffs"]]
+    code, out, _ = run_cli(capsys, "payoff", "--profile", saved, "--format", "json")
+    assert code == EXIT_OK
+    payoffs.append(json.loads(out)["payoffs"])
+    if "exact" in argv:
+        assert payoffs == [[payoff] * n] * 2
     assert run_cli(capsys, "simulate", "--profile", saved, "--rounds", "100")[0] == EXIT_OK
 
 

@@ -14,6 +14,7 @@ from lupi import (
     exact_profile_payoffs,
     geometric_strategy,
     pure_choice_values,
+    solve_symmetric,
 )
 from lupi import _kernels_py as kernels
 from lupi.game import _total
@@ -26,9 +27,19 @@ HALF4 = (0.5, 0.5, 0.0, 0.0)
 # strategy and profile validation
 
 
-def test_strategy_renormalizes_within_tolerance():
-    s = MixedStrategy((0.3, 0.3, 0.4 + 5e-10))
-    assert abs(sum(s.probs) - 1.0) < 1e-15
+def test_strategy_keeps_its_entries_as_given(exact_root):
+    # within the tolerance a sum off 1 is kept, not rescaled, so rebuilding a
+    # strategy from its weights gives the same strategy: every root the solvers
+    # return, and normalised random rows, many with a float sum other than 1
+    probs = (0.3, 0.3, 0.4 + 5e-10)
+    assert MixedStrategy(probs).probs == probs
+    rng = random.Random(1)
+    rows = [random_strategy(rng, 12, zeros=i % 2 == 1) for i in range(1000)]
+    assert any(_total(row) != 1.0 for row in rows) and any(0.0 in row for row in rows)
+    roots = [solve_symmetric(n, model="paper").strategy for n in range(3, 41)]
+    roots += [exact_root(n).strategy for n in range(3, 41)]
+    for s in [*map(MixedStrategy, rows), *roots]:
+        assert MixedStrategy(s.probs) == s
 
 
 def test_strategy_rejects_bad_entries():
@@ -232,12 +243,13 @@ def test_every_float_total_adds_left_to_right():
     terms = [1.0, 2**-53, 2**-53]
     assert _left_to_right(terms) == 1.0 != math.fsum(terms)
     assert _total(terms) == _total(iter(terms)) == 1.0
-    # the unit total leaves the weights as given
-    assert MixedStrategy(tuple(terms)).probs == tuple(terms)
-    low = (0.5 - 2**-40, 0.5, 2**-54, 2**-54)
+    # a strategy's sum check reads the same total, which its message prints
+    low = (0.5 - 2**-29, 0.5, 2**-54, 2**-54)
     total = _left_to_right(low)
     assert total != math.fsum(low)
-    assert MixedStrategy(low).probs == tuple(p / total for p in low)
+    with pytest.raises(ValueError) as info:
+        MixedStrategy(low)
+    assert str(info.value) == f"probabilities sum to {total!r}, not 1 within 1e-09"
     # an identical-opponent state row whose terms, with a mass of 1/2 above, are the same three
     assert kernels.common_win([1.0, 2**-52, 2**-51], 0.5) == 1.0
     # distinct rows: at the second integer, the products of the count states'

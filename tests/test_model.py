@@ -121,14 +121,21 @@ def test_gradient_matches_centered_finite_differences(n):
 def test_pure_choice_values_payoff_and_gradient_agree_bitwise():
     # all three read one per-choice value loop: a pure choice's value is the
     # payoff of that unit vector, and the gradient is each value minus the last
+    # also on raw tuples whose float sum is not 1, which a strategy keeps as given
     rng = random.Random(304)
+    raw = 0
     for n in range(3, 41):
-        for _ in range(5):
-            common = as_strategy(random_strategy(rng, n, zeros=True))
+        for draw in range(10):
+            common = random_strategy(rng, n, zeros=True)
+            if draw % 2 == 0:
+                common = as_strategy(common)
+            else:
+                raw += sum(common) != 1.0
             values = pure_choice_values([common] * (n - 1), model="paper")
             units = [tuple(float(i == k) for i in range(n)) for k in range(n)]
             assert values == tuple(closed_form_payoff(u, common) for u in units)
             assert closed_form_gradient(common) == tuple(v - values[-1] for v in values[:-1])
+    assert raw >= 50
 
 
 @pytest.mark.parametrize("n", range(3, 41))

@@ -18,7 +18,7 @@ BAD_DOCUMENTS = [
     ({"n": 3, "strategies": {"0": ROW}}, "field 'strategies' must list 3 rows, got dict"),
     ({"n": 3, "strategies": [ROW, "0.5 0.5 0", ROW]}, "strategies row 1: expected a list of numbers"),
     ({"n": 3, "strategies": [ROW, ROW, [0.5, 0.5]]}, "strategies row 2: has 2 entries, expected 3"),
-    ({"n": 2, "strategies": [[0.5, "x"], [0.5, 0.5]]}, "strategies row 0, column 1: not a number: 'x'"),
+    ({"n": 2, "strategies": [[0.5, "x"], [0.5, 0.5]]}, "strategies row 0: entry 'x' at index 1 is not a number"),
     ({"n": 2, "strategies": [[0.5, 0.5], [0.5, 0.25]]},
      "strategies row 1: probabilities sum to 0.75, not 1 within 1e-09"),
     (dict(GOOD, labels="Alice Bob Charles"), "field 'labels' must list 3 strings"),

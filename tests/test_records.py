@@ -126,7 +126,10 @@ def test_library_results_equal_rebuilt_records():
 
 def test_mixed_strategy_validation_messages():
     cases = [
-        (("a", "b"), "strategy entries must be numbers, got ('a', 'b')"),
+        (("a", "b"), "entry 'a' at index 0 is not a number"),
+        (("0.5", "0.5"), "entry '0.5' at index 0 is not a number"),
+        ((True, False), "entry True at index 0 is not a number"),
+        ((0.5, None), "entry None at index 1 is not a number"),
         (None, "strategy entries must be numbers, got None"),
         ((1.0,), "a strategy needs at least two choices"),
         ((1.5, -0.5), "probability 1.5 at index 0 is outside [0, 1]"),
@@ -139,15 +142,13 @@ def test_mixed_strategy_validation_messages():
         assert str(info.value) == message
 
 
-def test_mixed_strategy_converts_and_renormalizes():
+def test_mixed_strategy_converts_ints_and_keeps_floats():
     strategy = MixedStrategy([1, 0])
     assert strategy.probs == (1.0, 0.0)
     assert all(type(p) is float for p in strategy.probs)
     assert strategy.n == len(strategy) == 2
     off = 0.5 + 4e-10
-    renormalized = MixedStrategy((off, 0.5))
-    total = off + 0.5
-    assert renormalized.probs == (off / total, 0.5 / total)
+    assert MixedStrategy((off, 0.5)).probs == (off, 0.5)
     assert MixedStrategy((0.25, 0.75)).probs == (0.25, 0.75)
 
 
