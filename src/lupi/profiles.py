@@ -58,9 +58,9 @@ def load_profile(path) -> tuple:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
     except OSError as exc:
-        raise ValueError(f"cannot read profile file {path}: {exc}") from None
+        raise ValueError(f"cannot read profile file {path!r}: {exc}") from None
     except json.JSONDecodeError as exc:
-        raise ValueError(f"profile file {path} is not valid JSON: {exc}") from None
+        raise ValueError(f"profile file {path!r} is not valid JSON: {exc}") from None
     return parse_profile_document(data)
 
 
@@ -77,4 +77,4 @@ def save_profile(path, profile: StrategyProfile, labels: Optional[Sequence[str]]
             json.dump(document, handle, indent=2)
             handle.write("\n")
     except OSError as exc:
-        raise ValueError(f"cannot write profile file {path}: {exc}") from None
+        raise ValueError(f"cannot write profile file {path!r}: {exc}") from None

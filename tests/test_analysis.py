@@ -8,7 +8,6 @@ import pytest
 
 from _oracle import brute_payoffs, random_profile, random_strategy
 from lupi import (
-    MAX_SOLVER_N,
     StrategyProfile,
     best_response,
     exact_profile_payoffs,
@@ -17,6 +16,7 @@ from lupi import (
     solve_symmetric,
     verify_profile,
 )
+from test_solve import EXACT_NS
 
 SQRT3 = math.sqrt(3.0)
 ROOT3 = (2 * SQRT3 - 3, 2 - SQRT3, 2 - SQRT3)
@@ -299,7 +299,7 @@ def test_spread_separates_models_at_n4():
     assert indifference_spread(paper_root, model="exact") > 0.1
 
 
-@pytest.mark.parametrize("n", range(3, MAX_SOLVER_N["exact"] + 1))
+@pytest.mark.parametrize("n", EXACT_NS)
 def test_paper_root_is_an_exact_equilibrium_only_at_n3(n):
     # the paper's claim at every n, both ways: the closed-form root is an
     # equilibrium of the closed-form model, and of the exact game only at

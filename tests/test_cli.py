@@ -92,7 +92,7 @@ def test_solve_below_range_is_usage_error(capsys):
     (["--n", "41"], EXIT_OK, ""),
     (["--n", "1023", "--model", "paper"], EXIT_OK, ""),
     (["--n", "1024", "--model", "paper"], EXIT_INPUT, "lupi: error: the paper solver supports 3 <= n <= 1023, got 1024\n"),
-    (["--n", "41", "--model", "exact"], EXIT_INPUT, "lupi: error: the exact solver supports 3 <= n <= 40, got 41\n"),
+    (["--n", "101", "--model", "exact"], EXIT_INPUT, "lupi: error: the exact solver supports 3 <= n <= 100, got 101\n"),
 ])
 def test_solve_takes_each_models_range(capsys, argv, status, err):
     # the default model is paper, whose one shot represents its root up to n = 1023
@@ -229,9 +229,11 @@ def test_verify_bad_cell_reports_row_and_column(capsys, tmp_path):
 
 
 def test_verify_missing_file(capsys, tmp_path):
-    code, _, err = run_cli(capsys, "verify", "--profile", str(tmp_path / "nope.json"))
-    assert code == EXIT_INPUT
-    assert "error" in err
+    # the message quotes the path, so an empty one shows as ''
+    for path in (str(tmp_path / "nope.json"), ""):
+        code, out, err = run_cli(capsys, "verify", "--profile", path)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith(f"lupi: error: cannot read profile file {path!r}: ")
 
 
 def test_verify_invalid_json(capsys, tmp_path):
@@ -239,7 +241,7 @@ def test_verify_invalid_json(capsys, tmp_path):
     path.write_text('{"n": 3, "strategies": [')
     code, out, err = run_cli(capsys, "verify", "--profile", str(path))
     assert (code, out) == (EXIT_INPUT, "")
-    assert err.startswith(f"lupi: error: profile file {path} is not valid JSON: ")
+    assert err.startswith(f"lupi: error: profile file {str(path)!r} is not valid JSON: ")
 
 
 @pytest.mark.parametrize("command", [["approx", "--n", "3"], ["solve", "--n", "3"]])
@@ -249,7 +251,7 @@ def test_unwritable_save_profile_is_an_input_error(capsys, tmp_path, command, ta
     path = str(tmp_path / target) if target else target
     code, out, err = run_cli(capsys, *command, "--save-profile", path)
     assert (code, out) == (EXIT_INPUT, "")
-    assert err.count("\n") == 1 and err.startswith("lupi: error: cannot write profile file ")
+    assert err.count("\n") == 1 and err.startswith(f"lupi: error: cannot write profile file {path!r}: ")
 
 
 def _dense_profile(n):
@@ -265,7 +267,7 @@ def test_profile_size_is_bounded_by_the_work_budget(capsys, tmp_path):
     for argv, status in ((["verify"], EXIT_NOT_NASH), (["payoff"], EXIT_OK), (["simulate", "--rounds", "10"], EXIT_OK)):
         code, out, err = run_cli(capsys, *argv, "--profile", path)
         assert (code, err) == (status, "")
-        assert "player 41:" in out
+        assert f"player {n}:" in out
     # above the budget the exact commands refuse before any work, and
     # simulate, whose work --rounds sets, still plays
     n = 343
@@ -388,8 +390,8 @@ def test_approx_range(capsys, tmp_path):
     ):
         assert run_cli(capsys, "approx", *argv) == (EXIT_INPUT, "", f"lupi: error: {error}\n")
     assert not path.exists()
-    # the solver's cap of 40 does not bound the closed form
-    for n in ("41", "1022"):
+    # the exact solver's cap of 100 does not bound the closed form
+    for n in ("101", "1022"):
         assert run_cli(capsys, "approx", "--n", n)[0] == EXIT_OK
 
 
@@ -539,7 +541,7 @@ def test_module_entry_point_runs_in_a_fresh_interpreter(capsys, golden_profiles)
     runs = [([arg.format(**golden_profiles) for arg in case["argv"]], case["exit"], case["stdout"])
             for case in firsts.values()]
     runs += [(["--help"], EXIT_OK, None), (["solve", "--n", "3", "--model"], EXIT_INPUT, ""),
-             (["solve", "--n", "41", "--model", "exact"], EXIT_INPUT, ""),
+             (["solve", "--n", "101", "--model", "exact"], EXIT_INPUT, ""),
              (["table", "--max-n", "1022"], EXIT_OK, None),
              (["table", "--max-n", "1022", "--format", "json"], EXIT_OK, None)]
     for argv, status, stdout in runs:

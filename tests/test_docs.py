@@ -21,7 +21,7 @@ from lupi import cli
 from lupi.model import MAX_GEOMETRIC_N
 from lupi.solve import _TOLERANCES
 from lupi.cli import EXIT_NOT_NASH, EXIT_OK, main
-from test_solve import EXACT_NS, PAPER_NS, SIGN_POINTS
+from test_solve import EXACT_NS, MAP_NS, PAPER_NS, SIGN_NS, SIGN_POINTS
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -44,6 +44,12 @@ def _usage_steps():
         elif re.fullmatch(r"# [\w-]+: \S.*", line):
             steps[-1][1].append(line[2:])
     return steps
+
+
+def test_readme_stays_within_250_lines():
+    # a design detail lives in the module or test that owns it, and the README
+    # points there in one line
+    assert len(README.splitlines()) <= 250
 
 
 def test_readme_examples_run_as_written(tmp_path, monkeypatch, capsys):
@@ -131,29 +137,44 @@ def test_readme_paper_limit():
     assert top == MAX_SOLVER_N["paper"]
 
 
+def test_readme_exact_limit():
+    (top,) = _claim(r"`solve --model exact` takes n up to (\d+), every n of which was measured to converge")
+    assert top == MAX_SOLVER_N["exact"]
+
+
 def test_readme_solver_claims(exact_root):
-    # "at most 22 steps for every n up to 40" is the largest step count of the
+    # "at most 26 steps for every n up to 100" is the largest step count of the
     # exact roots, and "changes sign once on 65 evenly spaced points" is the
-    # count that test_solve.py::test_exact_map_changes_sign_once samples
+    # count that test_solve.py::test_exact_map_changes_sign_once samples, with
+    # the n it runs at; the two checks the README names next run at MAP_NS.
+    # The exact maxima are read over test_solve.py's sample of the range; over
+    # every n up to 100 they measured 26 steps (n = 58) and a residual of
+    # 1.61e-14 (n = 70), both in the sample
     steps, top = _claim(r"closes its bracket in at most (\d+) steps for every n up to (\d+),")
     assert top == EXACT_NS[-1]
     assert steps == max(exact_root(n).iterations for n in EXACT_NS)
-    points, top = _claim(r"changes sign once on (\d+) evenly spaced points for every n up to (\d+)\.")
-    assert (points, top) == (SIGN_POINTS, EXACT_NS[-1])
-    # each model's fixed tolerance is over 10**4 times its largest residual,
-    # so only an exact search stopped at its step cap reports no convergence.
-    # The paper margin is read over test_solve.py's sample of its range; over
-    # every n up to 1023 the largest residual measured 3.5e-17
-    exact_top, paper_top = _claim(r"every `exact` root up to n = (\d+) and every `paper` root up to n = (\d+) is "
-                                  r"within it by more than four orders of magnitude")
+    points, top, above = _claim(r"changes sign once on (\d+) evenly spaced points for every n up to (\d+) and at "
+                                r"n = (\d+) \(`tests/test_solve\.py::test_exact_map_changes_sign_once`\)\.")
+    assert (points, [*range(3, top + 1), above]) == (SIGN_POINTS, SIGN_NS)
+    assert _claim(r"Two checks at n = (\d+), (\d+), (\d+) and (\d+), not a proof") == MAP_NS
+    # each model's fixed tolerance is over 10**4 (paper) or 10**3 (exact)
+    # times its largest residual, so only an exact search stopped at its step
+    # cap reports no convergence. The paper margin is read over test_solve.py's
+    # sample of its range; over every n up to 1023 the largest residual
+    # measured 3.5e-17. The smallest exact margin is 6.2e3, at n = 70
+    paper_top, exact_top = _claim(r"Every `paper` root up to n = (\d+) is within it by more than four orders of "
+                                  r"magnitude, and every `exact` root up to n = (\d+) by more than three,")
     assert (exact_top, paper_top) == (EXACT_NS[-1], PAPER_NS[-1])
-    for model, roots in (("exact", map(exact_root, EXACT_NS)), ("paper", (solve_symmetric(n) for n in PAPER_NS))):
-        assert max(root.residual_norm for root in roots) * 1e4 < _TOLERANCES[model], model
+    for model, roots, margin in (("exact", map(exact_root, EXACT_NS), 1e3),
+                                 ("paper", (solve_symmetric(n) for n in PAPER_NS), 1e4)):
+        assert max(root.residual_norm for root in roots) * margin < _TOLERANCES[model], model
 
 
 def test_readme_rounding_limit_of_verify(exact_root):
     # the stated bound is the first power of ten above the exact roots' largest
-    # gain (5.85e-15, at n = 34), so a smaller --eps judges rounding
+    # gain, read over test_solve.py's sample of the range; over every n up to
+    # 100 it measured 1.60e-14, at n = 70, which the sample holds. A smaller
+    # --eps judges rounding
     exponent, top = _claim(r"the exact roots' gains are below 1e-(\d+) for every n up to (\d+), so an `--eps` "
                            r"below that judges rounding, not the strategy")
     assert top == EXACT_NS[-1]

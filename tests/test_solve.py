@@ -28,7 +28,7 @@ from lupi import (
     verify_profile,
 )
 import lupi.solve
-from lupi.solve import _TOLERANCES, _exact_shot, _find_root, _paper_shot
+from lupi.solve import _EPS, _TOLERANCES, _exact_shot, _find_root, _paper_shot
 
 SQRT3 = math.sqrt(3.0)
 ROOT3 = (2 * SQRT3 - 3, 2 - SQRT3, 2 - SQRT3)
@@ -38,11 +38,17 @@ PAYOFF3 = 28 - 16 * SQRT3
 # README states this number (tests/test_docs.py)
 SIGN_POINTS = 65
 
-# every n the exact solver takes, and a sample of the paper solver's: the same
-# n, every 50th n above them and the last four up to its limit
-EXACT_NS = range(MIN_SOLVER_N, MAX_SOLVER_N["exact"] + 1)
-PAPER_NS = [*EXACT_NS, *range(EXACT_NS[-1] + 1, MAX_SOLVER_N["paper"] - 3, 50),
+# a sample of each solver's range: every n up to 40, then for exact the n
+# with the most search steps (58), the largest residual and gain (70) and its
+# limit, and for paper every 50th n above 40 and the last four up to its limit.
+# The exact maxima were measured over every n up to 100
+EXACT_NS = [*range(MIN_SOLVER_N, 41), 58, 70, 100]
+PAPER_NS = [*range(MIN_SOLVER_N, 41), *range(41, MAX_SOLVER_N["paper"] - 3, 50),
             *range(MAX_SOLVER_N["paper"] - 3, MAX_SOLVER_N["paper"] + 1)]
+# the exact map's checks run at n = 4, 12 and 40 and at one n above 40; the
+# sign count also at every n up to 40. The README names these n (tests/test_docs.py)
+MAP_NS = [4, 12, 40, 50]
+SIGN_NS = [*range(MIN_SOLVER_N, 41), 50]
 
 
 def _spread(strategy):
@@ -296,11 +302,12 @@ def test_paper_routes_read_the_closed_form_once(monkeypatch):
     assert len(reads) == 2
 
 
-@pytest.mark.parametrize("n", [20, 30, 40])
-def test_exact_root_is_an_equilibrium_of_the_generating_function_oracle(n):
+@pytest.mark.parametrize("n", [20, 30, 40, 100])
+def test_exact_root_is_an_equilibrium_of_the_generating_function_oracle(n, exact_root):
     # above n = 16 no other exact route runs: the oracle is an algorithm
-    # apart from the kernel's, in 50-digit arithmetic
-    probs = solve_symmetric(n, model="exact").strategy.probs
+    # apart from the kernel's, in 50-digit arithmetic (at n = 100 the
+    # oracle's spread measured 5.6e-15, and the kernel matched it to 2.1e-16)
+    probs = exact_root(n).strategy.probs
     oracle = egf_win_probs(probs)
     kernel = pure_choice_values([probs] * (n - 1))
     assert kernel == pytest.approx(oracle, rel=0.0, abs=1e-13)
@@ -312,6 +319,13 @@ def test_exact_root_gain_is_within_1e_14_in_50_digits(n, exact_root):
     # the printed weights, taken exactly, against the oracle: no pure choice
     # beats the root's payoff by more than 1e-14 (6.2e-16 at n = 12)
     assert egf_gain(exact_root(n).strategy.probs) <= Decimal("1e-14")
+
+
+@pytest.mark.parametrize("n", [58, 70, 100])
+def test_exact_root_gain_above_n40_is_within_1e_13_in_50_digits(n, exact_root):
+    # the sampled n above 40: the largest gain of every root up to n = 100
+    # measured 1.6e-14, at n = 70
+    assert egf_gain(exact_root(n).strategy.probs) <= Decimal("1e-13")
 
 
 def test_exact_root_shifted_by_1e_13_fails_the_gain_bound(exact_root):
@@ -331,14 +345,14 @@ def test_poisson_limit_pays_one_over_n_plus_one(N):
     assert max(abs(w * (N + 1) - 1.0) for w in wins) <= 1e-15
 
 
-def test_exact_root_approaches_poisson_limit():
+def test_exact_root_approaches_poisson_limit(exact_root):
     # the strategy closes in on the Poisson game's with N = n - 1, tail
-    # included: L1 distance 0.056, 0.043, 0.029. n * v, the chance that a
-    # round has a winner, stays just below N/(N+1), but the gap is not
-    # monotone at these n: 0.00419, 0.00428, 0.00233
+    # included: L1 distance 0.056, 0.043, 0.029, 0.016. n * v, the chance that
+    # a round has a winner, stays just below N/(N+1), but the gap is not
+    # monotone at these n: 0.00419, 0.00428, 0.00233, 0.00070
     gaps, distances = [], []
-    for n in (12, 20, 40):
-        result = solve_symmetric(n, model="exact")
+    for n in (12, 20, 40, 100):
+        result = exact_root(n)
         limit = poisson_equilibrium(n - 1)
         size = max(n, len(limit))
         probs = list(result.strategy.probs) + [0.0] * (size - n)
@@ -346,8 +360,8 @@ def test_exact_root_approaches_poisson_limit():
         gaps.append((n - 1) / n - n * result.payoff)
         distances.append(sum(abs(p - q) for p, q in zip(probs, limit)))
     assert all(0.0 < gap < 0.005 for gap in gaps)
-    assert gaps[2] < min(gaps[:2])
-    assert distances[2] < distances[1] < distances[0]
+    assert gaps[3] < gaps[2] < min(gaps[:2])
+    assert distances[3] < distances[2] < distances[1] < distances[0]
 
 
 @pytest.mark.parametrize("model", ["paper", "exact"])
@@ -368,7 +382,7 @@ def test_solver_is_deterministic(model):
     assert first == second
 
 
-@pytest.mark.parametrize("n", EXACT_NS)
+@pytest.mark.parametrize("n", SIGN_NS)
 def test_exact_map_changes_sign_once(n):
     # no theorem makes the exact root unique: this is the evidence that the
     # one root the solver's bracket closes on is the only one in [0, 1/n]
@@ -382,7 +396,7 @@ def _support_and_map(n, v):
     return v, max(j for j, p in enumerate(probs) if p > 0.0) + 1, value
 
 
-@pytest.mark.parametrize("n", [4, 12, 40])
+@pytest.mark.parametrize("n", MAP_NS)
 def test_exact_map_stays_above_zero_at_every_support_jump_below_the_root(n):
     # where the last choice's full-mass win falls to v, that choice wins v
     # exactly and R would touch 0, though the next choice, unused, wins more;
@@ -391,7 +405,8 @@ def test_exact_map_stays_above_zero_at_every_support_jump_below_the_root(n):
     # its distance to the root; a cell whose ends differ by more than one
     # choice is split down to adjacent floats. One choice enters at each
     # jump, and R on either side is at least its distance to the root (2.7
-    # times it or more, measured). A check at sampled n, not a proof
+    # times it or more at n = 4, 12, 40 and 50, measured). A check at sampled
+    # n, not a proof
     top = 1.0 / n
     root, _ = _find_root(lambda v: _exact_shot(n, v)[1], 0.0, top, _exact_shot(n, 0.0)[1], _exact_shot(n, top)[1])
     cells, jumps = [(_support_and_map(n, 0.0), _support_and_map(n, root))], []
@@ -412,17 +427,19 @@ def test_exact_map_stays_above_zero_at_every_support_jump_below_the_root(n):
         assert end[2] >= root - end[0], end
 
 
-@pytest.mark.parametrize("n", [4, 12, 40])
+@pytest.mark.parametrize("n", MAP_NS)
 def test_exact_map_stays_below_zero_above_the_root(n):
     # points from 1/n halfway down towards the root, 48 times or until they
-    # reach it: R at each is at most minus its distance to the root (2.2, 7.0
-    # and 22.9 times it or more at n = 4, 12 and 40, measured, the smallest at
-    # 1/n). A check at sampled n, not a proof
+    # are as close to it as the search's final bracket is wide, inside which
+    # R may still have the sign it has below the root: R at each is at most
+    # minus its distance to the root (2.2, 7.0, 22.9 and 3.07 times it or more
+    # at n = 4, 12, 40 and 50, measured, the smallest at 1/n for the first
+    # three). A check at sampled n, not a proof
     top = 1.0 / n
     root, _ = _find_root(lambda v: _exact_shot(n, v)[1], 0.0, top, _exact_shot(n, 0.0)[1], _exact_shot(n, top)[1])
     for k in range(48):
         v = root + (top - root) * 2.0**-k
-        if v == root:
+        if v - root <= 4.0 * _EPS * v:
             break
         assert _exact_shot(n, v)[1] <= -(v - root), (k, v)
 
