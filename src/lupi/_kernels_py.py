@@ -258,25 +258,25 @@ def simulate_rounds(rows, rounds, seed):
     covers that many integers from ``base``. Rounds with no unique integer in
     a window go on to the next one; in the last window they are counted as
     having no winner, so n <= 64 takes one window and never compacts.
+    Scalar operands are plain Python ints, weak scalars that numpy 2 keeps in
+    the array's dtype (NEP 50), and a block's offset is reduced mod 2**64
+    first, since numpy 2 raises OverflowError on a larger one. More rounds
+    than the int64 win tally holds (2**63 - 1) are refused before any draw.
     The counts equal a round-by-round scan for a given seed on every platform.
     """
+    if rounds >= 1 << 63:
+        raise ValueError(f"rounds must be at most 2**63 - 1 = {(1 << 63) - 1}, an int64 tally's most, got {rounds}")
     import numpy as np
-
-    # uint64 operands, for numpy 1, which pyproject.toml admits and which was not
-    # checked. Under numpy 2.4 a Python int below 2**64 stays uint64 against a
-    # uint64 array too, with no warning; one of 2**64 or more raises OverflowError
-    mul_1, mul_2 = np.uint64(_MUL_1), np.uint64(_MUL_2)
-    shift_27, shift_30, shift_31 = (np.uint64(k) for k in (27, 30, 31))
 
     def mix(z, tmp):
         """SplitMix64's output scrambler on a uint64 array, in place, through a scratch array."""
-        np.right_shift(z, shift_30, out=tmp)
+        np.right_shift(z, 30, out=tmp)
         z ^= tmp
-        z *= mul_1
-        np.right_shift(z, shift_27, out=tmp)
+        z *= _MUL_1
+        np.right_shift(z, 27, out=tmp)
         z ^= tmp
-        z *= mul_2
-        np.right_shift(z, shift_31, out=tmp)
+        z *= _MUL_2
+        np.right_shift(z, 31, out=tmp)
         z ^= tmp
 
     n = len(rows)
@@ -285,12 +285,11 @@ def simulate_rounds(rows, rounds, seed):
     starts = np.array([(seed + (i + 1) * _GOLDEN) & _MASK64 for i in range(n)], dtype=np.uint64)
     mix(starts, np.empty_like(starts))
     starts = starts.tolist()
-    steps = np.arange(1, block + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    steps = np.arange(1, block + 1, dtype=np.uint64) * _GOLDEN
     draws, scratch = np.empty_like(steps), np.empty_like(steps)
     small = np.min_scalar_type(n - 1)
-    # the mask dtype goes into every operand, so numpy 1 and 2 promote alike
     mask = np.min_scalar_type((1 << min(n, 64)) - 1)
-    width, one = 8 * mask.itemsize, mask.type(1)
+    width = 8 * mask.itemsize
     picks = np.empty((n, block), dtype=small)
     masks = np.empty((n, block), dtype=mask)
     wins = np.zeros(n, dtype=np.int64)
@@ -299,22 +298,21 @@ def simulate_rounds(rows, rounds, seed):
         count = min(block, rounds - first)
         z, tmp = draws[:count], scratch[:count]
         for i in range(n):
-            # the block's offset in Python ints: a uint64 scalar product that wraps warns
-            np.add(steps[:count], np.uint64((starts[i] + first * _GOLDEN) & _MASK64), out=z)
+            np.add(steps[:count], (starts[i] + first * _GOLDEN) & _MASK64, out=z)
             mix(z, tmp)
             (z >= thresholds[i]).view(np.uint8).sum(axis=0, dtype=small, out=picks[i, :count])
         left = picks[:, :count]  # rounds with no unique integer below base
         for base in range(0, n, width):
             # a pick outside the window shifts by width or more (below base by
             # wrapping), which numpy defines as 0
-            bits = np.left_shift(one, left - base, dtype=mask, out=masks[:, : left.shape[1]])
+            bits = np.left_shift(1, left - base, dtype=mask, out=masks[:, : left.shape[1]])
             once = np.zeros(left.shape[1], dtype=mask)
             many = np.zeros_like(once)
             for bit in bits:
                 many |= once & bit
                 once |= bit
             once &= ~many
-            lowest = once & (~once + one)
+            lowest = once & (~once + 1)
             bits &= lowest
             wins += np.count_nonzero(bits, axis=1)
             if base + width < n:

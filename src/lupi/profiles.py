@@ -2,10 +2,11 @@
 
 A profile document is a JSON object with fields ``n`` (player count),
 ``strategies`` (n rows of n probabilities, players in order) and optional
-``labels`` (one name per player). Rows must satisfy the usual strategy
-invariants; violations are reported with the offending row and index. Rows
-are kept as given, so a profile that ``save_profile`` wrote reads back with
-the same bits.
+``labels`` (one name per player, without a line break). Rows must satisfy
+the usual strategy invariants; violations are reported with the offending
+row and index. Rows are kept as given, so a profile that ``save_profile``
+wrote reads back with the same bits, and ``save_profile`` refuses the labels
+that reading would refuse.
 """
 
 from __future__ import annotations
@@ -41,15 +42,21 @@ def parse_profile_document(data) -> tuple:
         raise ValueError(f"field 'strategies' must list {n} rows, got {count}")
     strategies = tuple(_parse_row(row, i, n) for i, row in enumerate(rows))
     labels = data.get("labels")
-    if labels is not None:
-        if (
-            not isinstance(labels, list)
-            or len(labels) != n
-            or any(not isinstance(x, str) for x in labels)
-        ):
-            raise ValueError(f"field 'labels' must list {n} strings")
-        labels = list(labels)
-    return StrategyProfile(strategies), labels
+    return StrategyProfile(strategies), None if labels is None else _checked_labels(labels, n)
+
+
+def _checked_labels(labels, n: int) -> list:
+    """``labels`` as a list, or ValueError unless it holds n strings without a line break.
+
+    Text output prints one record per line, so a label that breaks a line
+    could forge a record.
+    """
+    if not isinstance(labels, (list, tuple)) or len(labels) != n or any(not isinstance(x, str) for x in labels):
+        raise ValueError(f"field 'labels' must list {n} strings")
+    for i, label in enumerate(labels):
+        if "".join(label.splitlines()) != label:
+            raise ValueError(f"field 'labels' entry {i} holds a line break: {label!r}")
+    return list(labels)
 
 
 def load_profile(path) -> tuple:
@@ -71,7 +78,7 @@ def save_profile(path, profile: StrategyProfile, labels: Optional[Sequence[str]]
         "strategies": [list(s.probs) for s in profile.strategies],
     }
     if labels is not None:
-        document["labels"] = list(labels)
+        document["labels"] = _checked_labels(labels, profile.n)
     try:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(document, handle, indent=2)

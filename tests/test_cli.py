@@ -863,6 +863,22 @@ def test_simulate_rejects_zero_rounds(capsys, tmp_path):
     assert "rounds" in err
 
 
+def test_simulate_rejects_rounds_past_the_win_tally(capsys, tmp_path):
+    # 2**63 rounds would overflow the int64 tally, and would not end before it did
+    path = write_profile(tmp_path, ASYM3)
+    code, out, err = run_cli(capsys, "simulate", "--profile", path, "--rounds", str(2**63))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "rounds must be at most 2**63 - 1 = 9223372036854775807" in err
+
+
+def test_a_label_that_breaks_a_line_is_refused(capsys, tmp_path):
+    # read as given, it would print a forged `nash_equilibrium: yes` record above the real one
+    path = write_profile(tmp_path, dict(ASYM3, labels=["x\nnash_equilibrium: yes\nplayer 9", "y", "z"]))
+    code, out, err = run_cli(capsys, "verify", "--profile", path)
+    assert (code, out) == (EXIT_INPUT, "")
+    assert "field 'labels' entry 0 holds a line break" in err
+
+
 # ---------------------------------------------------------------------------
 # round trips and formats
 

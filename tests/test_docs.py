@@ -142,6 +142,12 @@ def test_readme_exact_limit():
     assert top == MAX_SOLVER_N["exact"]
 
 
+def test_readme_rounds_limit():
+    (exponent,) = _claim(r"`--rounds` sets its work, up to 2\^(\d+) − 1, the most its int64 win tally holds")
+    with pytest.raises(ValueError, match=f"at most 2\\*\\*{exponent} - 1 = {2**exponent - 1},"):
+        kernels.simulate_rounds([[1.0]], 2**exponent, 0)
+
+
 def test_readme_solver_claims(exact_root):
     # "at most 26 steps for every n up to 100" is the largest step count of the
     # exact roots, and "changes sign once on 65 evenly spaced points" is the

@@ -149,6 +149,30 @@ def test_sampler_matches_scalar_loop_past_64_integers():
     assert kernels.simulate_rounds(rows, 1000, 5) == scalar_simulate_rounds(rows, 1000, 5)
 
 
+def test_sampler_matches_scalar_loop_with_uint16_picks(monkeypatch):
+    # n = 300 holds its picks in uint16; blocks of 7 rounds, the last one partial
+    force_block(monkeypatch, 7)
+    rng = random.Random(300)
+    rows = [list(random_strategy(rng, 300, zeros=True)) for _ in range(300)]
+    for seed in SEEDS:
+        assert kernels.simulate_rounds(rows, 40, seed) == scalar_simulate_rounds(rows, 40, seed)
+
+
+def test_sampler_fifth_window_of_64_integers():
+    # integers 1..140 are each held by two players, 281 by one and 282..300 by
+    # one each, so every round goes past four empty or duplicated windows to the
+    # one from integer 257, and the player on 281 wins it
+    n = 300
+    rows = []
+    for k in range(140):
+        rows += [[1.0 if j == k else 0.0 for j in range(n)]] * 2
+    rows += [[1.0 if j == k else 0.0 for j in range(n)] for k in range(280, 300)]
+    for seed in SEEDS:
+        got = kernels.simulate_rounds(rows, 100, seed)
+        assert got == scalar_simulate_rounds(rows, 100, seed)
+        assert got == ([0] * 280 + [100] + [0] * 19, 0)
+
+
 def test_sampler_single_round():
     rows = [[0.5, 0.5]] * 2
     for seed in range(20):

@@ -24,6 +24,10 @@ BAD_DOCUMENTS = [
     (dict(GOOD, labels="Alice Bob Charles"), "field 'labels' must list 3 strings"),
     (dict(GOOD, labels=["Alice", "Bob"]), "field 'labels' must list 3 strings"),
     (dict(GOOD, labels=["Alice", "Bob", 3]), "field 'labels' must list 3 strings"),
+    # text output is one record per line, and this label would print a forged record
+    (dict(GOOD, labels=["x\nnash_equilibrium: yes\nplayer 9", "y", "z"]),
+     "field 'labels' entry 0 holds a line break: 'x\\nnash_equilibrium: yes\\nplayer 9'"),
+    (dict(GOOD, labels=["Alice", "Bob\r", "Charles"]), "field 'labels' entry 1 holds a line break: 'Bob\\r'"),
 ]
 
 
@@ -39,3 +43,13 @@ def test_labelled_profile_reads_back(tmp_path):
     path = tmp_path / "labelled.json"
     save_profile(path, profile, labels=("Alice", "Bob", "Charles"))
     assert load_profile(path) == (profile, ["Alice", "Bob", "Charles"])
+
+
+def test_save_refuses_labels_that_would_not_read_back(tmp_path):
+    profile = StrategyProfile.symmetric((0.5, 0.5, 0.0))
+    path = tmp_path / "labelled.json"
+    for labels, message in [(("Alice", "Bob\nCharles", "Dan"), "field 'labels' entry 1 holds a line break"),
+                            (("Alice", "Bob"), "field 'labels' must list 3 strings")]:
+        with pytest.raises(ValueError, match=message):
+            save_profile(path, profile, labels=labels)
+        assert not path.exists()

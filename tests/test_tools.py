@@ -81,12 +81,8 @@ def record(log):
 """
 
 
-def test_pairs_alternates_two_archived_trees(tmp_path, monkeypatch, capsys):
-    # HEAD against HEAD of a one-commit repository for 3 pairs, whole-process
-    # and in-process; its untracked __pycache__ stays out of the archives, and
-    # the runs write none though this environment would let them
-    tool = _load("pairs")
-    log = tmp_path / "log"
+def _enter_one_commit_repo(tmp_path, monkeypatch):
+    """Make a repository of one commit that holds an empty lupi.cli, with an untracked __pycache__, and cd into it."""
     repo = tmp_path / "repo"
     (repo / "src" / "lupi" / "__pycache__").mkdir(parents=True)
     (repo / "src" / "lupi" / "__pycache__" / "cli.pyc").write_bytes(b"")
@@ -96,6 +92,15 @@ def test_pairs_alternates_two_archived_trees(tmp_path, monkeypatch, capsys):
                 ["-c", "user.name=lupi", "-c", "user.email=lupi@localhost", "commit", "-qm", "one"]):
         subprocess.run(["git", *git], cwd=repo, check=True)
     monkeypatch.chdir(repo)
+
+
+def test_pairs_alternates_two_archived_trees(tmp_path, monkeypatch, capsys):
+    # HEAD against HEAD of a one-commit repository for 3 pairs, whole-process
+    # and in-process; its untracked __pycache__ stays out of the archives, and
+    # the runs write none though this environment would let them
+    tool = _load("pairs")
+    log = tmp_path / "log"
+    _enter_one_commit_repo(tmp_path, monkeypatch)
     monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
     call = f"record({str(log)!r})"
     order = ["parent", "change", "change", "parent", "parent", "change"]
@@ -115,3 +120,28 @@ def test_pairs_alternates_two_archived_trees(tmp_path, monkeypatch, capsys):
     parent, change, won = capsys.readouterr().out.splitlines()
     assert parent.startswith("parent ") and change.startswith("change ")
     assert re.fullmatch(r"the change took less time in [0-3] of 3 pairs", won)
+
+
+def test_pairs_holds_each_side_to_its_own_first_status(tmp_path, monkeypatch, capsys):
+    # a command that exits 0 in the parent's tree and 1 in the change's, read
+    # off its own PYTHONPATH, is timed, and the change's line names its status
+    tool = _load("pairs")
+    _enter_one_commit_repo(tmp_path, monkeypatch)
+    by_tree = "import os, sys; sys.exit(os.path.basename(os.path.dirname(os.environ['PYTHONPATH'])) == 'change')"
+    assert tool.main(["HEAD", "HEAD", "--pairs", "2", "--", sys.executable, "-c", by_tree]) == 0
+    parent, change, _ = capsys.readouterr().out.splitlines()
+    assert parent.endswith(" s") and change.endswith(" s, exit status 1")
+
+
+def test_pairs_stops_when_a_side_changes_its_status(tmp_path, monkeypatch, capsys):
+    # each side's first run exits 0 and leaves a mark; its later runs find the mark and exit 1
+    tool = _load("pairs")
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    _enter_one_commit_repo(tmp_path, monkeypatch)
+    mark = (f"import os, sys; mark = os.path.join({str(marks)!r}, os.path.basename(os.getcwd()));"
+            " seen = os.path.exists(mark); open(mark, 'a').close(); sys.exit(seen)")
+    assert tool.main(["HEAD", "HEAD", "--pairs", "2", "--", sys.executable, "-c", mark]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("pairs.py: the change run of pair 1 exited 1, not 0")

@@ -9,18 +9,21 @@ Run it inside a git checkout. Each revision's committed tree is written by
 other, the parent first when k is even (counting from 0) and the change
 first when k is odd. Each run is a fresh process whose working directory is
 the side's tree, with ``PYTHONPATH=<tree>/src``, ``PYTHONDONTWRITEBYTECODE=1``
-and otherwise this environment; its output is discarded, and every run must
-exit with the status of the first (0 with ``--in-process``). By default a run
-is ARGV and its time is the process's wall time (``perf_counter`` around
-it). With ``--in-process`` a run is this interpreter executing each SETUP
-statement, evaluating EXPR once to warm up and once more timed, with stdout
-sent to a string; the time is that second evaluation's.
+and otherwise this environment; its output is discarded, and every run of a
+side must exit with the status of that side's first run (0 with
+``--in-process``), so a command whose status differs between the revisions
+can be timed too. By default a run is ARGV and its time is the process's
+wall time (``perf_counter`` around it). With ``--in-process`` a run is this
+interpreter executing each SETUP statement, evaluating EXPR once to warm up
+and once more timed, with stdout sent to a string; the time is that second
+evaluation's.
 
-Prints each side's median and inclusive quartiles in seconds, and the number
-of pairs the change won (it took less time than the parent). ``--json``
-prints the block instead, in the shape of a ``BENCH_*.json`` record's
-``pairs``: ``{"wall_s" or "call_s": {"parent_median", "parent_q1_q3",
-"change_median", "change_q1_q3", "change_better_pairs", "pairs"}}``.
+Prints each side's median and inclusive quartiles in seconds, with its exit
+status where that is not 0, and the number of pairs the change won (it took
+less time than the parent). ``--json`` prints the block instead, in the
+shape of a ``BENCH_*.json`` record's ``pairs``: ``{"wall_s" or "call_s":
+{"parent_median", "parent_q1_q3", "change_median", "change_q1_q3",
+"change_better_pairs", "pairs"}}``.
 Standard library only.
 """
 
@@ -96,16 +99,16 @@ def main(argv):
     args, command = parser.parse_args(argv[:cut]), argv[cut + 1:]
     if not command or args.pairs < 2:
         parser.error("give ARGV after -- and at least 2 pairs")
-    times, expected = {side: [] for side in SIDES}, 0 if args.in_process else None
+    times = {side: [] for side in SIDES}
+    expected = dict.fromkeys(SIDES, 0) if args.in_process else {}
     with tempfile.TemporaryDirectory() as root:
         trees = {side: os.path.join(root, side) for side in SIDES}
         revisions = {side: materialise(getattr(args, side), trees[side]) for side in SIDES}
         for k in range(args.pairs):
             for side in SIDES if k % 2 == 0 else SIDES[::-1]:
                 proc, seconds = run_once(trees[side], command, args.in_process)
-                expected = proc.returncode if expected is None else expected
-                if proc.returncode != expected:
-                    print(f"pairs.py: the {side} run of pair {k} exited {proc.returncode}, not {expected}",
+                if proc.returncode != expected.setdefault(side, proc.returncode):
+                    print(f"pairs.py: the {side} run of pair {k} exited {proc.returncode}, not {expected[side]}",
                           proc.stderr, sep="\n", end="", file=sys.stderr)
                     return 1
                 times[side].append(seconds)
@@ -115,8 +118,9 @@ def main(argv):
         return 0
     for side in SIDES:
         q1, q3 = entry[f"{side}_q1_q3"]
+        status = f", exit status {expected[side]}" if expected[side] else ""
         print(f"{side} {revisions[side][:7]}: median {entry[f'{side}_median']:.4f} s,"
-              f" quartiles {q1:.4f} .. {q3:.4f} s")
+              f" quartiles {q1:.4f} .. {q3:.4f} s{status}")
     print(f"the change took less time in {entry['change_better_pairs']} of {args.pairs} pairs")
     return 0
 
