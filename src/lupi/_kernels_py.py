@@ -65,18 +65,17 @@ def _check_work(route, estimate):
 def win_probs_common(probs, opponents):
     """Win probability of every pure choice against identical opponents.
 
-    Forward dynamic program over the integers. Entry l of the state row for
-    integer j is the probability weight of placing all but l opponents on
-    integers below j with no integer picked exactly once; the l opponents
-    left must then all pick above j for choice j to win (``common_win``).
-    Moving past j places c = 0 or c >= 2 of the l opponents on it
-    (``common_step``). That is n * (opponents + 1) cells and
-    O(n * opponents**2) work, about n * opponents**2 / 2 multiply-adds.
+    Forward dynamic program over the integers: a state row per integer j
+    (``common_start``), from which choice j wins when the opponents left
+    all pick above j (``common_win``), and moving past j places c = 0 or
+    c >= 2 of them on it (``common_step``). That is n * (opponents + 1)
+    cells and O(n * opponents**2) work, about n * opponents**2 / 2
+    multiply-adds.
     """
     n = len(probs)
     # tail[j] is the mass on j and above, added from the top down
     tail = list(accumulate(reversed(probs), initial=0.0))[::-1]
-    row = [0.0] * opponents + [1.0]
+    row = common_start(opponents)
     win = [0.0] * n
     for j in range(n):
         win[j] = common_win(row, tail[j + 1])
@@ -86,8 +85,25 @@ def win_probs_common(probs, opponents):
     return win
 
 
+def common_start(opponents):
+    """State row of the lowest integer, with all ``opponents`` left.
+
+    Entry l of the state row for integer j is the probability weight of
+    placing all but l opponents on integers below j with no integer picked
+    exactly once. The row is read only through ``common_win`` and advanced
+    only through ``common_step``.
+    """
+    return [0.0] * opponents + [1.0]
+
+
 def common_win(row, above):
-    """Win probability of an integer from its state row and the mass above it."""
+    """Win probability of an integer from its state row and the mass above it.
+
+    With no mass above, only entry 0 can win, and it is returned as it is:
+    the sum's own value, since 0.0**0 is 1.0 and every other term is 0.0.
+    """
+    if above == 0.0:
+        return row[0]
     return _total(w * above**left for left, w in enumerate(row) if w != 0.0)
 
 

@@ -134,27 +134,34 @@ class MixedStrategy(_Record):
 
 def as_strategy(value: StrategyLike) -> MixedStrategy:
     """Coerce a sequence of probabilities into a validated MixedStrategy."""
-    if isinstance(value, MixedStrategy):
-        return value
-    return MixedStrategy(tuple(value))
+    return value if isinstance(value, MixedStrategy) else MixedStrategy(value)
 
 
 class StrategyProfile(_Record):
-    """One mixed strategy per player."""
+    """One mixed strategy per player.
+
+    This is the one checker of strategy rows, a profile document's too:
+    each row must be a strategy with one entry per player, and a faulty
+    row's ValueError starts ``strategies row I: ``, I its 0-based player.
+    """
 
     strategies: tuple
 
     def __post_init__(self):
-        strategies = tuple(as_strategy(s) for s in self.strategies)
-        n = len(strategies)
+        rows = tuple(self.strategies)
+        n = len(rows)
         if n < 2:
             raise ValueError("a profile needs at least two players")
-        for i, s in enumerate(strategies):
-            if len(s) != n:
-                raise ValueError(
-                    f"strategy for player {i} has {len(s)} entries, expected {n}"
-                )
-        object.__setattr__(self, "strategies", strategies)
+        strategies = []
+        for i, row in enumerate(rows):
+            try:
+                strategy = as_strategy(row)
+            except ValueError as exc:
+                raise ValueError(f"strategies row {i}: {exc}") from None
+            if len(strategy) != n:
+                raise ValueError(f"strategies row {i}: has {len(strategy)} entries, expected {n}")
+            strategies.append(strategy)
+        object.__setattr__(self, "strategies", tuple(strategies))
 
     @property
     def n(self) -> int:

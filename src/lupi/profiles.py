@@ -2,29 +2,18 @@
 
 A profile document is a JSON object with fields ``n`` (player count),
 ``strategies`` (n rows of n probabilities, players in order) and optional
-``labels`` (one name per player, without a line break). Rows must satisfy
-the usual strategy invariants; violations are reported with the offending
-row and index. Rows are kept as given, so a profile that ``save_profile``
-wrote reads back with the same bits, and ``save_profile`` refuses the labels
-that reading would refuse.
+``labels`` (one name per player, without a line break). The reader checks
+the document's own fields; ``StrategyProfile`` checks the rows, and names
+the offending row and index. Rows are kept as given, so a profile that
+``save_profile`` wrote reads back with the same bits, and ``save_profile``
+refuses the labels that reading would refuse.
 """
 
 from __future__ import annotations
 
 import json
 
-from .game import MixedStrategy, StrategyProfile
-
-
-def _parse_row(row, index: int, n: int) -> MixedStrategy:
-    if not isinstance(row, (list, tuple)):
-        raise ValueError(f"strategies row {index}: expected a list of numbers")
-    if len(row) != n:
-        raise ValueError(f"strategies row {index}: has {len(row)} entries, expected {n}")
-    try:
-        return MixedStrategy(row)
-    except ValueError as exc:
-        raise ValueError(f"strategies row {index}: {exc}") from None
+from .game import StrategyProfile
 
 
 def parse_profile_document(data) -> tuple:
@@ -40,9 +29,8 @@ def parse_profile_document(data) -> tuple:
     if not isinstance(rows, list) or len(rows) != n:
         count = len(rows) if isinstance(rows, list) else type(rows).__name__
         raise ValueError(f"field 'strategies' must list {n} rows, got {count}")
-    strategies = tuple(_parse_row(row, i, n) for i, row in enumerate(rows))
     labels = data.get("labels")
-    return StrategyProfile(strategies), None if labels is None else _checked_labels(labels, n)
+    return StrategyProfile(rows), None if labels is None else _checked_labels(labels, n)
 
 
 def _checked_labels(labels, n: int) -> list:

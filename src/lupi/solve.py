@@ -134,25 +134,27 @@ def _exact_shot(n, v):
     at each support jump where the full-mass win falls to v. The
     inner search compares m-th roots of the win probabilities (m = n - 1
     opponents): early on, win_j is close to (1 - p_0 - ... - p_j)**m, and
-    its m-th root is close to linear in p_j.
+    its m-th root is close to linear in p_j. The opponents are read only
+    through the kernel's ``common_start``, ``common_win`` and
+    ``common_step``.
     """
-    from ._kernels_py import common_step, common_win
+    from ._kernels_py import common_start, common_step, common_win
 
     k = 1.0 / (n - 1)
     v_k = v**k
     probs = [0.0] * n
-    row = [0.0] * (n - 1) + [1.0]
+    row = common_start(n - 1)
     rem = 1.0
-    last, w_last = 0, row[0]
+    last, w_last = 0, 0.0
     for j in range(n):
         w_none = common_win(row, rem)
         if w_none <= v:
             break  # the row and rem stay as they are, so no later choice takes mass either
-        w_all = row[0]  # win probability with all the remaining mass on j
+        w_all = common_win(row, 0.0)  # win probability with all the remaining mass on j
         last, w_last = j, w_all
         if w_all > v:
             if j + 1 < n:
-                w_last = max(w_all, common_step(row, rem)[0])
+                w_last = max(w_all, common_win(common_step(row, rem), 0.0))
             break
 
         def excess(p):

@@ -16,6 +16,7 @@ from lupi import (
     solve_symmetric,
     verify_profile,
 )
+from lupi.game import _profile_choice_values
 from test_solve import EXACT_NS
 
 SQRT3 = math.sqrt(3.0)
@@ -61,6 +62,19 @@ def test_paper_and_exact_best_responses_agree_at_n3():
         assert paper_values == pytest.approx(exact_values, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", range(3, 11))
+def test_best_response_agrees_with_verify_to_rounding(n):
+    # best_response scores a player on the other rows alone, verify (through
+    # _profile_choice_values) in the one pass over all the rows, so their sums run in
+    # different orders and may differ in the last bits
+    for zeros in (False, True):
+        profile = random_profile(random.Random(520 + n), n, zeros=zeros)
+        values_per_player = _profile_choice_values(profile)[0]
+        for i in range(n):
+            values, _ = best_response(profile.strategies[:i] + profile.strategies[i + 1:])
+            assert max(abs(a - b) for a, b in zip(values, values_per_player[i])) <= 2e-15
+
+
 def test_paper_model_requires_common_opponents():
     with pytest.raises(ValueError):
         best_response([(0, 0, 1), HALF], model="paper")
@@ -95,6 +109,10 @@ def test_pure_choice_values_checks_the_opponents_then_the_model():
             pure_choice_values([], model=model)
         with pytest.raises(ValueError, match="a strategy needs at least two choices"):
             pure_choice_values([(1.0,)], model=model)
+    # a strategy that is not a sequence is a ValueError too
+    for call in (lambda: pure_choice_values([5, 5]), lambda: indifference_spread(5)):
+        with pytest.raises(ValueError, match="strategy entries must be numbers, got 5"):
+            call()
 
 
 # ---------------------------------------------------------------------------

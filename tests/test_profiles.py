@@ -16,7 +16,7 @@ BAD_DOCUMENTS = [
     ({"n": 1, "strategies": [[1.0]]}, "field 'n' must be an integer >= 2, got 1"),
     ({"n": 3, "strategies": [ROW, ROW]}, "field 'strategies' must list 3 rows, got 2"),
     ({"n": 3, "strategies": {"0": ROW}}, "field 'strategies' must list 3 rows, got dict"),
-    ({"n": 3, "strategies": [ROW, "0.5 0.5 0", ROW]}, "strategies row 1: expected a list of numbers"),
+    ({"n": 3, "strategies": [ROW, "0.5 0.5 0", ROW]}, "strategies row 1: entry '0' at index 0 is not a number"),
     ({"n": 3, "strategies": [ROW, ROW, [0.5, 0.5]]}, "strategies row 2: has 2 entries, expected 3"),
     ({"n": 2, "strategies": [[0.5, "x"], [0.5, 0.5]]}, "strategies row 0: entry 'x' at index 1 is not a number"),
     ({"n": 2, "strategies": [[0.5, 0.5], [0.5, 0.25]]},
@@ -28,6 +28,8 @@ BAD_DOCUMENTS = [
     (dict(GOOD, labels=["x\nnash_equilibrium: yes\nplayer 9", "y", "z"]),
      "field 'labels' entry 0 holds a line break: 'x\\nnash_equilibrium: yes\\nplayer 9'"),
     (dict(GOOD, labels=["Alice", "Bob\r", "Charles"]), "field 'labels' entry 1 holds a line break: 'Bob\\r'"),
+    ({"n": 3, "strategies": [ROW, ROW, [1.0]]}, "strategies row 2: a strategy needs at least two choices"),
+    ({"n": 2, "strategies": [[0.5, 0.5], None]}, "strategies row 1: strategy entries must be numbers, got None"),
 ]
 
 

@@ -153,10 +153,16 @@ def test_mixed_strategy_converts_ints_and_keeps_floats():
 
 
 def test_strategy_profile_validation_messages():
+    # every row fault names its row, in the profile document reader's wording
     cases = [
         ((HALF,), "a profile needs at least two players"),
-        ((HALF, (0.5, 0.25, 0.25)), "strategy for player 1 has 3 entries, expected 2"),
-        ((HALF, (0.5, 0.6)), "probabilities sum to 1.1, not 1 within 1e-09"),
+        ((HALF, (0.5, 0.25, 0.25)), "strategies row 1: has 3 entries, expected 2"),
+        ((HALF, (0.5, 0.6)), "strategies row 1: probabilities sum to 1.1, not 1 within 1e-09"),
+        (((0.5, "x"), HALF), "strategies row 0: entry 'x' at index 1 is not a number"),
+        ((HALF, (1.5, -0.5)), "strategies row 1: probability 1.5 at index 0 is outside [0, 1]"),
+        ((HALF, (1.0,)), "strategies row 1: a strategy needs at least two choices"),
+        ((5, 5), "strategies row 0: strategy entries must be numbers, got 5"),
+        ((HALF, None), "strategies row 1: strategy entries must be numbers, got None"),
     ]
     for strategies, message in cases:
         with pytest.raises(ValueError) as info:

@@ -2,9 +2,11 @@
 
 import importlib.util
 import json
+import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from test_cli import ASYM3, ASYM4
@@ -145,3 +147,36 @@ def test_pairs_stops_when_a_side_changes_its_status(tmp_path, monkeypatch, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("pairs.py: the change run of pair 1 exited 1, not 0")
+
+
+def _gone(pid):
+    """True once process ``pid`` has ended: it is not there, or only a zombie is left."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def test_pairs_kills_a_run_past_the_limit(tmp_path, monkeypatch, capsys):
+    # the run starts a child of its own, writes both ids, and sleeps past the limit;
+    # the tool names the side and the pair, exits 1, and leaves neither process running
+    tool = _load("pairs")
+    monkeypatch.setattr(tool, "RUN_LIMIT_S", 1.0)
+    pids = tmp_path / "pids"
+    _enter_one_commit_repo(tmp_path, monkeypatch)
+    sleeper = ("import os, subprocess, sys, time\n"
+               "child = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)'])\n"
+               f"open({str(pids)!r}, 'w').write(f'{{os.getpid()}} {{child.pid}}')\n"
+               "time.sleep(60)")
+    start = time.perf_counter()
+    assert tool.main(["HEAD", "HEAD", "--pairs", "2", "--", sys.executable, "-c", sleeper]) == 1
+    assert time.perf_counter() - start < 30
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "pairs.py: the parent run of pair 0 ran past 1.0 s and was killed\n"
+    run, child = map(int, pids.read_text().split())
+    deadline = time.monotonic() + 10
+    while not (_gone(run) and _gone(child)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _gone(run) and _gone(child)

@@ -12,7 +12,9 @@ the side's tree, with ``PYTHONPATH=<tree>/src``, ``PYTHONDONTWRITEBYTECODE=1``
 and otherwise this environment; its output is discarded, and every run of a
 side must exit with the status of that side's first run (0 with
 ``--in-process``), so a command whose status differs between the revisions
-can be timed too. By default a run is ARGV and its time is the process's
+can be timed too. A run still going after ``RUN_LIMIT_S`` seconds is
+killed, with every process it started, and the tool names the side and the
+pair and exits 1. By default a run is ARGV and its time is the process's
 wall time (``perf_counter`` around it). With ``--in-process`` a run is this
 interpreter executing each SETUP statement, evaluating EXPR once to warm up
 and once more timed, with stdout sent to a string; the time is that second
@@ -31,6 +33,7 @@ import argparse
 import io
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -40,6 +43,8 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# seconds one run may take before it is killed
+RUN_LIMIT_S = 600
 
 _IN_PROCESS = """
 import contextlib, io, sys, time
@@ -67,13 +72,24 @@ def materialise(revision, tree):
 
 
 def run_once(tree, argv, in_process):
-    """The finished process of one run of ``argv`` in ``tree``, and the run's seconds."""
+    """The finished process of one run of ``argv`` in ``tree``, and the run's seconds.
+
+    The run is a process group of its own, killed whole, and TimeoutExpired
+    raised, when it takes more than ``RUN_LIMIT_S`` seconds.
+    """
     env = dict(os.environ, PYTHONPATH=str(Path(tree) / "src"), PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "-c", _IN_PROCESS, *argv] if in_process else argv
     start = time.perf_counter()
-    proc = subprocess.run(command, cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    with subprocess.Popen(command, cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          start_new_session=True) as child:
+        try:
+            stdout, stderr = child.communicate(timeout=RUN_LIMIT_S)
+        finally:
+            if child.returncode is None:
+                os.killpg(child.pid, signal.SIGKILL)
     seconds = time.perf_counter() - start
-    return proc, float(proc.stdout.split()[-1]) if in_process and not proc.returncode else seconds
+    proc = subprocess.CompletedProcess(command, child.returncode, stdout, stderr)
+    return proc, float(stdout.split()[-1]) if in_process and not proc.returncode else seconds
 
 
 def pairs_entry(times):
@@ -106,7 +122,12 @@ def main(argv):
         revisions = {side: materialise(getattr(args, side), trees[side]) for side in SIDES}
         for k in range(args.pairs):
             for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-                proc, seconds = run_once(trees[side], command, args.in_process)
+                try:
+                    proc, seconds = run_once(trees[side], command, args.in_process)
+                except subprocess.TimeoutExpired:
+                    print(f"pairs.py: the {side} run of pair {k} ran past {RUN_LIMIT_S} s and was killed",
+                          file=sys.stderr)
+                    return 1
                 if proc.returncode != expected.setdefault(side, proc.returncode):
                     print(f"pairs.py: the {side} run of pair {k} exited {proc.returncode}, not {expected[side]}",
                           proc.stderr, sep="\n", end="", file=sys.stderr)
