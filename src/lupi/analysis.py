@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .game import (
     DEFAULT_EPSILON, MODEL_EXACT, SUM_TOLERANCE, StrategyProfile, _profile_choice_values, _Record,
-    _total, as_strategy,
+    _items, _total, as_strategy,
 )
 
 _TIE_TOLERANCE = 1e-12
@@ -59,7 +59,7 @@ def pure_choice_values(others: Sequence[StrategyLike], model: str = MODEL_EXACT)
     ``_profile_choice_values``, which rejects an unknown model and, under
     ``paper``, opponents on different strategies.
     """
-    strategies = [as_strategy(s) for s in others]
+    strategies = [as_strategy(s) for s in _items(others, "others must be a sequence of opponent strategies")]
     if not strategies:
         raise ValueError("expected at least one opponent strategy")
     n = len(strategies[0])
@@ -119,12 +119,13 @@ def verify_profile(
     under ``model``, the producer that ``exact_profile_payoffs`` and
     ``solve_symmetric`` read too, so the payoffs agree bit for bit; it
     rejects an unknown model, and an asymmetric profile under ``paper``.
-    ``epsilon`` bounds gains only: a player's indifferent deviations are
-    choices they leave unused (weight at most ``SUM_TOLERANCE``) that pay
-    within ``epsilon`` of their payoff, and the payoff sum is maximal when
-    it is 1 within ``SUM_TOLERANCE``, whatever ``epsilon`` is.
+    ``epsilon``, an int or a float but not a bool, bounds gains only: a
+    player's indifferent deviations are choices they leave unused (weight at
+    most ``SUM_TOLERANCE``) that pay within ``epsilon`` of their payoff, and
+    the payoff sum is maximal when it is 1 within ``SUM_TOLERANCE``, whatever
+    ``epsilon`` is.
     """
-    if not 0.0 < epsilon < float("inf"):
+    if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)) or not 0.0 < epsilon < float("inf"):
         raise ValueError("epsilon must be positive and finite")
     values_per_player, payoffs = _profile_choice_values(profile, model)
     gains = [max(values) - payoff for values, payoff in zip(values_per_player, payoffs)]

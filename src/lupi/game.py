@@ -49,6 +49,18 @@ else:
         return total
 
 
+def _items(value, what: str) -> tuple:
+    """``value`` as a tuple, or ValueError ``{what}, got {value!r}`` if it cannot be iterated.
+
+    The one reader of a sequence argument; the message is formatted on failure
+    only, since a large profile's repr takes longer than its validation.
+    """
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{what}, got {value!r}") from None
+
+
 class _Record:
     """Base of the package's immutable value records.
 
@@ -107,10 +119,7 @@ class MixedStrategy(_Record):
     probs: tuple
 
     def __post_init__(self):
-        try:
-            probs = tuple(self.probs)
-        except TypeError:
-            raise ValueError(f"strategy entries must be numbers, got {self.probs!r}") from None
+        probs = _items(self.probs, "strategy entries must be numbers")
         if len(probs) < 2:
             raise ValueError("a strategy needs at least two choices")
         for i, p in enumerate(probs):
@@ -148,7 +157,7 @@ class StrategyProfile(_Record):
     strategies: tuple
 
     def __post_init__(self):
-        rows = tuple(self.strategies)
+        rows = _items(self.strategies, "strategies must be a sequence of strategy rows")
         n = len(rows)
         if n < 2:
             raise ValueError("a profile needs at least two players")

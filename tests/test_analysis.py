@@ -10,6 +10,8 @@ from _oracle import brute_payoffs, random_profile, random_strategy
 from lupi import (
     StrategyProfile,
     best_response,
+    closed_form_gradient,
+    closed_form_payoff,
     exact_profile_payoffs,
     indifference_spread,
     pure_choice_values,
@@ -289,6 +291,27 @@ def test_verify_rejects_bad_epsilon():
         verify_profile(ASYM3, epsilon=0.0)
     with pytest.raises(ValueError):
         verify_profile(ASYM3, epsilon=float("inf"))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: closed_form_gradient(5), "strategy entries must be numbers, got 5"),
+    (lambda: closed_form_gradient((0.7, 0.7)), "probabilities sum to 1.4, not 1 within 1e-09"),
+    (lambda: closed_form_payoff(5, (0.5, 0.5)), "mine must be a sequence of weights, got 5"),
+    (lambda: closed_form_payoff((0.5, 0.5), None), "strategy entries must be numbers, got None"),
+    (lambda: closed_form_payoff((0.5, 0.5), (2.0, -1.0)), "probability 2.0 at index 0 is outside [0, 1]"),
+    (lambda: StrategyProfile(5), "strategies must be a sequence of strategy rows, got 5"),
+    (lambda: StrategyProfile(None), "strategies must be a sequence of strategy rows, got None"),
+    (lambda: pure_choice_values(5), "others must be a sequence of opponent strategies, got 5"),
+    (lambda: best_response(5), "others must be a sequence of opponent strategies, got 5"),
+    (lambda: verify_profile(ASYM3, epsilon="x"), "epsilon must be positive and finite"),
+    (lambda: verify_profile(ASYM3, epsilon=True), "epsilon must be positive and finite"),
+])
+def test_argument_faults_are_value_errors_that_name_the_fault(call, message):
+    # MixedStrategy validates every strategy argument but the closed form's raw
+    # ``mine``, and game._items reads every sequence argument
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
