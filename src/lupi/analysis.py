@@ -14,8 +14,8 @@ one cannot make any player better off without hurting another.
 from __future__ import annotations
 
 from .game import (
-    DEFAULT_EPSILON, MODEL_EXACT, SUM_TOLERANCE, StrategyProfile, _profile_choice_values, _Record,
-    _items, _total, as_strategy,
+    DEFAULT_EPSILON, MODEL_EXACT, SUM_TOLERANCE, StrategyProfile, _as_profile, _profile_choice_values,
+    _Record, _items, _total, as_strategy,
 )
 
 _TIE_TOLERANCE = 1e-12
@@ -127,6 +127,7 @@ def verify_profile(
     """
     if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)) or not 0.0 < epsilon < float("inf"):
         raise ValueError("epsilon must be positive and finite")
+    profile = _as_profile(profile)
     values_per_player, payoffs = _profile_choice_values(profile, model)
     gains = [max(values) - payoff for values, payoff in zip(values_per_player, payoffs)]
     # a player who cannot gain, but has an unused choice that pays as much

@@ -61,6 +61,20 @@ def _items(value, what: str) -> tuple:
         raise ValueError(f"{what}, got {value!r}") from None
 
 
+def _weights(value, what: str) -> tuple:
+    """``value`` read by ``_items``, each entry an int or a float but not a bool.
+
+    The one rule for a weight entry, ``MixedStrategy``'s and a raw
+    ``closed_form_payoff`` ``mine``'s; a fault is ValueError ``entry E at
+    index I is not a number``.
+    """
+    weights = _items(value, what)
+    for i, p in enumerate(weights):
+        if isinstance(p, bool) or not isinstance(p, (int, float)):
+            raise ValueError(f"entry {p!r} at index {i} is not a number")
+    return weights
+
+
 class _Record:
     """Base of the package's immutable value records.
 
@@ -119,12 +133,10 @@ class MixedStrategy(_Record):
     probs: tuple
 
     def __post_init__(self):
-        probs = _items(self.probs, "strategy entries must be numbers")
+        probs = _weights(self.probs, "strategy entries must be numbers")
         if len(probs) < 2:
             raise ValueError("a strategy needs at least two choices")
         for i, p in enumerate(probs):
-            if isinstance(p, bool) or not isinstance(p, (int, float)):
-                raise ValueError(f"entry {p!r} at index {i} is not a number")
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability {p!r} at index {i} is outside [0, 1]")
         probs = tuple(map(float, probs))
@@ -144,6 +156,11 @@ class MixedStrategy(_Record):
 def as_strategy(value: StrategyLike) -> MixedStrategy:
     """Coerce a sequence of probabilities into a validated MixedStrategy."""
     return value if isinstance(value, MixedStrategy) else MixedStrategy(value)
+
+
+def _as_profile(value) -> StrategyProfile:
+    """Read a profile argument: a StrategyProfile as given, any other value through ``StrategyProfile``."""
+    return value if isinstance(value, StrategyProfile) else StrategyProfile(value)
 
 
 class StrategyProfile(_Record):
@@ -196,7 +213,7 @@ def exact_profile_payoffs(profile: StrategyProfile) -> tuple:
     ``verify_profile`` and ``solve_symmetric`` read too, so all three report
     bit-equal payoffs.
     """
-    return tuple(_profile_choice_values(profile)[1])
+    return tuple(_profile_choice_values(_as_profile(profile))[1])
 
 
 def _profile_choice_values(profile: StrategyProfile, model: str = MODEL_EXACT) -> tuple:

@@ -5,15 +5,20 @@ A profile document is a JSON object with fields ``n`` (player count),
 ``labels`` (one name per player, without a line break). The reader checks
 the document's own fields; ``StrategyProfile`` checks the rows, and names
 the offending row and index. Rows are kept as given, so a profile that
-``save_profile`` wrote reads back with the same bits, and ``save_profile``
-refuses the labels that reading would refuse.
+``save_profile`` wrote reads back with the same bits. Before it opens the
+file, ``save_profile`` reads its profile argument as ``StrategyProfile``
+does and refuses the labels that reading would refuse. A path is what
+``os.fspath`` accepts (a ``str``, ``bytes`` or ``os.PathLike``), never a
+file descriptor: any other value is refused like a file that cannot be
+opened.
 """
 
 from __future__ import annotations
 
 import json
+import os
 
-from .game import StrategyProfile
+from .game import StrategyProfile, _as_profile
 
 
 def parse_profile_document(data) -> tuple:
@@ -50,9 +55,9 @@ def _checked_labels(labels, n: int) -> list:
 def load_profile(path) -> tuple:
     """Read a profile document; returns (StrategyProfile, labels or None)."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(os.fspath(path), "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except OSError as exc:
+    except (OSError, TypeError) as exc:
         raise ValueError(f"cannot read profile file {path!r}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"profile file {path!r} is not valid JSON: {exc}") from None
@@ -61,15 +66,13 @@ def load_profile(path) -> tuple:
 
 def save_profile(path, profile: StrategyProfile, labels: Optional[Sequence[str]] = None) -> None:
     """Write a profile document that every reading command accepts unchanged."""
-    document = {
-        "n": profile.n,
-        "strategies": [list(s.probs) for s in profile.strategies],
-    }
+    rows = _as_profile(profile).rows()
+    document = {"n": len(rows), "strategies": rows}
     if labels is not None:
-        document["labels"] = _checked_labels(labels, profile.n)
+        document["labels"] = _checked_labels(labels, len(rows))
     try:
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(os.fspath(path), "w", encoding="utf-8") as handle:
             json.dump(document, handle, indent=2)
             handle.write("\n")
-    except OSError as exc:
+    except (OSError, TypeError) as exc:
         raise ValueError(f"cannot write profile file {path!r}: {exc}") from None

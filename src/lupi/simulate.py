@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 
 from . import _kernels_py
-from .game import _Record
+from .game import _as_profile, _Record
 
 
 class SimulationStats(_Record):
@@ -47,7 +47,7 @@ def simulate(profile: StrategyProfile, rounds: int, seed: int = 0) -> Simulation
         raise ValueError(f"rounds must be a positive integer, got {rounds!r}")
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ValueError(f"seed must be an integer, got {seed!r}")
-    wins, no_winner = _kernels_py.simulate_rounds(profile.rows(), rounds, seed)
+    wins, no_winner = _kernels_py.simulate_rounds(_as_profile(profile).rows(), rounds, seed)
     freqs = tuple(w / rounds for w in wins)
     errors = tuple(math.sqrt(f * (1.0 - f) / rounds) for f in freqs)
     return SimulationStats(

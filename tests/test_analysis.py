@@ -14,7 +14,10 @@ from lupi import (
     closed_form_payoff,
     exact_profile_payoffs,
     indifference_spread,
+    load_profile,
     pure_choice_values,
+    save_profile,
+    simulate,
     solve_symmetric,
     verify_profile,
 )
@@ -30,6 +33,9 @@ HALF4 = (0.5, 0.5, 0.0, 0.0)
 
 ASYM3 = StrategyProfile(((0, 0, 1), HALF, HALF))
 ASYM4 = StrategyProfile(((0, 0, 1, 0), HALF4, HALF4, HALF4))
+
+# os.fspath's refusal of a value that is not a path
+NOT_A_PATH = "expected str, bytes or os.PathLike object, not"
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +117,6 @@ def test_pure_choice_values_checks_the_opponents_then_the_model():
             pure_choice_values([], model=model)
         with pytest.raises(ValueError, match="a strategy needs at least two choices"):
             pure_choice_values([(1.0,)], model=model)
-    # a strategy that is not a sequence is a ValueError too
-    for call in (lambda: pure_choice_values([5, 5]), lambda: indifference_spread(5)):
-        with pytest.raises(ValueError, match="strategy entries must be numbers, got 5"):
-            call()
 
 
 # ---------------------------------------------------------------------------
@@ -286,32 +288,64 @@ def test_verdicts_match_brute_force_deviations(n):
         assert report.is_nash == (max(gains) <= report.epsilon)
 
 
-def test_verify_rejects_bad_epsilon():
-    with pytest.raises(ValueError):
-        verify_profile(ASYM3, epsilon=0.0)
-    with pytest.raises(ValueError):
-        verify_profile(ASYM3, epsilon=float("inf"))
-
-
+# every argument kind has one reader: StrategyProfile reads a profile, MixedStrategy a
+# strategy, game._weights a weight entry and os.fspath a path, so each fault is a
+# ValueError that names it, and none leaves a file behind
 @pytest.mark.parametrize("call, message", [
-    (lambda: closed_form_gradient(5), "strategy entries must be numbers, got 5"),
-    (lambda: closed_form_gradient((0.7, 0.7)), "probabilities sum to 1.4, not 1 within 1e-09"),
-    (lambda: closed_form_payoff(5, (0.5, 0.5)), "mine must be a sequence of weights, got 5"),
-    (lambda: closed_form_payoff((0.5, 0.5), None), "strategy entries must be numbers, got None"),
-    (lambda: closed_form_payoff((0.5, 0.5), (2.0, -1.0)), "probability 2.0 at index 0 is outside [0, 1]"),
+    (lambda: exact_profile_payoffs(5), "strategies must be a sequence of strategy rows, got 5"),
+    (lambda: verify_profile(5), "strategies must be a sequence of strategy rows, got 5"),
+    (lambda: simulate(5, 10), "strategies must be a sequence of strategy rows, got 5"),
+    (lambda: save_profile("p.json", 5), "strategies must be a sequence of strategy rows, got 5"),
     (lambda: StrategyProfile(5), "strategies must be a sequence of strategy rows, got 5"),
     (lambda: StrategyProfile(None), "strategies must be a sequence of strategy rows, got None"),
+    (lambda: closed_form_gradient(5), "strategy entries must be numbers, got 5"),
+    (lambda: closed_form_gradient((0.7, 0.7)), "probabilities sum to 1.4, not 1 within 1e-09"),
+    (lambda: closed_form_gradient([1.0]), "a strategy needs at least two choices"),
+    (lambda: closed_form_gradient([]), "a strategy needs at least two choices"),
+    (lambda: closed_form_payoff((0.5, 0.5), None), "strategy entries must be numbers, got None"),
+    (lambda: closed_form_payoff((0.5, 0.5), (2.0, -1.0)), "probability 2.0 at index 0 is outside [0, 1]"),
+    (lambda: closed_form_payoff([1.0], [1.0]), "a strategy needs at least two choices"),
+    (lambda: closed_form_payoff([], []), "a strategy needs at least two choices"),
+    (lambda: closed_form_payoff(5, (0.5, 0.5)), "mine must be a sequence of weights, got 5"),
+    (lambda: closed_form_payoff(("a", "b"), (0.5, 0.5)), "entry 'a' at index 0 is not a number"),
+    (lambda: closed_form_payoff(("0.5", "0.5"), (0.5, 0.5)), "entry '0.5' at index 0 is not a number"),
+    (lambda: closed_form_payoff((True, False), (0.5, 0.5)), "entry True at index 0 is not a number"),
+    (lambda: closed_form_payoff((0.5, None), (0.5, 0.5)), "entry None at index 1 is not a number"),
+    (lambda: closed_form_payoff((0.5, 0.5), ROOT3), "mine has 2 entries, expected 3"),
     (lambda: pure_choice_values(5), "others must be a sequence of opponent strategies, got 5"),
     (lambda: best_response(5), "others must be a sequence of opponent strategies, got 5"),
+    (lambda: pure_choice_values([5, 5]), "strategy entries must be numbers, got 5"),
+    (lambda: indifference_spread(5), "strategy entries must be numbers, got 5"),
+    (lambda: verify_profile(ASYM3, epsilon=0.0), "epsilon must be positive and finite"),
+    (lambda: verify_profile(ASYM3, epsilon=float("inf")), "epsilon must be positive and finite"),
     (lambda: verify_profile(ASYM3, epsilon="x"), "epsilon must be positive and finite"),
     (lambda: verify_profile(ASYM3, epsilon=True), "epsilon must be positive and finite"),
+    (lambda: simulate(ASYM3, 0), "rounds must be a positive integer, got 0"),
+    (lambda: simulate(ASYM3, -5), "rounds must be a positive integer, got -5"),
+    (lambda: simulate(ASYM3, 10.5), "rounds must be a positive integer, got 10.5"),
+    (lambda: simulate(ASYM3, 10, seed=1.5), "seed must be an integer, got 1.5"),
+    # more than the int64 win tally holds, refused before a draw (played, it would run for centuries)
+    (lambda: simulate(ASYM3, 2**63), "rounds must be at most 2**63 - 1 = 9223372036854775807,"
+                                     " an int64 tally's most, got 9223372036854775808"),
+    (lambda: load_profile(None), f"cannot read profile file None: {NOT_A_PATH} NoneType"),
+    (lambda: save_profile(None, ASYM3), f"cannot write profile file None: {NOT_A_PATH} NoneType"),
+    (lambda: save_profile(1.5, ASYM3), f"cannot write profile file 1.5: {NOT_A_PATH} float"),
 ])
-def test_argument_faults_are_value_errors_that_name_the_fault(call, message):
-    # MixedStrategy validates every strategy argument but the closed form's raw
-    # ``mine``, and game._items reads every sequence argument
+def test_argument_faults_are_value_errors_that_name_the_fault(call, message, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+    assert not any(tmp_path.iterdir())
+
+
+def test_profile_entries_read_rows_as_strategy_profile_does(tmp_path):
+    rows = ((0, 0, 1), HALF, HALF)
+    for entry in (exact_profile_payoffs, verify_profile, lambda profile: simulate(profile, 1_000, seed=5)):
+        assert entry(rows) == entry(StrategyProfile(rows))
+    save_profile(tmp_path / "rows.json", rows)
+    save_profile(tmp_path / "profile.json", StrategyProfile(rows))
+    assert (tmp_path / "rows.json").read_bytes() == (tmp_path / "profile.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,14 @@ from lupi import MAX_SOLVER_N, StrategyProfile, solve_symmetric
 from lupi import cli
 from lupi.cli import EXIT_INPUT, EXIT_NO_CONVERGENCE, EXIT_NOT_NASH, EXIT_OK, format_sig3, main
 from lupi.profiles import save_profile
+from test_tools import _load
 
 SQRT3 = math.sqrt(3.0)
 
-ASYM3 = {"n": 3, "strategies": [[0, 0, 1], [0.5, 0.5, 0], [0.5, 0.5, 0]],
-         "labels": ["Alice", "Bob", "Charles"]}
-ASYM4 = {"n": 4, "strategies": [[0, 0, 1, 0], [0.5, 0.5, 0, 0], [0.5, 0.5, 0, 0], [0.5, 0.5, 0, 0]]}
+# the profile documents that {ASYM3} and {ASYM4} stand for in cli_golden.json, defined once
+# in the tool that replays the golden cases
+_REPLAY = _load("replay_golden")
+ASYM3, ASYM4 = _REPLAY.ASYM3, _REPLAY.ASYM4
 
 
 def run_cli(capsys, *argv):

@@ -70,17 +70,6 @@ def test_linear_in_deviator_weights():
             assert closed_form_payoff(mix, common) == pytest.approx(blended, abs=1e-12)
 
 
-def test_rejects_mismatched_lengths():
-    with pytest.raises(ValueError):
-        closed_form_payoff((0.5, 0.5), ROOT3)
-    # n is the opponents' length, and a game has at least two choices
-    for short in ([1.0], []):
-        with pytest.raises(ValueError, match="a strategy needs at least two choices"):
-            closed_form_gradient(short)
-        with pytest.raises(ValueError, match="a strategy needs at least two choices"):
-            closed_form_payoff(short, short)
-
-
 # ---------------------------------------------------------------------------
 # gradient
 

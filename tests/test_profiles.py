@@ -1,5 +1,7 @@
 """Profile documents: each rejected document names its fault, and a saved document reads back."""
 
+import os
+
 import pytest
 
 from lupi import StrategyProfile, load_profile, parse_profile_document, save_profile
@@ -55,3 +57,19 @@ def test_save_refuses_labels_that_would_not_read_back(tmp_path):
         with pytest.raises(ValueError, match=message):
             save_profile(path, profile, labels=labels)
         assert not path.exists()
+
+
+def test_a_path_is_never_a_file_descriptor():
+    # an int is refused like a path that cannot be opened: both ends of a pipe stay
+    # open, nothing is written to it, and nothing is read from it
+    read_end, write_end = os.pipe()
+    try:
+        with pytest.raises(ValueError, match=f"^cannot write profile file {write_end}: expected str, .* not int$"):
+            save_profile(write_end, StrategyProfile.symmetric(ROW))
+        with pytest.raises(ValueError, match=f"^cannot read profile file {read_end}: expected str, .* not int$"):
+            load_profile(read_end)
+        os.write(write_end, b"x")
+        assert os.read(read_end, 2) == b"x"
+    finally:
+        os.close(read_end)
+        os.close(write_end)

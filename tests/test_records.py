@@ -133,8 +133,10 @@ def test_mixed_strategy_validation_messages():
         (None, "strategy entries must be numbers, got None"),
         ((1.0,), "a strategy needs at least two choices"),
         ((1.5, -0.5), "probability 1.5 at index 0 is outside [0, 1]"),
+        ((-0.1, 1.1), "probability -0.1 at index 0 is outside [0, 1]"),
         ((0.5, float("nan")), "probability nan at index 1 is outside [0, 1]"),
         ((0.5, 0.4), "probabilities sum to 0.9, not 1 within 1e-09"),
+        ((0.3, 0.3, 0.4 + 1e-8), "probabilities sum to 1.00000001, not 1 within 1e-09"),
     ]
     for probs, message in cases:
         with pytest.raises(ValueError) as info:

@@ -96,20 +96,6 @@ def test_empirical_payoffs_on_random_profiles():
             assert abs(emp - ref) <= 3 * se
 
 
-def test_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        simulate(ASYM3, 0)
-    with pytest.raises(ValueError):
-        simulate(ASYM3, -5)
-    with pytest.raises(ValueError):
-        simulate(ASYM3, 10.5)
-    with pytest.raises(ValueError):
-        simulate(ASYM3, 10, seed=1.5)
-    # more than the int64 win tally holds, refused before a draw (played, it would run for centuries)
-    with pytest.raises(ValueError, match=r"^rounds must be at most 2\*\*63 - 1 = 9223372036854775807, .* got 92\d+$"):
-        simulate(ASYM3, 2**63)
-
-
 def test_negative_seed_is_accepted():
     stats = simulate(ASYM3, 1_000, seed=-7)
     assert sum(stats.wins) + stats.no_winner_rounds == 1_000

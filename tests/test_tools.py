@@ -9,7 +9,6 @@ import sys
 import time
 from pathlib import Path
 
-from test_cli import ASYM3, ASYM4
 from test_docs import PAIR_KEYS
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -45,12 +44,6 @@ def test_code_lines_skips_blanks_comments_and_docstrings(tmp_path, capsys):
     (tmp_path / "a.py").write_text("x = 1\n")
     assert tool.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out == "    1 a.py\n    5 b.py\n    6 total\n"
-
-
-def test_replay_golden_profiles_are_the_cli_tests_profiles():
-    # the tool writes the {ASYM3} and {ASYM4} placeholders from its own copies
-    tool = _load("replay_golden")
-    assert (tool.ASYM3, tool.ASYM4) == (ASYM3, ASYM4)
 
 
 def test_replay_golden_goes_on_past_an_interpreter_that_cannot_run(capsys):

@@ -7,8 +7,8 @@ except ``simulate`` (the one command that needs numpy) as ``PYTHON -m
 lupi.cli ...`` against this checkout's ``src``, with ``PYTHONUNBUFFERED``
 empty so that stdout is block-buffered, and compares each exit status and
 stdout with the recorded bytes. The placeholder profiles are written
-first: ``{ASYM3}`` and ``{ASYM4}`` from the documents below (the
-same as in ``tests/test_cli.py``), ``{PAPER40}`` and ``{EXACT40}`` by
+first: ``{ASYM3}`` and ``{ASYM4}`` from the documents below (which
+``tests/test_cli.py`` reads too), ``{PAPER40}`` and ``{EXACT40}`` by
 ``PYTHON -m lupi.cli solve --n 40 --save-profile``. Prints one line per
 differing case and one summary line per interpreter, and exits 1 when any
 case differs on any of them. An interpreter that cannot run gets one line
