@@ -55,6 +55,16 @@ _BLOCK_DRAWS = 1 << 16
 # 180 ns on the uniform n = 342 one (3.5-3.8 s) and 100-140 ns with one deviator at n = 200 (1.6-2.3 s)
 _WORK_BUDGET = 2 * 10**7
 
+# the sampler's work, in the same budget: per round, a comparison per threshold of each player, and
+# _DRAW_COST comparisons' time for each player's draw, pick and mask window (a window per 64 players);
+# _COMPARISONS_PER_ADD comparisons count as one multiply-add. On the same VM with numpy 2.4.6, in-process,
+# over runs on two days, a counted comparison took 0.12-0.65 ns at n = 4 to 1023, so the budget's edge is
+# 1.3-6.6 s of rounds: 1.7-3.0 s at n = 4 (73142857 rounds), 2.8-4.4 s for the n = 12 exact root,
+# 4.2-6.3 s for a dense n = 40 profile, 4.1-5.0 s for a dense n = 100 one, 1.3-2.3 s for the n = 1023
+# paper root and 5.6-6.6 s for a uniform n = 1023 one, whose 1022 thresholds a row take 0.55-0.65 ns each
+_DRAW_COST = 32
+_COMPARISONS_PER_ADD = 2**9
+
 
 def _check_work(route, estimate):
     """Raise ValueError when a call of ``route`` would take more than the budget's multiply-adds."""
@@ -173,7 +183,8 @@ def _plan(rows, opponents):
     ``win_probs_common``, and ``moves`` is None; any other grouping takes
     the grouped pass, ``_grouped_steps`` over the moves of ``_count_moves``.
     The route's multiply-adds, as each program's docstring estimates them,
-    are checked against the budget here, before any work, and nowhere else.
+    are checked against the budget here, before any work; the one other
+    check is the sampler's, in ``simulate_rounds``.
     """
     first = {}
     group_of = [first.setdefault(tuple(row), len(first)) for row in rows]
@@ -276,12 +287,17 @@ def simulate_rounds(rows, rounds, seed):
     having no winner, so n <= 64 takes one window and never compacts.
     Scalar operands are plain Python ints, weak scalars that numpy 2 keeps in
     the array's dtype (NEP 50), and a block's offset is reduced mod 2**64
-    first, since numpy 2 raises OverflowError on a larger one. More rounds
-    than the int64 win tally holds (2**63 - 1) are refused before any draw.
-    The counts equal a round-by-round scan for a given seed on every platform.
+    first, since numpy 2 raises OverflowError on a larger one. The work is
+    checked against the budget before numpy is imported: per round, one
+    comparison per threshold, and ``_DRAW_COST`` for each player's draw,
+    pick and mask windows. The counts equal a round-by-round scan for a
+    given seed on every platform.
     """
-    if rounds >= 1 << 63:
-        raise ValueError(f"rounds must be at most 2**63 - 1 = {(1 << 63) - 1}, an int64 tally's most, got {rounds}")
+    n = len(rows)
+    cuts = [_thresholds(r) for r in rows]
+    per_round = sum(map(len, cuts)) + _DRAW_COST * n * -(-n // 64)
+    # past 2**900 rounds the float quotient could overflow: so many rounds are refused as inf work
+    _check_work("the sampler", rounds * per_round / _COMPARISONS_PER_ADD if rounds < 1 << 900 else math.inf)
     import numpy as np
 
     def mix(z, tmp):
@@ -295,9 +311,8 @@ def simulate_rounds(rows, rounds, seed):
         np.right_shift(z, 31, out=tmp)
         z ^= tmp
 
-    n = len(rows)
     block = _block_rounds(n)
-    thresholds = [np.array(_thresholds(r), dtype=np.uint64)[:, None] for r in rows]
+    thresholds = [np.array(cut, dtype=np.uint64)[:, None] for cut in cuts]
     starts = np.array([(seed + (i + 1) * _GOLDEN) & _MASK64 for i in range(n)], dtype=np.uint64)
     mix(starts, np.empty_like(starts))
     starts = starts.tolist()

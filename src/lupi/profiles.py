@@ -57,10 +57,10 @@ def load_profile(path) -> tuple:
     try:
         with open(os.fspath(path), "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, TypeError) as exc:
-        raise ValueError(f"cannot read profile file {path!r}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"profile file {path!r} is not valid JSON: {exc}") from None
+    except (OSError, TypeError, ValueError) as exc:  # ValueError: bytes that are not UTF-8, or a null in the path
+        raise ValueError(f"cannot read profile file {path!r}: {exc}") from None
     return parse_profile_document(data)
 
 

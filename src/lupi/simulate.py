@@ -41,7 +41,8 @@ def simulate(profile: StrategyProfile, rounds: int, seed: int = 0) -> Simulation
     Each player samples independently from their own strategy; the winner
     of a round holds the smallest integer chosen exactly once. Empirical
     payoffs are win frequencies, with the usual binomial standard error
-    sqrt(f (1 - f) / rounds) attached.
+    sqrt(f (1 - f) / rounds) attached. More rounds than the kernels' work
+    budget admits raise ValueError before any draw.
     """
     if not isinstance(rounds, int) or isinstance(rounds, bool) or rounds < 1:
         raise ValueError(f"rounds must be a positive integer, got {rounds!r}")

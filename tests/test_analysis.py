@@ -324,10 +324,11 @@ def test_verdicts_match_brute_force_deviations(n):
     (lambda: simulate(ASYM3, -5), "rounds must be a positive integer, got -5"),
     (lambda: simulate(ASYM3, 10.5), "rounds must be a positive integer, got 10.5"),
     (lambda: simulate(ASYM3, 10, seed=1.5), "seed must be an integer, got 1.5"),
-    # more than the int64 win tally holds, refused before a draw (played, it would run for centuries)
-    (lambda: simulate(ASYM3, 2**63), "rounds must be at most 2**63 - 1 = 9223372036854775807,"
-                                     " an int64 tally's most, got 9223372036854775808"),
+    # past the work budget, refused before a draw (played, it would run for centuries), also past a float's range
+    (lambda: simulate(ASYM3, 2**63), "the sampler needs about 1.8e+18 multiply-adds, over the budget of 2e+07"),
+    (lambda: simulate(ASYM3, 10**400), "the sampler needs about inf multiply-adds, over the budget of 2e+07"),
     (lambda: load_profile(None), f"cannot read profile file None: {NOT_A_PATH} NoneType"),
+    (lambda: load_profile("a\0b"), "cannot read profile file 'a\\x00b': embedded null byte"),
     (lambda: save_profile(None, ASYM3), f"cannot write profile file None: {NOT_A_PATH} NoneType"),
     (lambda: save_profile(1.5, ASYM3), f"cannot write profile file 1.5: {NOT_A_PATH} float"),
 ])

@@ -3,6 +3,7 @@ written, its numeric claims about the engine hold, it describes every
 command, option and exit code, the names, tests and paths it points to
 exist, and every committed bench record holds the shared keys."""
 
+import contextlib
 import importlib
 import json
 import random
@@ -13,12 +14,13 @@ from pathlib import Path
 import pytest
 
 import lupi._kernels_py as kernels
+import lupi.solve as solve_module
 from _oracle import random_profile
 from lupi import (
-    MAX_SOLVER_N, StrategyProfile, exact_profile_payoffs, pure_choice_values, solve_symmetric, verify_profile,
+    StrategyProfile, exact_profile_payoffs, geometric_payoff, pure_choice_values, simulate, solve_symmetric,
+    verify_profile,
 )
 from lupi import cli
-from lupi.model import MAX_GEOMETRIC_N
 from lupi.solve import _TOLERANCES
 from lupi.cli import EXIT_NOT_NASH, EXIT_OK, main
 from test_solve import EXACT_NS, MAP_NS, PAPER_NS, SIGN_NS, SIGN_POINTS
@@ -78,74 +80,58 @@ def _claim(pattern):
     return [int(group) for group in match.groups()]
 
 
-class _Estimated(Exception):
-    pass
+class Stopped(Exception):
+    """Raised by a stand-in for a call's work or check, with the arguments it was given."""
 
 
-def _estimate(monkeypatch, call):
-    """The multiply-adds that ``call``'s kernel estimates, read at its budget check before any work."""
-    seen = []
-
-    def check(route, estimate):
-        seen.append(estimate)
-        raise _Estimated
-
-    monkeypatch.setattr(kernels, "_check_work", check)
-    with pytest.raises(_Estimated):
-        call()
-    return seen[0]
+def stop(*args):
+    raise Stopped(*args)
 
 
-def test_readme_work_budget_and_its_limits(monkeypatch):
-    # "above 2·10^7", and the largest n within it on each route: a symmetric
-    # profile (identical opponents), a dense heterogeneous profile (the subset
-    # program), distinct opponents in best-response, and a symmetric profile
-    # with one deviator (the subset program on two groups)
-    mantissa, exponent = _claim(r"above (\d+)·10\^(\d+)")
-    assert kernels._WORK_BUDGET == mantissa * 10**exponent
-    (common,) = _claim(r"n·\(n − 1\)²/2 multiply-adds for n players, so it runs up to n = (\d+)\.")
-    profile, distinct = _claim(r"a heterogeneous profile goes up to n = (\d+), and distinct opponents in "
-                               r"`best-response` up to n = (\d+)\.")
-    (one_off,) = _claim(r"A symmetric profile with one deviator takes 2·n·n·n, so it runs up to n = (\d+)\.")
-    rng = random.Random(8)
-
-    def symmetric(n):
-        return exact_profile_payoffs(StrategyProfile.symmetric([1.0 / n] * n))
-
-    def dense(n):
-        return exact_profile_payoffs(random_profile(rng, n))
-
-    def opponents(n):
-        return pure_choice_values(random_profile(rng, n).strategies[1:])
-
-    def deviator(n):
-        return exact_profile_payoffs(StrategyProfile(([1.0 / n] * n,) * (n - 1) + ([1.0] + [0.0] * (n - 1),)))
-
-    assert _estimate(monkeypatch, lambda: deviator(one_off)) == 2 * one_off**3
-    for route, n in ((symmetric, common), (dense, profile), (opponents, distinct), (deviator, one_off)):
-        assert _estimate(monkeypatch, lambda: route(n)) <= kernels._WORK_BUDGET < _estimate(
-            monkeypatch, lambda: route(n + 1)), route.__name__
+# (what, largest accepted value) for each row of the README's "Limits" table
+LIMITS = re.findall(r"^\| (.+?) \| (\d+) \|$", README.split("\n### Limits\n", 1)[1].split("\n## ", 1)[0], re.M)
+_PAPER_1023 = StrategyProfile.symmetric(solve_symmetric(1023, model="paper").strategy)
 
 
-def test_readme_geometric_limit():
-    (top,) = _claim(r"`approx` and `table` take n up to (\d+), the largest n whose geometric payoff is a normal double")
-    assert top == MAX_GEOMETRIC_N
+def _dense(n):
+    return random_profile(random.Random(n), n)
 
 
-def test_readme_paper_limit():
-    (top,) = _claim(r"`solve --model paper` takes n up to (\d+), the largest n whose root's last weight is a normal double")
-    assert top == MAX_SOLVER_N["paper"]
+def _uniform(n, deviators=0):
+    """n players uniform on 1..n, but the last ``deviators`` of them on 1."""
+    return StrategyProfile([[1.0 / n] * n] * (n - deviators) + [[1.0] + [0.0] * (n - 1)] * deviators)
 
 
-def test_readme_exact_limit():
-    (top,) = _claim(r"`solve --model exact` takes n up to (\d+), every n of which was measured to converge")
-    assert top == MAX_SOLVER_N["exact"]
+# the call behind each row, given the row's value
+_LIMITED = {
+    "`solve --model exact`: n": lambda n: solve_symmetric(n, model="exact"),
+    "`solve --model paper`: n": lambda n: solve_symmetric(n, model="paper"),
+    "`approx`, `table`: n": geometric_payoff,
+    "`payoff`, `verify`, `best-response`: a kernel call's multiply-adds": lambda e: kernels._check_work("a call", e),
+    "`payoff`, `verify`: n of a symmetric profile": lambda n: exact_profile_payoffs(_uniform(n)),
+    "`payoff`, `verify`: n of a symmetric profile with one deviator": lambda n: exact_profile_payoffs(_uniform(n, 1)),
+    "`payoff`, `verify`: n of a profile whose strategies all differ": lambda n: exact_profile_payoffs(_dense(n)),
+    "`best-response`: n, with distinct opponents": lambda n: pure_choice_values(_dense(n).strategies[1:]),
+    "`simulate --rounds`: n = 4, every row of full support": lambda rounds: simulate(_dense(4), rounds),
+    "`simulate --rounds`: n = 40, every row of full support": lambda rounds: simulate(_dense(40), rounds),
+    "`simulate --rounds`: the saved n = 1023 `paper` root": lambda rounds: simulate(_PAPER_1023, rounds),
+}
 
 
-def test_readme_rounds_limit():
-    (exponent,) = _claim(r"`--rounds` sets its work, up to 2\^(\d+) − 1, the most its int64 win tally holds")
-    with pytest.raises(ValueError, match=f"at most 2\\*\\*{exponent} - 1 = {2**exponent - 1},"):
-        kernels.simulate_rounds([[1.0]], 2**exponent, 0)
+@pytest.mark.parametrize("what, limit", LIMITS)
+def test_readme_limit(what, limit, monkeypatch):
+    # every row has its call, and every call its row. The call gets past its range check or work budget at the
+    # limit and is refused at the next value, naming the limit or the budget. No work runs: stand-ins for the
+    # solver's shots, and for the budget check once it has passed, stop the call
+    assert {row for row, _ in LIMITS} == set(_LIMITED)
+    check, limit = kernels._check_work, int(limit)
+    monkeypatch.setattr(kernels, "_check_work", lambda route, estimate: stop(check(route, estimate)))
+    for shot in ("_paper_shot", "_exact_shot"):
+        monkeypatch.setattr(solve_module, shot, stop)
+    with contextlib.suppress(Stopped):
+        _LIMITED[what](limit)
+    with pytest.raises(ValueError, match=rf"<= {limit}\b|over the budget of 2e\+07$"):
+        _LIMITED[what](limit + 1)
 
 
 def test_readme_solver_claims(exact_root):

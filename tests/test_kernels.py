@@ -296,23 +296,16 @@ def _distinct_rows(m, n):
 
 
 def test_fold_size_guard():
-    # two rows of 17 integers are 136 multiply-adds
+    # two rows of 17 integers are 136 multiply-adds. Each route's limit is a
+    # row of tests/test_docs.py::test_readme_limit; above it both public
+    # kernels stop before any work
     assert len(kernels.win_probs_distinct(_distinct_rows(2, 17))) == 17
-    # the boundary of the budget on each route: within it the plan gets past
-    # its check, and above it the public kernels stop before any work
-    assert 16 * 16 * 2**16 <= kernels._WORK_BUDGET < 17 * 17 * 2**17
-    groups, _, moves = kernels._plan(_distinct_rows(16, 16), 15)
-    assert len(groups) == len(moves) == 16
     with pytest.raises(ValueError, match="the subset program needs about 3.79e\\+07 multiply-adds"):
         kernels.win_probs_leave_one_out(_distinct_rows(17, 17))
     with pytest.raises(ValueError, match="the subset program"):
         kernels.win_probs_distinct(_distinct_rows(17, 17))
     # identical opponents: n players take about n * (n - 1)**2 / 2
-    n = next(n for n in itertools.count(2) if n * (n - 1) ** 2 / 2 > kernels._WORK_BUDGET)
-    assert n == 343
-    groups, _, moves = kernels._plan([[1.0 / (n - 1)] * (n - 1)] * (n - 1), n - 2)
-    assert len(groups) == 1 and moves is None
-    message = "the identical-opponent program needs about 2.01e\\+07 multiply-adds"
+    n, message = 343, "the identical-opponent program needs about 2.01e\\+07 multiply-adds"
     with pytest.raises(ValueError, match=message):
         kernels.win_probs_leave_one_out([[1.0 / n] * n] * n)
     with pytest.raises(ValueError, match=message):
@@ -323,7 +316,8 @@ def test_fold_size_guard():
 
 def test_the_budget_is_checked_in_one_place():
     # _plan is the one route choice of the exact kernels: the budget is
-    # checked there only, and the two distinct-opponent kernels call it
+    # checked there and in the sampler only, and the two distinct-opponent
+    # kernels call _plan
     package = Path(kernels.__file__).resolve().parent
     callers = {"_check_work": set(), "_plan": set()}
     for path in sorted(package.glob("*.py")):
@@ -333,7 +327,7 @@ def test_the_budget_is_checked_in_one_place():
                 if name in callers:
                     callers[name].add(f"{path.stem}.{owner}")
     assert callers == {
-        "_check_work": {"_kernels_py._plan"},
+        "_check_work": {"_kernels_py._plan", "_kernels_py.simulate_rounds"},
         "_plan": {"_kernels_py.win_probs_distinct", "_kernels_py.win_probs_leave_one_out"},
     }
 

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from _oracle import random_strategy
+from test_docs import Stopped, stop
 from lupi import StrategyProfile, exact_profile_payoffs, geometric_strategy, simulate, solve_symmetric
 from lupi import _kernels_py as kernels
 
@@ -133,3 +134,14 @@ def test_substreams_depend_on_player_index():
     wins, no_winner = kernels.simulate_rounds([[0.5, 0.5]] * 2, 64, 42)
     assert min(wins) > 0
     assert no_winner < 64
+
+
+@pytest.mark.parametrize("rounds", [10**18, 2**63])
+def test_the_sampler_checks_its_work_before_any_draw(rounds, monkeypatch):
+    # four players uniform on 1..4 hold 3 thresholds each and take one mask window each. A stand-in for the
+    # budget check ends the call there, before any draw; test_analysis.py and test_cli.py see the real check
+    # refuse these counts
+    monkeypatch.setattr(kernels, "_check_work", stop)
+    with pytest.raises(Stopped) as stopped:
+        simulate(StrategyProfile.symmetric([0.25] * 4), rounds)
+    assert stopped.value.args == ("the sampler", rounds * (12 + kernels._DRAW_COST * 4) / kernels._COMPARISONS_PER_ADD)

@@ -88,14 +88,24 @@ def test_paper_solution_has_equal_last_two_weights(n):
     assert abs(_paper_shot(n, probs[n - 1])[1]) <= 1e-14
 
 
+def test_exact_support_follows_the_poisson_step_count(exact_root):
+    # the Poisson game's equilibrium (Myerson 1998) puts weight ln(x)/n on one
+    # integer per step of x = n + 1, x <- x - ln x, until x <= 1.0, which floats
+    # reach exactly; from n = 9 on, the exact root's support has that many
+    # integers or one fewer
+    for n in (n for n in EXACT_NS if n >= 9):
+        x, steps = n + 1.0, 0
+        while x > 1.0:
+            x, steps = x - math.log(x), steps + 1
+        assert steps - sum(p > 0.0 for p in exact_root(n).strategy.probs) in (0, 1), n
+
+
 def test_paper_limit_is_the_last_n_whose_root_is_a_normal_double():
     # test_paper_solution_has_equal_last_two_weights checks the roots up to
-    # the limit; each model refuses the n above its own limit, and names it
+    # the limit; tests/test_docs.py::test_readme_limit checks that each model
+    # refuses the n above its own limit, and names it
     top = MAX_SOLVER_N["paper"]
     assert solve_symmetric(top).strategy.probs[-1] >= sys.float_info.min > 1.0 / (_paper_shot(top + 1, 1.0)[1] + 1.0)
-    for model, n in (("paper", top + 1), ("exact", MAX_SOLVER_N["exact"] + 1)):
-        with pytest.raises(ValueError, match=rf"^the {model} solver supports 3 <= n <= {n - 1}, got {n}$"):
-            solve_symmetric(n, model)
 
 
 @pytest.mark.parametrize("n", range(5, 9))
@@ -467,8 +477,6 @@ def test_failure_is_reported_not_fabricated(monkeypatch):
 def test_argument_validation():
     with pytest.raises(ValueError):
         solve_symmetric(2)
-    with pytest.raises(ValueError):
-        solve_symmetric(MAX_SOLVER_N["paper"] + 1)
     with pytest.raises(ValueError):
         solve_symmetric(4, model="bogus")
     with pytest.raises(TypeError):

@@ -112,9 +112,19 @@ def test_pairs_alternates_two_archived_trees(tmp_path, monkeypatch, capsys):
     log.unlink()
     assert tool.main(["HEAD", "HEAD", "--pairs", "3", "--in-process", "--", _RECORD, call]) == 0
     assert log.read_text().splitlines() == [f"{side} True True" for side in order for _ in range(2)]
-    parent, change, won = capsys.readouterr().out.splitlines()
+    parent, change, won, claim = capsys.readouterr().out.splitlines()
     assert parent.startswith("parent ") and change.startswith("change ")
     assert re.fullmatch(r"the change took less time in [0-3] of 3 pairs", won)
+    assert re.fullmatch(r"a gain claim would (not )?stand: 9 in 10 pairs won: (yes|no); .+ spread \d\.\d{4} s", claim)
+
+
+def test_pairs_tells_whether_a_gain_claim_would_stand():
+    # the parent's quartile spread is 0.045 s; 8 wins and 2 ties fall short of 9 in 10
+    parent = [1.0 + k / 100 for k in range(10)]
+    for change, verdict in (([t - 0.1 for t in parent], (True, True)), ([t - 0.01 for t in parent], (True, False)),
+                            ([t - 0.1 for t in parent[:8]] + parent[8:], (False, True))):
+        entry = _load("pairs").pairs_entry({"parent": parent, "change": change})
+        assert (entry["nine_in_ten_won"], entry["median_gain_past_spread"]) == verdict
 
 
 def test_pairs_holds_each_side_to_its_own_first_status(tmp_path, monkeypatch, capsys):
@@ -124,7 +134,7 @@ def test_pairs_holds_each_side_to_its_own_first_status(tmp_path, monkeypatch, ca
     _enter_one_commit_repo(tmp_path, monkeypatch)
     by_tree = "import os, sys; sys.exit(os.path.basename(os.path.dirname(os.environ['PYTHONPATH'])) == 'change')"
     assert tool.main(["HEAD", "HEAD", "--pairs", "2", "--", sys.executable, "-c", by_tree]) == 0
-    parent, change, _ = capsys.readouterr().out.splitlines()
+    parent, change, _, _ = capsys.readouterr().out.splitlines()
     assert parent.endswith(" s") and change.endswith(" s, exit status 1")
 
 

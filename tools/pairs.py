@@ -21,11 +21,15 @@ and once more timed, with stdout sent to a string; the time is that second
 evaluation's.
 
 Prints each side's median and inclusive quartiles in seconds, with its exit
-status where that is not 0, and the number of pairs the change won (it took
-less time than the parent). ``--json`` prints the block instead, in the
-shape of a ``BENCH_*.json`` record's ``pairs``: ``{"wall_s" or "call_s":
-{"parent_median", "parent_q1_q3", "change_median", "change_q1_q3",
-"change_better_pairs", "pairs"}}``.
+status where that is not 0, the number of pairs the change won (it took
+less time than the parent; a tie counts for neither side), and whether a
+gain claim would stand: the change won at least 9 in 10 pairs
+(``nine_in_ten_won``), and its median lies below the parent's by more than
+the parent's quartile spread (``median_gain_past_spread``). ``--json``
+prints the block instead, in the shape of a ``BENCH_*.json`` record's
+``pairs``: ``{"wall_s" or "call_s": {"parent_median", "parent_q1_q3",
+"change_median", "change_q1_q3", "change_better_pairs", "pairs",
+"nine_in_ten_won", "median_gain_past_spread"}}``.
 Standard library only.
 """
 
@@ -100,6 +104,9 @@ def pairs_entry(times):
         entry[f"{side}_median"], entry[f"{side}_q1_q3"] = median, [q1, q3]
     entry["change_better_pairs"] = sum(c < p for p, c in zip(times["parent"], times["change"]))
     entry["pairs"] = len(times["parent"])
+    entry["nine_in_ten_won"] = 10 * entry["change_better_pairs"] >= 9 * entry["pairs"]
+    q1, q3 = entry["parent_q1_q3"]
+    entry["median_gain_past_spread"] = entry["parent_median"] - entry["change_median"] > q3 - q1
     return entry
 
 
@@ -143,6 +150,11 @@ def main(argv):
         print(f"{side} {revisions[side][:7]}: median {entry[f'{side}_median']:.4f} s,"
               f" quartiles {q1:.4f} .. {q3:.4f} s{status}")
     print(f"the change took less time in {entry['change_better_pairs']} of {args.pairs} pairs")
+    q1, q3 = entry["parent_q1_q3"]
+    verdict = "stand" if entry["nine_in_ten_won"] and entry["median_gain_past_spread"] else "not stand"
+    print(f"a gain claim would {verdict}: 9 in 10 pairs won: {'yes' if entry['nine_in_ten_won'] else 'no'};"
+          f" median gain {entry['parent_median'] - entry['change_median']:.4f} s against the parent's quartile"
+          f" spread {q3 - q1:.4f} s")
     return 0
 
 
