@@ -12,8 +12,6 @@ import json
 import math
 import random
 
-import pytest
-
 from _oracle import brute_payoffs, random_interior, random_strategy
 from lupi import (
     StrategyProfile,

@@ -208,10 +208,8 @@ def test_verify_json_fields(capsys, tmp_path):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_verify_rejects_an_infinite_epsilon(capsys, tmp_path, fmt):
     path = write_profile(tmp_path, ASYM3)
-    code, out, err = run_cli(capsys, "verify", "--profile", path, "--eps", "inf", "--format", fmt)
-    assert code == EXIT_INPUT
-    assert out == ""
-    assert err == "lupi: error: epsilon must be positive and finite\n"
+    assert run_cli(capsys, "verify", "--profile", path, "--eps", "inf", "--format", fmt) == (
+        EXIT_INPUT, "", "lupi: error: epsilon must be positive and finite\n")
 
 
 def test_verify_bad_row_reports_index(capsys, tmp_path):
@@ -292,6 +290,13 @@ def test_profile_size_is_bounded_by_the_work_budget(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "simulate", "--rounds", "10", "--profile", path)
     assert code == EXIT_OK
     assert out.startswith("rounds: 10\n")
+
+
+def test_heterogeneous_profile_above_the_subset_limit_is_rejected(capsys, tmp_path):
+    path = write_profile(tmp_path, _dense_profile(17))
+    assert run_cli(capsys, "verify", "--profile", path) == (
+        EXIT_INPUT, "", "lupi: error: the subset program needs about 3.79e+07 multiply-adds,"
+                        " over the budget of 2e+07\n")
 
 
 def test_exact_root_with_one_deviator_at_n40(capsys, tmp_path, exact_root):
@@ -835,32 +840,18 @@ def test_simulate_process_starts_no_blas_threads(tmp_path, preset, expected):
 
 
 def test_simulate_is_deterministic(capsys, tmp_path):
-    path = write_profile(tmp_path, ASYM3)
-    code, first, _ = run_cli(
-        capsys, "simulate", "--profile", path, "--rounds", "20000", "--seed", "42",
-        "--format", "json",
-    )
-    assert code == EXIT_OK
-    code, second, _ = run_cli(
-        capsys, "simulate", "--profile", path, "--rounds", "20000", "--seed", "42",
-        "--format", "json",
-    )
-    assert first == second
-    data = json.loads(first)
+    argv = ("simulate", "--profile", write_profile(tmp_path, ASYM3), "--rounds", "20000", "--seed", "42",
+            "--format", "json")
+    first, second = (run_cli(capsys, *argv) for _ in range(2))
+    assert first == second and first[0] == EXIT_OK
+    data = json.loads(first[1])
     assert sum(data["wins"]) + data["no_winner_rounds"] == 20000
     assert data["payoffs"] == pytest.approx([0.5, 0.25, 0.25], abs=0.02)
 
 
 def test_simulate_seed_defaults_to_zero(capsys, tmp_path):
-    path = write_profile(tmp_path, ASYM3)
-    _, explicit, _ = run_cli(
-        capsys, "simulate", "--profile", path, "--rounds", "1000", "--seed", "0",
-        "--format", "json",
-    )
-    _, default, _ = run_cli(
-        capsys, "simulate", "--profile", path, "--rounds", "1000", "--format", "json"
-    )
-    assert explicit == default
+    argv = ("simulate", "--profile", write_profile(tmp_path, ASYM3), "--rounds", "1000", "--format", "json")
+    assert run_cli(capsys, *argv, "--seed", "0") == run_cli(capsys, *argv)
 
 
 def test_simulate_rejects_zero_rounds(capsys, tmp_path):

@@ -296,16 +296,21 @@ def _distinct_rows(m, n):
 
 
 def test_fold_size_guard():
-    # two rows of 17 integers are 136 multiply-adds. Each route's limit is a
-    # row of tests/test_docs.py::test_readme_limit; above it both public
-    # kernels stop before any work
+    # two rows of 17 integers are 136 multiply-adds
     assert len(kernels.win_probs_distinct(_distinct_rows(2, 17))) == 17
+    # each route's limit is a row of tests/test_docs.py::test_readme_limit:
+    # at it the plan gets past its check on the route the row names, and
+    # above it both public kernels stop before any work
+    groups, _, moves = kernels._plan(_distinct_rows(16, 16), 15)
+    assert len(groups) == len(moves) == 16
     with pytest.raises(ValueError, match="the subset program needs about 3.79e\\+07 multiply-adds"):
         kernels.win_probs_leave_one_out(_distinct_rows(17, 17))
     with pytest.raises(ValueError, match="the subset program"):
         kernels.win_probs_distinct(_distinct_rows(17, 17))
     # identical opponents: n players take about n * (n - 1)**2 / 2
     n, message = 343, "the identical-opponent program needs about 2.01e\\+07 multiply-adds"
+    groups, _, moves = kernels._plan([[1.0 / (n - 1)] * (n - 1)] * (n - 1), n - 2)
+    assert len(groups) == 1 and moves is None
     with pytest.raises(ValueError, match=message):
         kernels.win_probs_leave_one_out([[1.0 / n] * n] * n)
     with pytest.raises(ValueError, match=message):

@@ -102,10 +102,12 @@ def test_exact_support_follows_the_poisson_step_count(exact_root):
 
 def test_paper_limit_is_the_last_n_whose_root_is_a_normal_double():
     # test_paper_solution_has_equal_last_two_weights checks the roots up to
-    # the limit; tests/test_docs.py::test_readme_limit checks that each model
-    # refuses the n above its own limit, and names it
+    # the limit; each model refuses the n above its own limit, and names it
     top = MAX_SOLVER_N["paper"]
     assert solve_symmetric(top).strategy.probs[-1] >= sys.float_info.min > 1.0 / (_paper_shot(top + 1, 1.0)[1] + 1.0)
+    for model, n in (("paper", top + 1), ("exact", MAX_SOLVER_N["exact"] + 1)):
+        with pytest.raises(ValueError, match=rf"^the {model} solver supports 3 <= n <= {n - 1}, got {n}$"):
+            solve_symmetric(n, model)
 
 
 @pytest.mark.parametrize("n", range(5, 9))
@@ -477,6 +479,8 @@ def test_failure_is_reported_not_fabricated(monkeypatch):
 def test_argument_validation():
     with pytest.raises(ValueError):
         solve_symmetric(2)
+    with pytest.raises(ValueError):
+        solve_symmetric(MAX_SOLVER_N["paper"] + 1)
     with pytest.raises(ValueError):
         solve_symmetric(4, model="bogus")
     with pytest.raises(TypeError):

@@ -2,7 +2,6 @@
 
 import importlib.util
 import json
-import os
 import re
 import subprocess
 import sys
