@@ -5,8 +5,11 @@ kernels ``win_probs_distinct`` and ``win_probs_leave_one_out`` are plain
 Python dynamic programs. The last two take their route from ``_plan``, the
 one place that groups the rows, picks the program and checks the budget.
 One grouped pass (``_grouped_steps``) scores every player of a whole
-profile. ``tests/test_kernels.py`` checks them to rounding against the
-scalar loop over 3**n capped-count states kept in ``tests/_oracle.py``.
+profile. Every route only adds, multiplies and divides non-negative
+numbers, so its error is relative:
+``tests/test_kernels.py::test_kernels_meet_their_oracle`` states the bound,
+in units of 2**-53 as a function of n, and checks each route against
+independent oracles kept in ``tests/_oracle.py``.
 
 ``simulate_rounds`` is numpy-vectorised in exact integer arithmetic: the
 draws, the inverse-CDF choice and the winner rule involve no rounding, so
@@ -153,13 +156,14 @@ def win_probs_leave_one_out(rows):
     """Win probabilities of every player's pure choices against all the other rows.
 
     Entry i is what ``win_probs_distinct`` returns for the rows without row
-    i, up to rounding. One pass of ``_grouped_steps`` over all m rows serves
-    every group. Its g members are exchangeable: a given one is outside the
-    c counted below j with weight (g - c) / g, and then all the other
-    players pick above j with the mass ``above`` holds at the state that
-    counts c + 1. With g = 1 that is the subset rule: the weight of a set of
-    players never involves a player outside it. Every entry is a list of its
-    own, also for players with equal rows.
+    i, within the relative bound that the conformance table in
+    ``tests/test_kernels.py`` states. One pass of ``_grouped_steps`` over
+    all m rows serves every group. Its g members are exchangeable: a given
+    one is outside the c counted below j with weight (g - c) / g, and then
+    all the other players pick above j with the mass ``above`` holds at the
+    state that counts c + 1. With g = 1 that is the subset rule: the weight
+    of a set of players never involves a player outside it. Every entry is a
+    list of its own, also for players with equal rows.
     """
     groups, group_of, moves = _plan(rows, len(rows) - 1)
     if moves is None:
@@ -296,8 +300,11 @@ def simulate_rounds(rows, rounds, seed):
     n = len(rows)
     cuts = [_thresholds(r) for r in rows]
     per_round = sum(map(len, cuts)) + _DRAW_COST * n * -(-n // 64)
-    # past 2**900 rounds the float quotient could overflow: so many rounds are refused as inf work
-    _check_work("the sampler", rounds * per_round / _COMPARISONS_PER_ADD if rounds < 1 << 900 else math.inf)
+    # past 2**900 rounds the float quotient could overflow: so many rounds are refused as inf work. The refusal
+    # names the most rounds the budget admits; their estimate, an integer below 2**53 over 2**9, is exact
+    route = (f"rounds must be <= {_WORK_BUDGET * _COMPARISONS_PER_ADD // per_round} for this profile, at "
+             f"{_COMPARISONS_PER_ADD} sampler comparisons to a multiply-add: the sampler")
+    _check_work(route, rounds * per_round / _COMPARISONS_PER_ADD if rounds < 1 << 900 else math.inf)
     import numpy as np
 
     def mix(z, tmp):

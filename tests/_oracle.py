@@ -5,16 +5,18 @@ winner rule, so they share no code with any of the package's computation
 paths. The generating-function oracle scores identical opponents in
 50-digit decimal arithmetic by an algorithm apart from the package's
 dynamic program, and gives a symmetric strategy's gain in the same
-arithmetic; the Poisson-limit oracle gives the equilibrium that
-the exact game's approaches as n grows, in closed form. The scalar
-reference kernels and the repeated-product closed form at the end are
-plain loops that the package's kernels and closed-form model must agree
-with; they import nothing from the package either. The random-input
-helpers only draw test inputs; ``random_profile`` wraps its rows in the
-package's ``StrategyProfile``. ``EXACT4_POINT``, ``EXACT4_VALUE`` and
-``EXACT4_P1_POLY`` are data: the exact four-player equilibrium and its payoff
-to 40 digits, and the integer polynomial whose one real root is its first
-weight.
+arithmetic; the Poisson-limit oracle gives the equilibrium that the exact
+game's approaches as n grows, in closed form. The scalar reference kernels
+and the repeated-product closed form at the end are plain loops that the
+package's kernels and closed-form model must agree with; they import
+nothing from the package either. Brute force, the generating function and
+the scalar loop over capped counts are the columns of the conformance table
+in ``tests/test_kernels.py``, which states each one's relative bound. The
+random-input helpers only draw test inputs; ``random_profile`` wraps its
+rows in the package's ``StrategyProfile``. ``EXACT4_POINT``,
+``EXACT4_VALUE`` and ``EXACT4_P1_POLY`` are data: the exact four-player
+equilibrium and its payoff to 40 digits, and the integer polynomial whose
+one real root is its first weight.
 """
 
 import itertools
@@ -183,7 +185,8 @@ def random_interior(rng, n, margin=0.05):
 # is the uint64 thresholds of ``_thresholds`` and which finds winners in
 # bitmasks, must return exactly the round loop's counts; the
 # distinct-opponent kernels, a dynamic program over subsets of players,
-# must agree with the state loop to rounding (``tests/test_kernels.py``).
+# must agree with the state loop to the relative bound that
+# ``tests/test_kernels.py::test_kernels_meet_their_oracle`` states.
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -212,30 +215,22 @@ def _scalar_choose_index(cums, u):
 
 def scalar_win_probs_distinct(rows):
     """Reference: the capped-count fold as a scalar loop over 3**n states."""
-    m = len(rows)
     n = len(rows[0])
     pow3 = [3**j for j in range(n + 1)]
     size = pow3[n]
     dist = [0.0] * size
     dist[0] = 1.0
-    for idx in range(m):
-        row = rows[idx]
+    for row in rows:
+        # the integers the row picks, each with the place value of its count, which stops at 2
+        picked = [(q, pow3[j]) for j, q in enumerate(row) if q != 0.0]
         new = [0.0] * size
-        for s in range(size):
-            ps = dist[s]
-            if ps == 0.0:
-                continue
-            for j in range(n):
-                q = row[j]
-                if q == 0.0:
-                    continue
-                d = (s // pow3[j]) % 3
-                t = s + pow3[j] if d < 2 else s
-                new[t] += ps * q
+        for s, ps in enumerate(dist):
+            if ps != 0.0:
+                for q, place in picked:
+                    new[s + place if (s // place) % 3 < 2 else s] += ps * q
         dist = new
     win = [0.0] * n
-    for s in range(size):
-        ps = dist[s]
+    for s, ps in enumerate(dist):
         if ps == 0.0:
             continue
         for j in range(n):

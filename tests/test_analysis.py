@@ -36,6 +36,9 @@ ASYM4 = StrategyProfile(((0, 0, 1, 0), HALF4, HALF4, HALF4))
 
 # os.fspath's refusal of a value that is not a path
 NOT_A_PATH = "expected str, bytes or os.PathLike object, not"
+# the sampler's refusal on ASYM3, 4 thresholds and 3 mask windows a round: 2e7 * 2**9 // (4 + 32 * 3) rounds
+ROUNDS3 = ("rounds must be <= 102400000 for this profile, at 512 sampler comparisons to a multiply-add: the sampler "
+           "needs about")
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +328,8 @@ def test_verdicts_match_brute_force_deviations(n):
     (lambda: simulate(ASYM3, 10.5), "rounds must be a positive integer, got 10.5"),
     (lambda: simulate(ASYM3, 10, seed=1.5), "seed must be an integer, got 1.5"),
     # past the work budget, refused before a draw (played, it would run for centuries), also past a float's range
-    (lambda: simulate(ASYM3, 2**63), "the sampler needs about 1.8e+18 multiply-adds, over the budget of 2e+07"),
-    (lambda: simulate(ASYM3, 10**400), "the sampler needs about inf multiply-adds, over the budget of 2e+07"),
+    (lambda: simulate(ASYM3, 2**63), f"{ROUNDS3} 1.8e+18 multiply-adds, over the budget of 2e+07"),
+    (lambda: simulate(ASYM3, 10**400), f"{ROUNDS3} inf multiply-adds, over the budget of 2e+07"),
     (lambda: load_profile(None), f"cannot read profile file None: {NOT_A_PATH} NoneType"),
     (lambda: load_profile("a\0b"), "cannot read profile file 'a\\x00b': embedded null byte"),
     (lambda: save_profile(None, ASYM3), f"cannot write profile file None: {NOT_A_PATH} NoneType"),

@@ -685,7 +685,8 @@ run("best-response", "--profile", hetero, "--player", "2")
 for rounds in (10**18, 2**63):  # past the work budget: refused before numpy is imported
     with contextlib.redirect_stderr(io.StringIO()) as err:
         assert main(["simulate", "--profile", hetero, "--rounds", str(rounds)]) == 1
-    assert err.getvalue().startswith("lupi: error: the sampler needs about "), err.getvalue()
+    assert err.getvalue().startswith("lupi: error: rounds must be <= 76992481 for this profile, at 512 "
+                                     "sampler comparisons to a multiply-add: the sampler needs about "), err.getvalue()
 heavy = {"dataclasses", "inspect", "numpy"} & set(sys.modules)
 assert not heavy, f"a heterogeneous payoff or refused simulate command loaded {sorted(heavy)}"
 run("simulate", "--profile", hetero, "--rounds", "100")

@@ -8,14 +8,7 @@ from operator import add, mul
 import pytest
 
 from _oracle import brute_payoffs, brute_win_prob, random_profile, random_strategy
-from lupi import (
-    MixedStrategy,
-    StrategyProfile,
-    exact_profile_payoffs,
-    geometric_strategy,
-    pure_choice_values,
-    solve_symmetric,
-)
+from lupi import MixedStrategy, StrategyProfile, exact_profile_payoffs, pure_choice_values, solve_symmetric
 from lupi import _kernels_py as kernels
 from lupi.game import _total
 
@@ -69,55 +62,6 @@ def test_win_probabilities_at_geometric_n4():
     assert wins == pytest.approx((0.125, 0.328125, 0.259765625, 0.142578125), abs=1e-15)
 
 
-def test_identical_and_distinct_routes_agree_on_identical_opponents():
-    # win_probs_distinct hands one group of rows to win_probs_common, so the
-    # grouped program is called on that one group directly
-    rng = random.Random(103)
-    for _ in range(60):
-        n = rng.randint(2, 6)
-        m = n - 1
-        p = list(random_strategy(rng, n, zeros=True))
-        common = kernels.win_probs_common(p, m)
-        groups = [(p, m)]
-        steps = kernels._grouped_steps(groups, kernels._count_moves(groups, m + 1))
-        dp = [sum(map(mul, dist, above)) for dist, above in steps]
-        assert common == pytest.approx(dp, abs=1e-12)
-    # the identical-opponent route against independent brute force, also
-    # with fewer opponents than the integer range
-    for n in range(2, 8):
-        for m in sorted({1, n // 2, n - 1}):
-            p = list(random_strategy(rng, n, zeros=True))
-            common = kernels.win_probs_common(p, m)
-            for pick in range(1, n + 1):
-                assert common[pick - 1] == pytest.approx(
-                    brute_win_prob(n, pick, [p] * m), abs=1e-12
-                )
-
-
-def test_identical_opponents_at_large_n():
-    n = 30
-    geo = geometric_strategy(n).probs
-    wins = pure_choice_values([geo] * (n - 1))
-    assert len(wins) == n
-    assert all(math.isfinite(w) for w in wins)
-    assert wins[0] == pytest.approx((1 - geo[0]) ** (n - 1), abs=1e-15)
-    for w, p in zip(wins, geo):
-        # choice j wins only if no opponent picks it
-        assert 0.0 <= w <= (1 - p) ** (n - 1)
-
-
-def test_heterogeneous_route_matches_independent_brute_force():
-    rng = random.Random(104)
-    for _ in range(50):
-        n = rng.randint(2, 5)
-        rows = [random_strategy(rng, n, zeros=True) for _ in range(n - 1)]
-        wins = pure_choice_values(rows)
-        for pick in range(1, n + 1):
-            assert wins[pick - 1] == pytest.approx(
-                brute_win_prob(n, pick, rows), abs=1e-12
-            )
-
-
 def test_opponent_reordering_invariance():
     rng = random.Random(105)
     for _ in range(30):
@@ -152,16 +96,6 @@ def test_everyone_on_one_scores_zero(n):
     pure_one = tuple([1.0] + [0.0] * (n - 1))
     payoffs = exact_profile_payoffs(StrategyProfile.symmetric(pure_one))
     assert payoffs == tuple([0.0] * n)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_profile_payoffs_match_full_enumeration(n):
-    rng = random.Random(200 + n)
-    for _ in range(15):
-        profile = random_profile(rng, n, zeros=True)
-        fast = exact_profile_payoffs(profile)
-        slow = brute_payoffs(profile.rows())
-        assert fast == pytest.approx(slow, abs=1e-12)
 
 
 def test_payoff_vector_bounds_and_winner_mass():

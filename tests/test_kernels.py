@@ -3,31 +3,34 @@
 The sampler draws and picks in exact integer arithmetic, with thresholds
 that agree with the float comparison of the scalar round loop in
 ``_oracle`` on every draw, so its counts must be equal, not close.
-The distinct-opponent kernels run a dynamic program over how many rows of
-each group of equal rows sit below an integer (subsets of players when all
-rows differ), an algorithm apart from the oracle's scalar loop over 3**n
-capped-count states, so they are checked against that loop to 1e-14, and
-whole-profile payoffs against brute-force enumeration. The
-identical-opponent kernel is checked against the generating-function
-oracle, which reads the same win probabilities off power series.
+The exact kernels meet their oracles in one conformance table,
+``test_kernels_meet_their_oracle``: profile shapes crossed with every entry
+point (the identical-opponent program, the distinct-opponent one, every
+player's leave-one-out wins and payoff), each checked against the oracle
+that reaches it at that oracle's relative bound, in units of u = 2**-53 as
+a function of n, one test per row. The oracles are algorithms apart from
+the kernels: the scalar loop over 3**n capped-count states, brute-force
+enumeration, and the generating function in 50-digit arithmetic.
+``test_oracle_bound_is_not_vacuous`` holds each bound to at most 1000
+times the worst error its rows measure, and ``pytest -s -k oracle`` prints
+that error. A new route adds rows, not a test.
 """
 
 import ast
 import itertools
+import math
 import random
+from decimal import Decimal
+from operator import mul
 from pathlib import Path
 
 import pytest
 
-from _oracle import (
-    _scalar_choose_index,
-    brute_payoffs,
-    egf_win_probs,
-    random_strategy,
-    scalar_simulate_rounds,
-    scalar_win_probs_distinct,
-)
+from _oracle import (_egf_wins, _scalar_choose_index, brute_win_prob, random_strategy, scalar_simulate_rounds,
+                     scalar_win_probs_distinct)
+from lupi import StrategyProfile, geometric_strategy
 from lupi import _kernels_py as kernels
+from lupi.game import _profile_choice_values, _total
 from test_package import _owned_nodes
 
 SEEDS = (0, 2**64 - 1)
@@ -179,66 +182,6 @@ def test_sampler_single_round():
         assert kernels.simulate_rounds(rows, 1, seed) == scalar_simulate_rounds(rows, 1, seed)
 
 
-def _check_distinct(rows):
-    got = kernels.win_probs_distinct(rows)
-    assert got == pytest.approx(scalar_win_probs_distinct(rows), rel=0.0, abs=1e-14)
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_fold_matches_scalar_loop(n):
-    rng = random.Random(900 + n)
-    for _ in range(10 if n < 7 else 3):
-        _check_distinct([list(random_strategy(rng, n, zeros=True)) for _ in range(n - 1)])
-    _check_distinct([list(random_strategy(rng, n, zeros=True))])
-
-
-def test_fold_matches_scalar_loop_on_sparse_rows():
-    rows = [[0.0, 1.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.3, 0.7, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0]]
-    _check_distinct(rows)
-
-
-def _check_leave_one_out(rows):
-    wins = kernels.win_probs_leave_one_out(rows)
-    assert len(wins) == len(rows)
-    for i, got in enumerate(wins):
-        expected = scalar_win_probs_distinct(rows[:i] + rows[i + 1 :])
-        assert got == pytest.approx(expected, rel=0.0, abs=1e-14)
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_leave_one_out_matches_scalar_loop(n):
-    rng = random.Random(1000 + n)
-    rows = [list(random_strategy(rng, n, zeros=True)) for _ in range(n)]
-    _check_leave_one_out(rows)
-    # a pure strategy and a repeated row
-    rows[0] = [0.0] * n
-    rows[0][rng.randrange(n)] = 1.0
-    rows[-1] = rows[1][:]
-    _check_leave_one_out(rows)
-
-
-def _grouped_rows(rng, n, shape):
-    """n rows with zero entries, in groups of equal rows of the sizes in ``shape``, in a seeded order."""
-    rows = [row for g in shape for row in [list(random_strategy(rng, n, zeros=True))] * g]
-    rng.shuffle(rows)
-    return rows
-
-
-def _shapes(n):
-    """Group sizes of n rows: one deviator, two, pairs, and two blocks."""
-    return [[n - 1, 1], [n - 2, 1, 1], [2] * (n // 2) + [1] * (n % 2), [n // 2, n - n // 2]]
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_grouped_rows_match_scalar_loop(n):
-    rng = random.Random(1050 + n)
-    for shape in _shapes(n):
-        rows = _grouped_rows(rng, n, [g for g in shape if g])
-        _check_leave_one_out(rows)
-        _check_distinct(rows)
-        _check_distinct(rows[1:])
-
-
 def test_leave_one_out_gives_every_player_a_list_of_its_own():
     # equal rows share a group, in the identical-opponent program and in the grouped one
     for rows in ([[0.5, 0.5]] * 3, [[0.5, 0.5]] * 2 + [[1.0, 0.0]]):
@@ -246,48 +189,122 @@ def test_leave_one_out_gives_every_player_a_list_of_its_own():
         assert len({id(win) for win in wins}) == len(rows)
 
 
-@pytest.mark.parametrize("n", [16, 40])
-def test_one_deviator_faces_the_identical_opponent_program(n, exact_root):
-    # the exact root for all but one player, who picks 1: that player's row is
-    # the root's win probabilities against n - 1 identical opponents
-    root = list(exact_root(n).strategy.probs)
-    rows = [root] * (n - 1) + [[1.0] + [0.0] * (n - 1)]
-    deviator = kernels.win_probs_leave_one_out(rows)[-1]
-    assert deviator == pytest.approx(kernels.win_probs_common(root, n - 1), rel=0.0, abs=1e-15)
-    assert deviator == pytest.approx(egf_win_probs(root), rel=0.0, abs=1e-14)
+U = 2.0**-53
 
 
-def test_leave_one_out_matches_scalar_loop_dense_n10():
-    rng = random.Random(1010)
-    _check_leave_one_out([list(random_strategy(rng, 10)) for _ in range(10)])
+def _brute_wins(rows):
+    """Brute force over the opponents' picks, n**m outcomes a pick: it reaches fewer opponents than integers."""
+    n = len(rows[0])
+    return [brute_win_prob(n, pick, rows) for pick in range(1, n + 1)] if len(rows) < n else None
 
 
-@pytest.mark.parametrize("n", range(2, 7))
-def test_leave_one_out_payoffs_match_brute_force(n):
-    rng = random.Random(1100 + n)
-    rows = [list(random_strategy(rng, n, zeros=True)) for _ in range(n)]
-    # a pure strategy, a repeated row and an integer nobody picks
-    rows[0] = [0.0] * n
-    rows[0][rng.randrange(n)] = 1.0
-    rows[-1] = rows[1][:]
-    unused = rng.randrange(n)
-    for row in rows:
-        row[unused] = 0.0
-        if not any(row):
-            row[(unused + 1) % n] = 1.0
-        total = sum(row)
-        row[:] = [v / total for v in row]
-    wins = kernels.win_probs_leave_one_out(rows)
-    payoffs = [sum(p * w for p, w in zip(row, win)) for row, win in zip(rows, wins)]
-    assert payoffs == pytest.approx(brute_payoffs(rows), rel=0.0, abs=1e-14)
+def _egf_identical(rows):
+    """The generating function in 50 digits: it reaches n - 1 identical opponents."""
+    return _egf_wins(rows[0]) if len(rows) == len(rows[0]) - 1 == rows.count(rows[0]) else None
 
 
-@pytest.mark.parametrize("n", [20, 40])
-def test_common_matches_generating_function_oracle(n):
-    rng = random.Random(1200 + n)
-    for zeros in (False, True, True):
-        probs = list(random_strategy(rng, n, zeros=zeros))
-        assert kernels.win_probs_common(probs, n - 1) == pytest.approx(egf_win_probs(probs), rel=0.0, abs=1e-13)
+# each oracle: its wins against the opponents it reaches (None elsewhere), its relative bound in u at n, and its
+# rows (shape, n, seed, profiles drawn). Every kernel route and both float oracles only add, multiply and divide
+# non-negative numbers, so each errs by a relative K * u (Higham 2002, ch. 3), K measured within n**2 / 2 here.
+# The bound holds the kernel's error and a float oracle's own; the generating function's 50 digits add none
+ORACLES = {
+    "scalar loop": (scalar_win_probs_distinct, lambda n: 4 * n * n, [
+        *((shape, n, seed + n, draws) for n in range(2, 9) for shape, seed, draws in [
+            ("sparse", 900, 2), ("sparse", 1000, 1), ("pure row", 1000, 1), ("one deviator", 1050, 1),
+            ("two deviators", 1050, 1), ("pairs", 1050, 1), ("two blocks", 1050, 1)]),
+        *(("symmetric", n, 103, 4) for n in range(3, 9)),
+        *((shape, n, 0, 1) for n in range(3, 9) for shape in ("geometric", "exact root", "one deviator on 1")),
+        # seed 1286 draws a row with almost all its mass on one integer, so the distinct pass returns wins of 1e-14
+        ("dense", 10, 1010, 1), ("two deviators", 7, 1286, 1)]),
+    "brute force": (_brute_wins, lambda n: 4 * n * n, [
+        *((shape, n, seed, 1) for n in range(2, 7) for shape, seed in [("symmetric", 103), ("pure row", 1100 + n)]),
+        *(("sparse", n, seed, draws) for n in range(2, 6) for seed, draws in [(104, 3), (200 + n, 5)])]),
+    "generating function": (_egf_identical, lambda n: n * n, [
+        *((shape, n, 0, 1) for n in (16, 40, 100) for shape in ("exact root", "one deviator on 1")),
+        ("symmetric", 20, 1220, 3), ("symmetric", 40, 1240, 3), ("geometric", 30, 0, 1)]),
+}
+
+
+def _profile(shape, n, rng, root):
+    """n rows of n integers in ``shape``. Seeded shapes draw one row with zero entries (none if dense) for each
+    group of equal rows, in a seeded order; "pure row" has a pure first row, a last row equal to the second and an
+    integer no one picks. The geometric row or the exact root goes to every player, but for the deviator on 1."""
+    if shape in ("geometric", "exact root", "one deviator on 1"):
+        row = list(geometric_strategy(n).probs if shape == "geometric" else root(n).strategy.probs)
+        return [row] * n if shape != "one deviator on 1" else [row] * (n - 1) + [[1.0] + [0.0] * (n - 1)]
+    sizes = {"symmetric": [n], "one deviator": [n - 1, 1], "two deviators": [n - 2, 1, 1],
+             "pairs": [2] * (n // 2) + [n % 2], "two blocks": [n // 2, n - n // 2]}.get(shape, [1] * n)
+    width = n - (shape == "pure row")
+    rows = [row for g in sizes if g for row in [list(random_strategy(rng, width, zeros=shape != "dense"))] * g]
+    rng.shuffle(rows)
+    if shape == "pure row":
+        rows[0], rows[-1], unused = [0.0] * width, rows[1], rng.randrange(n)
+        rows[0][rng.randrange(width)] = 1.0
+        rows = [row[:unused] + [0.0] + row[unused:] for row in rows]
+    return rows
+
+
+def _entries(rows):
+    """(entry point, opponents as a sorted tuple of rows, values, own row or None) of each kernel entry point on
+    ``rows``. Every player's wins and payoff, its row dotted with them, come from the one pass of ``payoff`` and
+    ``verify``; the first m rows' wins, m = 1, n // 2 and n - 1, from ``win_probs_distinct``, and where those rows
+    are equal from ``win_probs_common`` and, up to m = 8, the grouped pass on one group (the package never runs
+    that pass on one group)."""
+    keys = [tuple(row) for row in rows]
+    for i, (wins, payoff) in enumerate(zip(*_profile_choice_values(StrategyProfile(rows)))):
+        others = tuple(sorted(keys[:i] + keys[i + 1:]))
+        yield from [("leave one out", others, wins, None), ("payoff", others, [payoff], rows[i])]
+    for m in sorted({1, len(rows) // 2, len(rows) - 1}):
+        key, groups = tuple(sorted(keys[:m])), [(rows[0], m)]
+        yield "distinct", key, kernels.win_probs_distinct(rows[:m]), None
+        if key.count(key[0]) == m:
+            yield "common", key, kernels.win_probs_common(rows[0], m), None
+        if key.count(key[0]) == m <= 8:
+            steps = kernels._grouped_steps(groups, kernels._count_moves(groups, m + 1))
+            yield "one group", key, [_total(map(mul, dist, above)) for dist, above in steps], None
+
+
+def _error(got, want):
+    """|got - want| / want in u, in want's arithmetic: 0 where both are 0, and inf where only want is."""
+    return float(abs(type(want)(got) - want) / want) / U if want else (0.0 if got == 0.0 else math.inf)
+
+
+_ANSWERS, _WORST = {}, {}  # each oracle's answers by opponents, and each row's worst error in u and where
+
+
+@pytest.mark.parametrize("oracle, shape, n, seed, draws", [(o, *row) for o in ORACLES for row in ORACLES[o][2]])
+def test_kernels_meet_their_oracle(oracle, shape, n, seed, draws, exact_root):
+    # one row of the oracle's table: each value the oracle reaches is within its bound of the oracle's, so exactly 0
+    # where that is; a payoff's is its row dotted with the oracle's wins in 28-digit decimals, exact to far below u.
+    # Every win, reached or not, is at most the chance that no opponent picks its integer, times 1 + the bound
+    (answer, bound, _), worst, rng = ORACLES[oracle], (0.0, ""), random.Random(seed)
+    for entry, opponents, got, own in (e for _ in range(draws) for e in _entries(_profile(shape, n, rng, exact_root))):
+        if (oracle, opponents) not in _ANSWERS:
+            # that chance is the product of each row's mass off j: 1 - p_ij, but summed, since a row sums to 1 only
+            # to rounding; equal rows are one factor to the power of their count
+            groups = [(row, len(list(same))) for row, same in itertools.groupby(opponents)]
+            free = [math.prod(math.fsum(row[:j] + row[j + 1:]) ** g for row, g in groups) for j in range(n)]
+            _ANSWERS[oracle, opponents] = answer(opponents), free
+        want, free = _ANSWERS[oracle, opponents]
+        assert len(got) == (n if own is None else 1), (entry, len(opponents), got)
+        assert own is not None or all(0 <= w <= f * (1 + bound(n) * U) for w, f in zip(got, free)), (entry, got)
+        if want is not None:
+            want = [sum(map(mul, map(Decimal, own), map(Decimal, want)), Decimal(0))] if own else want
+            assert max(errors := list(map(_error, got, want))) <= bound(n), (entry, len(opponents), errors)
+            worst = max(worst, (max(errors), f"n = {n}, {shape} (seed {seed}), {entry} against {len(opponents)}"))
+    _WORST[oracle, shape, n, seed, draws] = worst
+
+
+@pytest.mark.parametrize("oracle", ORACLES)
+def test_oracle_bound_is_not_vacuous(oracle, exact_root):
+    # over the oracle's rows, measured above or here when run alone, the bound is no more than 1000 times the worst
+    # error, and below 1e-9
+    _, bound, table = ORACLES[oracle]
+    for row in {(oracle, *row) for row in table} - _WORST.keys():
+        test_kernels_meet_their_oracle(*row, exact_root)
+    worst, top = max(w for (o, *_), w in _WORST.items() if o == oracle), max(bound(row[1]) for row in table)
+    print(f"{oracle}: worst relative error {worst[0]:.1f} u at {worst[1]}; bound {top} u at most")
+    assert top <= 1000 * worst[0] and top * U < 1e-9
 
 
 def _distinct_rows(m, n):

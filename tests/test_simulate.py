@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -138,10 +139,17 @@ def test_substreams_depend_on_player_index():
 
 @pytest.mark.parametrize("rounds", [10**18, 2**63])
 def test_the_sampler_checks_its_work_before_any_draw(rounds, monkeypatch):
-    # four players uniform on 1..4 hold 3 thresholds each and take one mask window each. A stand-in for the
-    # budget check ends the call there, before any draw; test_analysis.py and test_cli.py see the real check
-    # refuse these counts
-    monkeypatch.setattr(kernels, "_check_work", stop)
-    with pytest.raises(Stopped) as stopped:
-        simulate(StrategyProfile.symmetric([0.25] * 4), rounds)
-    assert stopped.value.args == ("the sampler", rounds * (12 + kernels._DRAW_COST * 4) / kernels._COMPARISONS_PER_ADD)
+    # four players uniform on 1..4 hold 3 thresholds each and take one mask window each: 140 comparisons a round,
+    # so the refusal names 2e7 * 2**9 // 140 rounds, README's limit at n = 4. With the real check kept, a stand-in
+    # for the work after it stops the call at that count, and the check refuses one more round
+    uniform = StrategyProfile.symmetric([0.25] * 4)
+    with pytest.raises(ValueError) as refused:
+        simulate(uniform, rounds)
+    route = "rounds must be <= 73142857 for this profile, at 512 sampler comparisons to a multiply-add: the sampler"
+    assert str(refused.value) == f"{route} needs about {rounds * 140 / 512:.3g} multiply-adds, over the budget of 2e+07"
+    most, check = int(re.search(r"<= (\d+) ", str(refused.value))[1]), kernels._check_work
+    monkeypatch.setattr(kernels, "_check_work", lambda route, estimate: stop(check(route, estimate)))
+    with pytest.raises(Stopped):
+        simulate(uniform, most)
+    with pytest.raises(ValueError, match=f"^{re.escape(route)} needs about 2e\\+07 multiply-adds, over the budget"):
+        simulate(uniform, most + 1)
